@@ -13,16 +13,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import closedform as cf
 from . import oracle as orc
-from .closedform import DegenerateShiftError, UndefinedCorrelationError, VarianceCollapseError
 from .fock import GridSpec, default_cutoff
-from .measurement import MeasurementParams, weak_value
+from .measurement import MeasurementParams
 
 __all__ = ["main"]
 
@@ -89,41 +87,13 @@ def _params_from(ns) -> MeasurementParams:
 
 def _evaluate(quantity: str, params: MeasurementParams, engine: str, na=None):
     """One scalar in the requested engine; (None, reason) when undefined."""
-    try:
-        if quantity == "weak_value":
-            return weak_value(params.alpha, params.delta).value.real
-        if engine == "closedform":
-            if quantity == "lambda":
-                return cf.lambda_norm(params)
-            if quantity == "Q1":
-                return cf.squeezing(params)[0]
-            if quantity == "Q2":
-                return cf.squeezing(params)[1]
-            if quantity == "g2":
-                return cf.g2_cross(params)
-            if quantity == "chi":
-                return cf.snr_ratio(params, 1)[0]
-            if quantity == "fidelity":
-                return cf.fidelity(params)
-        elif engine == "oracle":
-            rec = orc.oracle_quantities(params, na=na)
-            val = {
-                "lambda": rec.lam, "Q1": rec.q1, "Q2": rec.q2,
-                "g2": rec.g2 if rec.g2 is not None else (None, rec.g2_reason),
-                "chi": rec.chi if rec.chi is not None else (None, rec.chi_reason),
-                "fidelity": rec.fidelity,
-            }.get(quantity)
-            if val is None and quantity not in ("g2", "chi"):
-                raise ConfigError(f"unknown quantity {quantity!r}")
-            return val
-        else:
-            raise ConfigError(f"unknown engine {engine!r}")
-        raise ConfigError(f"unknown quantity {quantity!r}")
-    except (UndefinedCorrelationError, DegenerateShiftError, VarianceCollapseError) as exc:
-        return (None, str(exc))
+    q = orc.SCALAR_QUANTITIES[quantity]
+    if engine == "oracle" and q.oracle is not None:
+        return q.oracle(orc.oracle_quantities(params, na=na))
+    return q.closed_value(params)
 
 
-def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None, workers=None):
+def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
     def one(v):
         p = replace(base, **{axis: float(v)})
         res = _evaluate(quantity, p, engine, na=na)
@@ -136,9 +106,6 @@ def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None
             _fmt(p.Gamma), _fmt(p.alpha), _fmt(p.delta), _fmt(p.phi), _fmt(p.gamma), _fmt(p.sigma),
         ]
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, values))
     return [one(v) for v in values]
 
 
@@ -174,7 +141,7 @@ def cmd_sweep(ns) -> int:
             replace(base, **{ns.axis: float(v)})
     except ValueError as exc:
         raise ConfigError(f"axis leaves the legal domain: {exc}") from exc
-    rows = _sweep_rows(ns.quantity, ns.axis, values, base, ns.engine, na=ns.cutoff, workers=ns.workers)
+    rows = _sweep_rows(ns.quantity, ns.axis, values, base, ns.engine, na=ns.cutoff)
     _write_rows(ns.out, SWEEP_HEADER, rows, ns.format)
     print(f"wrote {ns.out} ({len(rows)} rows)")
     return 0
@@ -183,10 +150,8 @@ def cmd_sweep(ns) -> int:
 def _field(kind, params, grid, engine, na=None):
     if engine == "closedform":
         return cf.intensity_field(params, grid) if kind == "intensity" else cf.wigner_field(params, grid)
-    if engine == "oracle":
-        _, _, psi, _ = orc.oracle_states(params, na)
-        return orc.oracle_intensity(psi, grid) if kind == "intensity" else orc.oracle_wigner(psi, grid)
-    raise ConfigError(f"unknown engine {engine!r}")
+    _, _, psi, _ = orc.oracle_states(params, na)
+    return orc.oracle_intensity(psi, grid) if kind == "intensity" else orc.oracle_wigner(psi, grid)
 
 
 def cmd_field(ns) -> int:
@@ -244,13 +209,13 @@ def cmd_validate(ns) -> int:
     # cutoff-doubling self-check on the most demanding point first
     worst = max(params_set, key=lambda p: p.Gamma)
     na0 = ns.cutoff or default_cutoff(worst.Gamma)
-    r1 = orc.oracle_quantities(worst, na=na0)
-    r2 = orc.oracle_quantities(worst, na=2 * na0)
-    drift = max(
-        abs(r1.lam - r2.lam), abs(r1.q1 - r2.q1), abs(r1.q2 - r2.q2),
-        abs(r1.fidelity - r2.fidelity),
-        abs((r1.g2 or 0) - (r2.g2 or 0)), abs((r1.chi or 0) - (r2.chi or 0)),
-    )
+    records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
+    drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
+    for name in SWEEP_QUANTITIES:
+        access = orc.SCALAR_QUANTITIES[name].oracle
+        if access is not None:
+            v1, v2 = (0 if isinstance(v, tuple) else v for v in map(access, records))
+            drift = max(drift, abs(v1 - v2))
     if drift > 1e-9:
         print(f"cutoff self-check FAILED: doubling Na moved results by {drift:.3e}", file=sys.stderr)
         return 2
@@ -262,7 +227,6 @@ def cmd_validate(ns) -> int:
         na=ns.cutoff,
         field_params=_field_check_points(),
         field_grid=GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61),
-        workers=ns.workers,
     )
     with open(ns.out, "w", newline="\n") as fh:
         fh.write(report.to_json(indent=2))
@@ -363,8 +327,7 @@ def cmd_figure(ns) -> int:
     for fname, quantity, axis, values, bases in sweeps:
         rows = []
         for base in bases:
-            rows.extend(_sweep_rows(quantity, axis, values, base, ns.engine,
-                                    na=ns.cutoff, workers=ns.workers))
+            rows.extend(_sweep_rows(quantity, axis, values, base, ns.engine, na=ns.cutoff))
         path = os.path.join(ns.outdir, fname)
         _write_rows(path, SWEEP_HEADER, rows, "csv")
         written.append(path)
@@ -411,7 +374,6 @@ def _add_common(p):
     p.add_argument("--engine", default="closedform", choices=("closedform", "oracle"))
     p.add_argument("--cutoff", type=int, default=None, help="a-mode Fock cutoff override")
     p.add_argument("--grid", type=_parse_grid, default=None, help="xmin,xmax,ymin,ymax,nx,ny")
-    p.add_argument("--workers", type=int, default=None, help="parallel evaluation workers")
 
 
 def _build_parser():
@@ -447,53 +409,36 @@ def _build_parser():
     p.add_argument("--outdir", default="figures")
     _add_common(p)
     p.set_defaults(func=cmd_figure, default_out=None)
-    return ap
+    return ap, sub.choices
 
 
-_CONFIG_TYPES = {
-    "quantity": str, "axis": str, "kind": str, "name": str, "engine": str,
-    "format": str, "out": str, "outdir": str, "whitelist": str,
-    "start": float, "stop": float, "Gamma": float, "alpha": float, "delta": float,
-    "phi": float, "gamma": float, "sigma": float, "abs_tol": float, "rel_tol": float,
-    "steps": int, "cutoff": int, "workers": int,
-    "grid": _parse_grid,
-}
+def _apply_config(parser, commands, argv, ns):
+    """Parse again with the config file's values as the subcommand's defaults.
 
-# argparse defaults live on the subparsers, so flag-vs-config precedence needs
-# its own table; a flag passed with exactly its default value is
-# indistinguishable from an omitted one and the config wins there
-_CONFIG_DEFAULTS = {
-    "quantity": None, "axis": None, "kind": None, "name": None,
-    "engine": "closedform", "format": "csv", "out": None, "outdir": "figures",
-    "whitelist": None, "start": None, "stop": None, "steps": None,
-    "Gamma": 0.0, "alpha": 0.0, "delta": 0.0, "phi": 0.0, "gamma": 1.0,
-    "sigma": 1.0, "abs_tol": 1e-10, "rel_tol": 1e-8,
-    "cutoff": None, "workers": None, "grid": None,
-}
-
-
-def _apply_config(ns):
-    """Merge config-file values; explicitly set flags win over the file."""
-    if not getattr(ns, "config", None):
-        return ns
+    argparse converts string defaults through each option's type, and a flag
+    on the command line wins over the file even when it repeats the default.
+    """
     conf = _read_config(ns.config)
-    for key, raw in conf.items():
-        if key not in _CONFIG_TYPES or not hasattr(ns, key):
+    sub = commands[ns.command]
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+    for key in conf:
+        if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(ns, key) != _CONFIG_DEFAULTS[key]:
-            continue
-        try:
-            setattr(ns, key, _CONFIG_TYPES[key](raw))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    sub.set_defaults(**conf)
+    ns = parser.parse_args(argv)
+    for key in conf:  # argparse checks choices on the command line only
+        choices = options[key].choices
+        if choices is not None and getattr(ns, key) not in choices:
+            raise ConfigError(f"bad value for {key!r}: {getattr(ns, key)!r} is not one of {choices}")
     return ns
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        ns = _apply_config(ns)
+        if ns.config:
+            ns = _apply_config(parser, commands, argv, ns)
         if getattr(ns, "out", None) is None and ns.default_out is not None:
             ns.out = ns.default_out
         return ns.func(ns)

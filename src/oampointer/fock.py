@@ -276,14 +276,22 @@ def displace_a(state: TwoModeState, alpha: complex, method: str = "closed_form")
     Emits NormDriftWarning when the norm moves by more than 1e-8, which means
     the a cutoff is too small for this displacement.
     """
-    d = displacement_matrix(alpha, state.na, method=method)
+    return _apply_displacement(displacement_matrix(alpha, state.na, method=method), state, alpha)
+
+
+def _apply_displacement(d: np.ndarray, state: TwoModeState, alpha: complex) -> TwoModeState:
+    """d @ state on the a mode, audited for norm drift (d is D(alpha) truncated).
+
+    The warning is attributed to the caller of the public function that
+    called this one.
+    """
     out = TwoModeState(d @ state.coeffs, state.sigma)
     drift = abs(out.norm() - state.norm())
     if drift > 1e-8:
         warnings.warn(
             f"displacement norm drift {drift:.3e} (cutoff Na={state.na} too small for |alpha|={abs(alpha):.3g})",
             NormDriftWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return out
 

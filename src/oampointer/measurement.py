@@ -9,12 +9,11 @@ the unit-charge vortex mode, expanded over two Hermite-Gauss modes.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import NormDriftWarning, TwoModeState, displacement_matrix, inner
+from .fock import TwoModeState, _apply_displacement, apply_ladder, displacement_matrix, inner
 
 __all__ = [
     "PostselectionError",
@@ -50,6 +49,9 @@ class MeasurementParams:
     sigma: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.Gamma < 0:
             raise ValueError(f"Gamma must be >= 0, got {self.Gamma}")
         if not (0 <= self.alpha < math.pi):
@@ -124,17 +126,7 @@ def evolve_joint(pointer: TwoModeState, params: MeasurementParams, method: str =
     """
     s = params.Gamma / 2
     d = displacement_matrix(s, pointer.na, method=method)
-    branches = []
-    for mat, amp in ((d, +s), (d.conj().T, -s)):
-        out = TwoModeState(mat @ pointer.coeffs, pointer.sigma)
-        drift = abs(out.norm() - pointer.norm())
-        if drift > 1e-8:
-            warnings.warn(
-                f"displacement norm drift {drift:.3e} (cutoff Na={pointer.na} too small for |alpha|={abs(amp):.3g})",
-                NormDriftWarning,
-                stacklevel=2,
-            )
-        branches.append(out)
+    branches = [_apply_displacement(mat, pointer, amp) for mat, amp in ((d, +s), (d.conj().T, -s))]
     ca, sa = math.cos(params.alpha / 2), math.sin(params.alpha / 2)
     ph = np.exp(1j * params.delta)
     return JointState(
@@ -164,43 +156,46 @@ def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeSta
     return state, nrm**2
 
 
+def _lowering_moments(st: TwoModeState):
+    """All eleven moments of one state by ladder-operator application and inner products.
+
+    Only lowering operators are applied (raising is rewritten away), so the
+    result is exact to the stored truncation and the two-level b cutoff stays
+    exact.  Returns an ExpectationSet.
+    """
+    from .closedform import ExpectationSet
+
+    av = apply_ladder(st, "a")
+    bv = apply_ladder(st, "b")
+    aav = apply_ladder(av, "a")
+    bbv = apply_ladder(bv, "b")
+    abv = apply_ladder(bv, "a")
+    return ExpectationSet(
+        a=inner(st, av),
+        b=inner(st, bv),
+        a2=inner(st, aav),
+        b2=inner(st, bbv),
+        adag_a=inner(av, av),
+        bdag_b=inner(bv, bv),
+        adag_b=inner(av, bv),
+        ab=inner(st, abv),
+        adaga_bdagb=inner(abv, abv),
+        adag2a2=inner(aav, aav),
+        bdag2b2=inner(bbv, bbv),
+    )
+
+
 def nonpostselected_moments(joint: JointState):
     """Pointer moments of the un-postselected joint state (system traced out).
 
     Every moment is the preselection-weighted mixture of the two branch
-    expectations.  Only lowering operators are applied, which keeps the
-    two-level b cutoff exact.  Returns an ExpectationSet.
+    expectations.  Returns an ExpectationSet.
     """
     from .closedform import ExpectationSet
-    from .fock import apply_ladder
 
     wp = abs(joint.amp_plus) ** 2
     wm = abs(joint.amp_minus) ** 2
-
-    def single(st):
-        av = apply_ladder(st, "a")
-        bv = apply_ladder(st, "b")
-        aav = apply_ladder(av, "a")
-        bbv = apply_ladder(bv, "b")
-        abv = apply_ladder(bv, "a")
-        return ExpectationSet(
-            a=inner(st, av),
-            b=inner(st, bv),
-            a2=inner(st, aav),
-            b2=inner(st, bbv),
-            adag_a=inner(av, av),
-            bdag_b=inner(bv, bv),
-            adag_b=inner(av, bv),
-            ab=inner(st, abv),
-            adaga_bdagb=inner(abv, abv),
-            adag2a2=inner(aav, aav),
-            bdag2b2=inner(bbv, bbv),
-        )
-
-    fields = [single(joint.branch_plus), single(joint.branch_minus)]
+    plus, minus = _lowering_moments(joint.branch_plus), _lowering_moments(joint.branch_minus)
     return ExpectationSet(
-        **{
-            name: wp * getattr(fields[0], name) + wm * getattr(fields[1], name)
-            for name in ExpectationSet.field_names()
-        }
+        **{name: wp * getattr(plus, name) + wm * getattr(minus, name) for name in ExpectationSet.field_names()}
     )

@@ -8,10 +8,11 @@ points without inflating the cutoff.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from .fock import (
     ScalarField,
     TruncationWarning,
     TwoModeState,
-    apply_ladder,
     coordinate_wavefunction,
     default_cutoff,
     displace_a,
@@ -36,6 +36,7 @@ from .fock import (
 )
 from .measurement import (
     MeasurementParams,
+    _lowering_moments,
     evolve_joint,
     initial_pointer,
     nonpostselected_moments,
@@ -55,6 +56,7 @@ __all__ = [
     "ValidationReport",
     "validation_params",
     "compare",
+    "ScalarQuantity",
     "SCALAR_QUANTITIES",
 ]
 
@@ -72,30 +74,11 @@ def _audit_truncation(state: TwoModeState):
 
 
 def oracle_expectations(state: TwoModeState) -> ExpectationSet:
-    """All eleven moments by ladder-operator application and inner products.
-
-    Only lowering operators are applied (raising is rewritten away), so the
-    result is exact to the stored truncation.
+    """All eleven moments by lowering-operator application and inner products,
+    exact to the stored truncation; warns when the top Fock level is occupied.
     """
     _audit_truncation(state)
-    av = apply_ladder(state, "a")
-    bv = apply_ladder(state, "b")
-    aav = apply_ladder(av, "a")
-    bbv = apply_ladder(bv, "b")
-    abv = apply_ladder(bv, "a")
-    return ExpectationSet(
-        a=inner(state, av),
-        b=inner(state, bv),
-        a2=inner(state, aav),
-        b2=inner(state, bbv),
-        adag_a=inner(av, av),
-        bdag_b=inner(bv, bv),
-        adag_b=inner(av, bv),
-        ab=inner(state, abv),
-        adaga_bdagb=inner(abv, abv),
-        adag2a2=inner(aav, aav),
-        bdag2b2=inner(bbv, bbv),
-    )
+    return _lowering_moments(state)
 
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
@@ -205,6 +188,22 @@ def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
 # full scalar record
 # ---------------------------------------------------------------------------
 
+_UNDEFINED_ERRORS = (UndefinedCorrelationError, DegenerateShiftError, VarianceCollapseError)
+
+
+def _value_or_reason(fn, *args):
+    """(fn(*args), None), or (None, reason) where the quantity is undefined."""
+    try:
+        return fn(*args), None
+    except _UNDEFINED_ERRORS as exc:
+        return None, str(exc)
+
+
+def _or_reason(value, reason):
+    """The value, or (None, reason) where it is undefined."""
+    return value if reason is None else (None, reason)
+
+
 @dataclass(frozen=True)
 class OracleRecord:
     """Every scalar the oracle can produce at one parameter point."""
@@ -245,20 +244,11 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> Oracl
     un = (1 + wv) * joint.branch_plus.coeffs + (1 - wv) * joint.branch_minus.coeffs
     lam = 2.0 / float(np.linalg.norm(un))
     i1 = inner(psi_i, displace_a(psi_i, params.Gamma))
-    try:
-        g2 = cf.g2_from_moments(m)
-        g2_reason = None
-    except UndefinedCorrelationError as exc:
-        g2, g2_reason = None, str(exc)
+    g2, g2_reason = _value_or_reason(cf.g2_from_moments, m)
     phi_full = nonpostselected_moments(joint)
     phi_triplet = (phi_full.a, phi_full.adag_a, phi_full.a2)
-    chis = {}
-    for key, conv in (("pub", "published"), ("op", "operator")):
-        try:
-            chis[key] = (cf.snr_from_moments(m, phi_triplet, params, 1, conv), None)
-        except (DegenerateShiftError, VarianceCollapseError) as exc:
-            chis[key] = (None, str(exc))
-    (chi_rp_rn, chi_reason), (chi_op_res, chi_op_reason) = chis["pub"], chis["op"]
+    chi_rp_rn, chi_reason = _value_or_reason(cf.snr_from_moments, m, phi_triplet, params, 1, "published")
+    chi_op_res, chi_op_reason = _value_or_reason(cf.snr_from_moments, m, phi_triplet, params, 1, "operator")
     chi, rp, rn = chi_rp_rn if chi_rp_rn else (None, None, None)
     return OracleRecord(
         lam=lam,
@@ -282,68 +272,68 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> Oracl
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation in either engine (shared by compare and the CLI)
+# the one table of scalar quantities (compare, the CLI sweeps and validate)
 # ---------------------------------------------------------------------------
 
-SCALAR_QUANTITIES = (
-    ["lambda", "I1", "I2"]
-    + [f"moment:{name}" for name in ExpectationSet.field_names()]
-    + ["Q1", "Q2", "fidelity", "g2", "chi", "chi[x2=operator]"]
-)
+@dataclass(frozen=True)
+class ScalarQuantity:
+    """One scalar quantity by both routes.
 
-PUBLISHED_QUANTITIES = (
-    ["published:lambda"]
-    + [f"published:moment:{name}" for name in ExpectationSet.field_names()]
-    + ["published:Q2", "published:fidelity"]
-)
+    closed(params, moments, published) evaluates the closed form, where
+    moments(published) returns the point's ExpectationSet in that convention.
+    oracle(record) reads the value off an OracleRecord; it is None for a
+    quantity fixed by the preselection alone, which both engines take from the
+    closed form and compare does not report.  published marks quantities whose
+    published transcription compare reports as "published:<name>".
+    """
 
+    closed: Callable
+    oracle: Callable | None = None
+    published: bool = False
 
-def _closedform_scalars(params: MeasurementParams, published: bool = False):
-    """dict quantity -> value | (None, reason) from closed forms."""
-    out = {}
-    prefix = "published:" if published else ""
-    m = cf.expectations(params, published=published)
-    for name in ExpectationSet.field_names():
-        out[f"{prefix}moment:{name}"] = getattr(m, name)
-    out[f"{prefix}lambda"] = cf.lambda_norm(params, published=published)
-    if not published:
-        out["I1"] = cf._i1(params)
-        out["I2"] = np.conj(cf._i1(params))
-    q1, q2 = cf.squeezing_from_moments(m, published=published)
-    if not published:
-        out["Q1"] = q1
-    out[f"{prefix}Q2"] = q2
-    out[f"{prefix}fidelity"] = cf.fidelity(params, published=published)
-    if not published:
-        try:
-            out["g2"] = cf.g2_from_moments(m)
-        except UndefinedCorrelationError as exc:
-            out["g2"] = (None, str(exc))
-        for qname, conv in (("chi", "published"), ("chi[x2=operator]", "operator")):
-            try:
-                chi, _, _ = cf.snr_from_moments(m, cf.phi_moments(params), params, 1, conv)
-                out[qname] = chi
-            except (DegenerateShiftError, VarianceCollapseError) as exc:
-                out[qname] = (None, str(exc))
-    return out
+    def closed_value(self, params: MeasurementParams, published: bool = False, moments=None):
+        """The closed form, or (None, reason) where it is undefined.
+
+        Without a moments function the moments are recomputed on every call.
+        """
+        if moments is None:
+            moments = functools.partial(cf.expectations, params)
+        return _or_reason(*_value_or_reason(self.closed, params, moments, published))
 
 
-def _oracle_scalars(params: MeasurementParams, na: int | None = None):
-    rec = oracle_quantities(params, na=na)
-    out = {
-        "lambda": rec.lam,
-        "I1": rec.i1,
-        "I2": rec.i2,
-        "Q1": rec.q1,
-        "Q2": rec.q2,
-        "fidelity": rec.fidelity,
-        "g2": rec.g2 if rec.g2 is not None else (None, rec.g2_reason),
-        "chi": rec.chi if rec.chi is not None else (None, rec.chi_reason),
-        "chi[x2=operator]": rec.chi_op if rec.chi_op is not None else (None, rec.chi_op_reason),
-    }
-    for name in ExpectationSet.field_names():
-        out[f"moment:{name}"] = getattr(rec.moments, name)
-    return out
+def _chi(convention):
+    def closed(p, moments, published):
+        return cf.snr_from_moments(moments(False), cf.phi_moments(p), p, 1, convention)[0]
+    return closed
+
+
+# name -> ScalarQuantity; compare reports the quantities in this order
+SCALAR_QUANTITIES = {
+    "lambda": ScalarQuantity(
+        lambda p, m, pub: cf.lambda_norm(p, published=pub), lambda r: r.lam, published=True),
+    "I1": ScalarQuantity(lambda p, m, pub: cf._i1(p), lambda r: r.i1),
+    "I2": ScalarQuantity(lambda p, m, pub: np.conj(cf._i1(p)), lambda r: r.i2),
+    **{
+        f"moment:{name}": ScalarQuantity(
+            lambda p, m, pub, name=name: getattr(m(pub), name),
+            lambda r, name=name: getattr(r.moments, name),
+            published=True,
+        )
+        for name in ExpectationSet.field_names()
+    },
+    "Q1": ScalarQuantity(
+        lambda p, m, pub: cf.squeezing_from_moments(m(pub), published=pub)[0], lambda r: r.q1),
+    "Q2": ScalarQuantity(
+        lambda p, m, pub: cf.squeezing_from_moments(m(pub), published=pub)[1], lambda r: r.q2,
+        published=True),
+    "fidelity": ScalarQuantity(
+        lambda p, m, pub: cf.fidelity(p, published=pub), lambda r: r.fidelity, published=True),
+    "g2": ScalarQuantity(
+        lambda p, m, pub: cf.g2_from_moments(m(False)), lambda r: _or_reason(r.g2, r.g2_reason)),
+    "chi": ScalarQuantity(_chi("published"), lambda r: _or_reason(r.chi, r.chi_reason)),
+    "chi[x2=operator]": ScalarQuantity(_chi("operator"), lambda r: _or_reason(r.chi_op, r.chi_op_reason)),
+    "weak_value": ScalarQuantity(lambda p, m, pub: weak_value(p.alpha, p.delta).value.real),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -480,41 +470,28 @@ def compare(
     field_params=None,
     field_grid: GridSpec | None = None,
     field_tol: float = 1e-6,
-    workers: int | None = None,
 ) -> ValidationReport:
     """Evaluate closed forms and the oracle over a parameter set and report deltas.
 
     Failures are recorded as data, never raised.  Entries are ordered by
-    (point index, quantity) regardless of worker scheduling.
+    (point index, table order), the published variants after the rest.
     """
     params_set = list(params_set)
     if not params_set:
         raise ValueError("parameter set must be nonempty")
     report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
-
-    def eval_point(item):
-        idx, p = item
-        closed = _closedform_scalars(p)
-        if include_published:
-            closed.update(_closedform_scalars(p, published=True))
-        orc = _oracle_scalars(p, na=na)
-        entries = []
-        for q in SCALAR_QUANTITIES:
-            entries.append(_entry(q, idx, p, closed[q], orc[q], abs_tol, rel_tol))
-        if include_published:
-            for q in PUBLISHED_QUANTITIES:
-                base = q.removeprefix("published:")
-                entries.append(_entry(q, idx, p, closed[q], orc[base], abs_tol, rel_tol))
-        return idx, entries
-
-    items = list(enumerate(params_set))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_point, items))
-    else:
-        results = [eval_point(it) for it in items]
-    for _, entries in sorted(results, key=lambda t: t[0]):
-        report.entries.extend(entries)
+    conventions = (False, True) if include_published else (False,)
+    for idx, p in enumerate(params_set):
+        moments = functools.cache(functools.partial(cf.expectations, p))
+        rec = oracle_quantities(p, na=na)
+        for published in conventions:
+            for name, q in SCALAR_QUANTITIES.items():
+                if q.oracle is None or (published and not q.published):
+                    continue
+                report.entries.append(_entry(
+                    "published:" + name if published else name, idx, p,
+                    q.closed_value(p, published, moments), q.oracle(rec), abs_tol, rel_tol,
+                ))
 
     if field_params:
         grid = field_grid or GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)

@@ -101,6 +101,73 @@ def test_sweep_rejects_out_of_domain_axis(tmp_path):
     assert rc == 1  # alpha = pi is outside the open interval
 
 
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_sweep_rejects_non_finite_parameter(engine, tmp_path):
+    out = tmp_path / "x.csv"
+    rc = run(["sweep", "--quantity", "Q1", "--axis", "alpha", "--start", 0, "--stop", 1,
+              "--steps", 3, "--Gamma", "nan", "--engine", engine, "--out", out])
+    assert rc == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_sweep_cells_match_public_api(engine, tmp_path):
+    # every value cell is the 17-digit form of the public function's value,
+    # every reason cell the text of the error that made the quantity undefined
+    from oampointer import closedform as cf
+    from oampointer.measurement import MeasurementParams, weak_value
+    from oampointer.oracle import oracle_quantities
+
+    closed = {
+        "Q1": lambda p: cf.squeezing(p)[0],
+        "Q2": lambda p: cf.squeezing(p)[1],
+        "g2": cf.g2_cross,
+        "chi": lambda p: cf.snr_ratio(p, 1)[0],
+        "fidelity": cf.fidelity,
+        "lambda": cf.lambda_norm,
+        "weak_value": lambda p: weak_value(p.alpha, p.delta).value.real,
+    }
+    oracle = {
+        "Q1": lambda r: (r.q1, None),
+        "Q2": lambda r: (r.q2, None),
+        "g2": lambda r: (r.g2, r.g2_reason),
+        "chi": lambda r: (r.chi, r.chi_reason),
+        "fidelity": lambda r: (r.fidelity, None),
+        "lambda": lambda r: (r.lam, None),
+    }
+
+    def expected(quantity, p):
+        if engine == "oracle" and quantity in oracle:
+            return oracle[quantity](oracle_quantities(p))
+        try:
+            return closed[quantity](p), None
+        except (cf.UndefinedCorrelationError, cf.DegenerateShiftError, cf.VarianceCollapseError) as exc:
+            return None, str(exc)
+
+    undefined = set()
+    for quantity in closed:
+        for gamma in (1.0, 0.0):  # gamma = 0 leaves the b mode empty, so g2 is undefined
+            out = tmp_path / f"{quantity}_{gamma}.csv"
+            assert run(["sweep", "--quantity", quantity, "--axis", "Gamma", "--start", 0,
+                        "--stop", 1, "--steps", 3, "--alpha", 2.0, "--phi", math.pi / 2,
+                        "--gamma", gamma, "--engine", engine, "--out", out]) == 0
+            _, rows = read_csv(out)
+            assert len(rows) == 3
+            for row in rows:
+                # reasons may hold commas: the last six cells are the parameters
+                cell_value, cell_reason = row[2], ",".join(row[3:-7])
+                p = MeasurementParams(*(float(c) for c in row[-6:]))
+                value, reason = expected(quantity, p)
+                if reason is None:
+                    assert cell_value == "{:.17g}".format(value), (quantity, row)
+                    assert cell_reason == ""
+                else:
+                    assert cell_value == "" and cell_reason == reason, (quantity, row)
+                    undefined.add((quantity, p.Gamma, p.gamma))
+    assert ("chi", 0.0, 1.0) in undefined     # no shift without coupling
+    assert ("g2", 0.5, 0.0) in undefined      # empty b mode
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "f.json"
     rc = run(["sweep", "--quantity", "lambda", "--axis", "Gamma",
@@ -279,6 +346,25 @@ def test_flag_overrides_config(tmp_path):
     assert out_flag.exists() and not out_conf.exists()
 
 
+def test_flag_at_default_value_overrides_config(tmp_path):
+    conf = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    conf.write_text("quantity=lambda\naxis=Gamma\nstart=0\nstop=1\nsteps=3\n"
+                    f"alpha=1.0\nengine=oracle\nout={out}\n")
+    assert run(["sweep", "--config", conf, "--alpha", 0.0, "--engine", "closedform"]) == 0
+    _, rows = read_csv(out)
+    assert all(r[6] == "0" for r in rows)             # alpha from the flag, not the file
+    assert all(r[4] == "closedform" for r in rows)    # engine too
+
+
+@pytest.mark.parametrize("line", ["steps=many", "engine=abacus", "func=x", "default_out=x",
+                                  "command=field"])
+def test_bad_config_value_or_key_exits_one(line, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"quantity=lambda\naxis=Gamma\nstart=0\nstop=1\nsteps=3\n{line}\n")
+    assert run(["sweep", "--config", conf, "--out", tmp_path / "x.csv"]) == 1
+
+
 def test_unknown_config_key(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("mystery=1\n")
@@ -294,13 +380,15 @@ def test_usage_error_exit_one():
 
 
 def test_console_entry_point_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "oampointer.cli", "sweep", "--quantity", "lambda",
          "--axis", "Gamma", "--start", "0", "--stop", "1", "--steps", "2",
          "--alpha", "1.0", "--out", os.devnull],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

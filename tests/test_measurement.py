@@ -111,6 +111,15 @@ def test_params_rejects_out_of_range(kwargs):
         MeasurementParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["Gamma", "alpha", "delta", "phi", "gamma", "sigma"])
+def test_params_rejects_non_finite(name, value):
+    kwargs = dict(Gamma=0.5, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0, sigma=1.0)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        MeasurementParams(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # joint evolution
 # ---------------------------------------------------------------------------

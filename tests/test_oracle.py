@@ -189,14 +189,6 @@ def test_compare_flags_published_residuals_but_not_exact():
     assert "published:moment:adag2a2" in names  # the known cross-term defect
 
 
-def test_compare_deterministic_ordering_with_workers():
-    pts = validation_params()[:8]
-    r1 = compare(pts, include_published=False, workers=4)
-    r2 = compare(pts, include_published=False)
-    assert [e.quantity for e in r1.entries] == [e.quantity for e in r2.entries]
-    assert [e.point_index for e in r1.entries] == [e.point_index for e in r2.entries]
-
-
 def test_validation_params_lattice():
     pts = validation_params()
     assert len(pts) == 300
