@@ -160,11 +160,13 @@ def cmd_field(ns) -> int:
     params = _params_from(ns)
     grid = ns.grid or DEFAULT_GRID
     fld = _field(ns.kind, params, grid, ns.engine, na=ns.cutoff)
-    xs, ys = grid.xs(), grid.ys()
+    # '%.17g' % v on Python floats gives the bytes of _fmt, several times faster
+    xs = ["%.17g" % x for x in grid.xs().tolist()]
+    ys = ["%.17g" % y for y in grid.ys().tolist()]
     rows = [
-        [_fmt(xs[i]), _fmt(ys[j]), _fmt(fld.values[i, j])]
-        for i in range(grid.nx)
-        for j in range(grid.ny)
+        [x, y, "%.17g" % v]
+        for x, line in zip(xs, fld.values.tolist())
+        for y, v in zip(ys, line)
     ]
     _write_rows(ns.out, "x,y_or_p,value", rows, ns.format)
     sidecar = {

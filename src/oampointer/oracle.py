@@ -2,9 +2,10 @@
 
 Everything here is computed from truncated Fock-space state vectors with
 ladder operators and inner products; no closed-form shortcut enters.  The
-displaced-parity Wigner evaluation uses D(2 alpha) matrix elements between
-occupied levels only, so it stays exact for arbitrarily far phase-space
-points without inflating the cutoff.
+displaced-parity Wigner evaluation contracts the a-mode density matrix with
+the columns D(2 alpha)|k> generated between the stored levels only, so it
+stays exact for arbitrarily far phase-space points without inflating the
+cutoff, and it walks the grid in fixed blocks, so memory does not grow with it.
 """
 from __future__ import annotations
 
@@ -95,56 +96,66 @@ def oracle_states(params: MeasurementParams, na: int | None = None):
 # phase-space and coordinate-space fields
 # ---------------------------------------------------------------------------
 
-def _displaced_columns_apply(vecs, alphas, sign_parity: bool):
-    """For each point alpha, compute sum_k c_k(alpha) * v[k] (optionally (-1)^k v[k])
-    where c_k(alpha) = D(alpha)|k> truncated to the first K rows.
+_BLOCK = 1024  # phase-space points per block: fixes the kernel's working memory
 
-    vecs: (K, R) stack of a-mode vectors; alphas: flat complex array (G,).
-    Returns (G, K, R)-summed array S[g, :, r].  Columns obey the exact
-    recurrence c_k = (a† - conj(alpha)) c_{k-1} / sqrt(k).
+
+def _trace_displaced(op, betas):
+    """Tr[op D(beta)] for every beta of a flat complex array, op a (K, K) matrix.
+
+    Tr[op D(beta)] = sum_k op[k] . c_k with c_k = D(beta)|k> cut to K rows.
+    c_0 is the coherent column, built in log space; the others follow from
+    the exact recurrence c_k = (a† - conj(beta)) c_{k-1} / sqrt(k).  Each
+    column is contracted with row k of op as soon as it is made, and the
+    points go in blocks of _BLOCK, so the working memory is a few (K, _BLOCK)
+    arrays whatever len(betas) is.
     """
-    K, R = vecs.shape
-    G = alphas.size
+    K = op.shape[0]
     ks = np.arange(K)
-    sqk = np.sqrt(np.maximum(ks, 1).astype(float))
-    # coherent column c_0, built in log space for stability
-    with np.errstate(divide="ignore"):
-        logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, K, dtype=float)))))
-    absal = np.abs(alphas)
-    tiny = absal == 0
-    safe = np.where(tiny, 1.0, absal)
-    mag = np.exp(-(absal[:, None] ** 2) / 2 + ks[None, :] * np.log(safe)[:, None] - logfact[None, :] / 2)
-    unit = np.where(tiny, 1.0, alphas / safe)
-    col = mag * unit[:, None] ** ks[None, :]
-    if np.any(tiny):
-        col[tiny] = 0.0
-        col[tiny, 0] = 1.0
-    sgn = (-1.0) ** ks if sign_parity else np.ones(K)
-    out = np.zeros((G, K, R), dtype=complex)
-    out += col[:, :, None] * (sgn[0] * vecs[0])[None, None, :]
-    conj_al = np.conj(alphas)[:, None]
-    for k in range(1, K):
-        nxt = np.empty_like(col)
-        nxt[:, 0] = -conj_al[:, 0] * col[:, 0]
-        nxt[:, 1:] = np.sqrt(ks[1:])[None, :] * col[:, :-1] - conj_al * col[:, 1:]
-        col = nxt / sqk[k]
-        out += col[:, :, None] * (sgn[k] * vecs[k])[None, None, :]
+    sqk = np.sqrt(ks.astype(float))
+    adag = sqk[1:, None]  # a† takes row j - 1 to row j with weight sqrt(j)
+    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, K, dtype=float)))))
+    out = np.empty(betas.size, dtype=complex)
+    for lo in range(0, betas.size, _BLOCK):
+        beta = betas[lo:lo + _BLOCK]
+        absb = np.abs(beta)
+        tiny = absb == 0
+        safe = np.where(tiny, 1.0, absb)
+        mag = np.exp(-(absb[None, :] ** 2) / 2 + ks[:, None] * np.log(safe)[None, :] - logfact[:, None] / 2)
+        unit = np.where(tiny, 1.0, beta / safe)
+        col = mag * unit[None, :] ** ks[:, None]  # (K, block): c_0
+        col[:, tiny] = 0.0
+        col[0, tiny] = 1.0
+        acc = op[0] @ col
+        ncb = -np.conj(beta)
+        nxt, tmp = np.empty_like(col), np.empty_like(col[1:])
+        for k in range(1, K):
+            # in place, and 1/sqrt(k) scales the short factors, not the (K, block) column
+            shift = ncb / sqk[k]
+            np.multiply(shift, col[0], out=nxt[0])
+            np.multiply(shift, col[1:], out=tmp)
+            np.multiply(adag / sqk[k], col[:-1], out=nxt[1:])
+            nxt[1:] += tmp
+            col, nxt = nxt, col
+            acc += op[k] @ col
+        out[lo:lo + _BLOCK] = acc
     return out
 
 
 def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
-    """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho D(2a) P].
+    """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho_a D(2 alpha) P].
 
-    The b mode is traced out by summing the two b slices.  Matrix elements of
-    D(2 alpha) are taken between occupied levels only, which keeps the value
-    exact for any grid extent.
+    rho_a = v v† (the b mode traced out) takes the parity signs (-1)^k into
+    its rows.  The columns D(2 alpha)|k> are generated between the stored
+    levels only, which keeps the value exact for any grid extent, and each is
+    contracted with rho_a as soon as it is made, block by block over the grid,
+    so memory is set by the cutoff and not by the number of grid points.
     """
     _audit_truncation(state)
     xs, ys = grid.xs(), grid.ys()
     alphas = (xs[:, None] + 1j * ys[None, :]).ravel()
-    vecs = np.ascontiguousarray(state.coeffs)  # (K, Nb)
-    s = _displaced_columns_apply(vecs, 2 * alphas, sign_parity=True)  # (G, K, Nb)
-    w = (2 / math.pi) * np.einsum("kr,gkr->g", np.conj(vecs), s).real
+    v = state.coeffs
+    op = ((-1.0) ** np.arange(state.na))[:, None] * (v @ v.conj().T)
+    w = (2 / math.pi) * _trace_displaced(op, 2 * alphas).real
     return ScalarField(grid, w.reshape(grid.nx, grid.ny), kind="wigner")
 
 
@@ -157,7 +168,8 @@ def wigner_characteristic_quadrature(
     """Wigner function by trapezoid quadrature of the symmetric characteristic
     function; a deliberately different route used to cross-check oracle_wigner.
 
-    C(xi) = Tr[rho D(xi)] on a square xi grid, then
+    C(xi) = Tr[rho_a D(xi)] on a square xi grid (oracle_wigner's kernel
+    without the parity), then
     W(x, p) = (1/pi^2) integral e^{2i(p xi' - x xi'')} C(xi) dxi' dxi''.
     """
     _audit_truncation(state)
@@ -166,9 +178,8 @@ def wigner_characteristic_quadrature(
     wts[0] *= 0.5
     wts[-1] *= 0.5
     xi = (lam[:, None] + 1j * lam[None, :]).ravel()
-    vecs = np.ascontiguousarray(state.coeffs)
-    s = _displaced_columns_apply(vecs, xi, sign_parity=False)
-    c = np.einsum("kr,gkr->g", np.conj(vecs), s).reshape(char_n, char_n)
+    v = state.coeffs
+    c = _trace_displaced(v @ v.conj().T, xi).reshape(char_n, char_n)
     xs, ps = grid.xs(), grid.ys()
     ep = np.exp(2j * np.outer(ps, lam)) * wts[None, :]          # (ny, n) over xi'
     ex = np.exp(-2j * np.outer(xs, lam)) * wts[None, :]         # (nx, n) over xi''

@@ -106,6 +106,63 @@ def test_wigner_quadrature_path_agrees_with_parity():
     assert np.abs(w1.values - w2.values).max() < 1e-6
 
 
+def _wigner_full_accumulator(state, grid):
+    """Reference: the (points, K, Nb) accumulator form of the displaced-parity
+    sum, every column D(2 alpha)|k> kept for all points at once."""
+    vecs = state.coeffs
+    K = vecs.shape[0]
+    ks = np.arange(K)
+    al = 2 * (grid.xs()[:, None] + 1j * grid.ys()[None, :]).ravel()
+    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, K, dtype=float)))))
+    absal = np.abs(al)
+    tiny = absal == 0
+    safe = np.where(tiny, 1.0, absal)
+    mag = np.exp(-(absal[:, None] ** 2) / 2 + ks[None, :] * np.log(safe)[:, None] - logfact[None, :] / 2)
+    col = mag * np.where(tiny, 1.0, al / safe)[:, None] ** ks[None, :]
+    col[tiny] = 0.0
+    col[tiny, 0] = 1.0
+    acc = col[:, :, None] * vecs[0][None, None, :]
+    for k in range(1, K):
+        nxt = np.empty_like(col)
+        nxt[:, 0] = -np.conj(al) * col[:, 0]
+        nxt[:, 1:] = np.sqrt(ks[1:])[None, :] * col[:, :-1] - np.conj(al)[:, None] * col[:, 1:]
+        col = nxt / math.sqrt(k)
+        acc += col[:, :, None] * ((-1) ** k * vecs[k])[None, None, :]
+    w = (2 / math.pi) * np.einsum("kr,gkr->g", np.conj(vecs), acc).real
+    return w.reshape(grid.nx, grid.ny)
+
+
+def test_wigner_block_seams_match_closed_form_and_full_accumulator():
+    from oampointer import closedform as cf
+    from oampointer.oracle import _BLOCK
+
+    # several blocks, a partial last block, and the origin (the |beta| = 0
+    # branch) inside a block rather than on its edge
+    grid = GridSpec(-4, 4, -4, 4, 67, 53)
+    origin = 33 * grid.ny + 26
+    assert grid.nx * grid.ny > 2 * _BLOCK and (grid.nx * grid.ny) % _BLOCK != 0
+    assert grid.xs()[33] == 0.0 and grid.ys()[26] == 0.0 and 0 < origin % _BLOCK < _BLOCK - 1
+    _, _, psi, _ = oracle_states(NAMED_POINT)
+    w = oracle_wigner(psi, grid).values
+    assert np.abs(w - cf.wigner_field(NAMED_POINT, grid).values).max() <= 1e-10
+    assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+
+
+def test_wigner_memory_is_bounded_by_block_not_grid():
+    import tracemalloc
+
+    _, _, psi, _ = oracle_states(MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, gamma=1.0))
+    grid = GridSpec(-6, 6, -6, 6, 241, 241)
+    tracemalloc.start()
+    try:
+        oracle_wigner(psi, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (points, K, Nb) accumulator alone would take 241^2 * 43 * 2 * 16 B = 76 MiB
+    assert peak < 32 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # convergence and record
 # ---------------------------------------------------------------------------
