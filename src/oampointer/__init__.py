@@ -17,9 +17,7 @@ from .fock import (
     coordinate_wavefunction,
     default_cutoff,
     displace_a,
-    displaced_fock_overlaps,
     displacement_matrix,
-    genlaguerre_rec,
     hermite_functions,
     inner,
     vacuum,

@@ -5,6 +5,13 @@ every state built here never holds more than one photon, so a two-level b
 cutoff is exact as long as moments are assembled from normal-ordered
 (lowering-only) operator applications.  All values are immutable; every
 operation returns a new state.
+
+Displaced-Fock amplitudes <k|D(beta)|n> come from one generator,
+_laguerre_rows, which walks the normalized Laguerre recurrence row by row;
+displacement_matrix and the oracle's Wigner kernel both read it, and the
+matrix exponential (displacement_matrix(method="series")) is the independent
+check.  Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, it raises
+ValueError unless the cutoff stays below |beta|^2/8.
 """
 from __future__ import annotations
 
@@ -23,8 +30,6 @@ __all__ = [
     "ScalarField",
     "vacuum",
     "apply_ladder",
-    "genlaguerre_rec",
-    "displaced_fock_overlaps",
     "displacement_matrix",
     "displace_a",
     "inner",
@@ -177,97 +182,76 @@ def apply_ladder(state: TwoModeState, which: str) -> TwoModeState:
     return TwoModeState(out, state.sigma)
 
 
-def genlaguerre_rec(n: int, k, x):
-    """Generalized Laguerre L_n^(k)(x) by the stable upward recurrence in n.
+_UNDERFLOW_X = 1400.0  # |beta|^2 beyond which e^{-|beta|^2/2} leaves the normal floats
 
-    k and x may be scalars or broadcastable arrays.
+
+def _laguerre_rows(x: np.ndarray, K: int):
+    """Yield, for m = 0..K-1, the (K - m, len(x)) array of displaced-Fock magnitudes
+
+        l_m^a(x) = sqrt(m!/(m+a)!) x^{a/2} e^{-x/2} L_m^(a)(x),  a = 0..K-1-m,
+
+    at the points x = |beta|^2 (a flat float array), so that
+    <m+a|D(beta)|m> = e^{ia theta} l_m^a and <m|D(beta)|m+a> = (-e^{-i theta})^a l_m^a
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Row 0 is built in log
+    space, the later rows by the Laguerre recurrence in its normalized form
+
+        l_{m+1} = [(2m+1+a-x) l_m - sqrt(m(m+a)) l_{m-1}] / sqrt((m+1)(m+1+a)),
+
+    which neither overflows nor builds factorials.  Where e^{-x/2} underflows
+    (x > 1400) row 0 is zero in floating point, so the rows are only right
+    while K <= x/8 keeps every element they reach negligible; beyond that
+    this raises ValueError instead of returning wrong amplitudes.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(k.shape, x.shape)
-    l0 = np.ones(shape)
-    if n == 0:
-        return l0
-    l1 = np.broadcast_to(1.0 + k - x, shape).copy()
-    if n == 1:
-        return l1
-    for m in range(1, n):
-        l0, l1 = l1, ((2 * m + 1 + k - x) * l1 - (m + k) * l0) / (m + 1)
-    return l1
-
-
-def _laguerre_table(dim: int, x: float) -> np.ndarray:
-    """Table T[m, a] = L_m^(a)(x) for m, a = 0..dim-1 (vectorized over a)."""
-    a = np.arange(dim, dtype=float)
-    table = np.empty((dim, dim))
-    table[0] = 1.0
-    if dim > 1:
-        table[1] = 1.0 + a - x
-    for m in range(1, dim - 1):
-        table[m + 1] = ((2 * m + 1 + a - x) * table[m] - (m + a) * table[m - 1]) / (m + 1)
-    return table
-
-
-def displaced_fock_overlaps(alpha: complex, n: int, K: int) -> np.ndarray:
-    """Overlaps <k|D(alpha)|n> for k = 0..K-1.
-
-    For k >= n:  e^{-|a|^2/2} sqrt(n!/k!) a^{k-n} L_n^{(k-n)}(|a|^2);
-    for k <  n the symmetric form with (-conj(a))^{n-k} is used.  Prefactors
-    are built multiplicatively so large k never overflows.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if K <= n:
-        raise ValueError(f"need K > n, got K={K}, n={n}")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    out = np.empty(K, dtype=complex)
-    envelope = math.exp(-x / 2)
-    # upward from k = n
-    pref = envelope  # sqrt(n!/k!) alpha^{k-n} at k = n
-    for k in range(n, K):
-        out[k] = pref * genlaguerre_rec(n, k - n, x)
-        pref *= alpha / math.sqrt(k + 1)
-    # downward from k = n - 1
-    pref = envelope
-    for k in range(n - 1, -1, -1):
-        pref *= -np.conj(alpha) / math.sqrt(k + 1)
-        out[k] = pref * genlaguerre_rec(k, n - k, x)
-    return out
+    bad = (x > _UNDERFLOW_X) & (K > x / 8)
+    if bad.any():
+        raise ValueError(
+            f"displaced-Fock amplitudes at |beta|^2 = {x[bad].max():.6g} need a cutoff "
+            f"K <= |beta|^2/8 (got K = {K}): e^(-|beta|^2/2) underflows beyond |beta|^2 = {_UNDERFLOW_X:g}"
+        )
+    k = np.arange(K, dtype=float)
+    a = k[:, None]
+    pos = x > 0
+    logx = np.log(np.where(pos, x, 1.0))
+    lgam = np.cumsum(np.log(np.maximum(a, 1.0)), axis=0)  # log a!
+    row = np.where(pos, np.exp(a * logx / 2 - x / 2 - lgam / 2), a == 0)
+    # the recurrence coefficients, indexed [m, a, point]
+    norm = 1.0 / np.sqrt((a + 1) * (a + k + 1))[:, :, None]
+    back = np.sqrt(a * (a + k))[:, :, None]
+    a_minus_x = a - x
+    prev = np.zeros_like(row)
+    yield row
+    for m in range(K - 1):
+        n = K - 1 - m
+        nxt = (a_minus_x[:n] + (2 * m + 1)) * row[:n]
+        nxt -= back[m, :n] * prev[:n]
+        nxt *= norm[m, :n]
+        prev, row = row, nxt
+        yield row
 
 
 def displacement_matrix(alpha: complex, dim: int, method: str = "closed_form") -> np.ndarray:
     """D(alpha) on a dim-level truncation.
 
-    closed_form assembles the same matrix elements displaced_fock_overlaps
-    produces column-wise, from one vectorized Laguerre table (columns are
-    pinned equal to displaced_fock_overlaps by the test suite); series is the
-    scaled-and-squared matrix exponential of alpha a_dag - conj(alpha) a.
+    closed_form places row m of _laguerre_rows on the diagonals through
+    (m, m): e^{ia theta} l_m^a at (m+a, m) and (-e^{-i theta})^a l_m^a at
+    (m, m+a), with alpha = |alpha| e^{i theta}; it raises ValueError past the
+    underflow limit stated there.  series is the scaled-and-squared matrix
+    exponential of alpha a_dag - conj(alpha) a, the independent reference.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if method == "series":
         a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
         return expm(alpha * a.conj().T - np.conj(alpha) * a)
     if method != "closed_form":
         raise ValueError(f"unknown method {method!r}")
-    alpha = complex(alpha)
-    x = abs(alpha) ** 2
-    lag = _laguerre_table(dim, x)
-    k = np.arange(dim)
-    half_logfact = 0.5 * np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim, dtype=float)))))
-    rows, cols = np.meshgrid(k, k, indexing="ij")  # rows = k (out), cols = n (in)
-    diff = rows - cols
-    lower = diff >= 0  # k >= n
-    # magnitude sqrt(min!/max!) |alpha|^{|k-n|}, assembled in log space
-    if x > 0:
-        mag = np.exp(-x / 2 + np.abs(diff) * (math.log(x) / 2) - np.abs(half_logfact[rows] - half_logfact[cols]))
-    else:
-        mag = np.where(diff == 0, 1.0, 0.0)
-    unit_up = alpha / abs(alpha) if x > 0 else 1.0
-    phase = np.where(lower, unit_up ** diff, (-np.conj(unit_up)) ** (-diff))
-    lag_vals = np.where(lower, lag[cols, np.abs(diff)], lag[rows, np.abs(diff)])
-    return mag * phase * lag_vals
+    lower = np.exp(1j * np.angle(alpha) * np.arange(dim))
+    upper = (-1.0) ** np.arange(dim) * lower.conj()
+    d = np.empty((dim, dim), dtype=complex)
+    for m, row in enumerate(_laguerre_rows(np.array([abs(alpha) ** 2]), dim)):
+        d[m:, m] = lower[: dim - m] * row[:, 0]
+        d[m, m:] = upper[: dim - m] * row[:, 0]
+    return d
 
 
 def displace_a(state: TwoModeState, alpha: complex, method: str = "closed_form") -> TwoModeState:

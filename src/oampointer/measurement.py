@@ -118,14 +118,14 @@ class JointState:
         )
 
 
-def evolve_joint(pointer: TwoModeState, params: MeasurementParams, method: str = "closed_form") -> JointState:
+def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState:
     """Couple system and pointer: each sigma_x branch is displaced by ±Gamma/2.
 
     Gamma is real, so the minus branch reuses the dagger of one displacement
     matrix; both branches get the same norm-drift audit displace_a performs.
     """
     s = params.Gamma / 2
-    d = displacement_matrix(s, pointer.na, method=method)
+    d = displacement_matrix(s, pointer.na)
     branches = [_apply_displacement(mat, pointer, amp) for mat, amp in ((d, +s), (d.conj().T, -s))]
     ca, sa = math.cos(params.alpha / 2), math.sin(params.alpha / 2)
     ph = np.exp(1j * params.delta)

@@ -3,8 +3,8 @@
 Everything here is computed from truncated Fock-space state vectors with
 ladder operators and inner products; no closed-form shortcut enters.  The
 displaced-parity Wigner evaluation contracts the a-mode density matrix with
-the columns D(2 alpha)|k> generated between the stored levels only, so it
-stays exact for arbitrarily far phase-space points without inflating the
+the displaced-Fock rows of fock._laguerre_rows between the stored levels
+only, so it stays exact for far phase-space points without inflating the
 cutoff, and it walks the grid in fixed blocks, so memory does not grow with it.
 """
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .fock import (
     ScalarField,
     TruncationWarning,
     TwoModeState,
+    _laguerre_rows,
     coordinate_wavefunction,
     default_cutoff,
     displace_a,
@@ -99,63 +100,50 @@ def oracle_states(params: MeasurementParams, na: int | None = None):
 _BLOCK = 1024  # phase-space points per block: fixes the kernel's working memory
 
 
-def _trace_displaced(op, betas):
-    """Tr[op D(beta)] for every beta of a flat complex array, op a (K, K) matrix.
+def _trace_displaced(rho, betas, parity):
+    """Tr[rho D(beta) P] (parity) or Tr[rho D(beta)] for every beta of a flat
+    complex array, rho a Hermitian (K, K) matrix and P = (-1)^{a† a}.
 
-    Tr[op D(beta)] = sum_k op[k] . c_k with c_k = D(beta)|k> cut to K rows.
-    c_0 is the coherent column, built in log space; the others follow from
-    the exact recurrence c_k = (a† - conj(beta)) c_{k-1} / sqrt(k).  Each
-    column is contracted with row k of op as soon as it is made, and the
-    points go in blocks of _BLOCK, so the working memory is a few (K, _BLOCK)
-    arrays whatever len(betas) is.
+    With beta = |beta| e^{i theta} and the rows l_m^a of fock._laguerre_rows,
+    the sum over the matrix elements of D(beta) folds onto its diagonals:
+    S_a = sum_m s_m rho[m, m+a] l_m^a (s_m = (-1)^m with parity, else 1) gives
+    S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a with parity and
+    S_0 + sum_{a>=1} [e^{ia theta} S_a + (-1)^a conj(e^{ia theta} S_a)] without.
+    S accumulates as each row is made, and the points go in blocks of
+    _BLOCK, so the working memory is a few (K, _BLOCK) arrays whatever
+    len(betas) is.
     """
-    K = op.shape[0]
+    K = rho.shape[0]
     ks = np.arange(K)
-    sqk = np.sqrt(ks.astype(float))
-    adag = sqk[1:, None]  # a† takes row j - 1 to row j with weight sqrt(j)
-    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, K, dtype=float)))))
+    rho = ((-1.0) ** ks)[:, None] * rho if parity else rho
+    # the coefficient of conj(e^{ia theta} S_a), a >= 1
+    fold = np.ones(K - 1) if parity else (-1.0) ** ks[1:]
     out = np.empty(betas.size, dtype=complex)
     for lo in range(0, betas.size, _BLOCK):
         beta = betas[lo:lo + _BLOCK]
-        absb = np.abs(beta)
-        tiny = absb == 0
-        safe = np.where(tiny, 1.0, absb)
-        mag = np.exp(-(absb[None, :] ** 2) / 2 + ks[:, None] * np.log(safe)[None, :] - logfact[:, None] / 2)
-        unit = np.where(tiny, 1.0, beta / safe)
-        col = mag * unit[None, :] ** ks[:, None]  # (K, block): c_0
-        col[:, tiny] = 0.0
-        col[0, tiny] = 1.0
-        acc = op[0] @ col
-        ncb = -np.conj(beta)
-        nxt, tmp = np.empty_like(col), np.empty_like(col[1:])
-        for k in range(1, K):
-            # in place, and 1/sqrt(k) scales the short factors, not the (K, block) column
-            shift = ncb / sqk[k]
-            np.multiply(shift, col[0], out=nxt[0])
-            np.multiply(shift, col[1:], out=tmp)
-            np.multiply(adag / sqk[k], col[:-1], out=nxt[1:])
-            nxt[1:] += tmp
-            col, nxt = nxt, col
-            acc += op[k] @ col
-        out[lo:lo + _BLOCK] = acc
+        s = np.zeros((K, beta.size), dtype=complex)
+        for m, row in enumerate(_laguerre_rows(np.abs(beta) ** 2, K)):
+            s[:K - m] += rho[m, m:, None] * row
+        t = np.exp(1j * ks[1:, None] * np.angle(beta)) * s[1:]
+        out[lo:lo + _BLOCK] = s[0] + t.sum(axis=0) + (fold[:, None] * t.conj()).sum(axis=0)
     return out
 
 
 def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
     """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho_a D(2 alpha) P].
 
-    rho_a = v v† (the b mode traced out) takes the parity signs (-1)^k into
-    its rows.  The columns D(2 alpha)|k> are generated between the stored
-    levels only, which keeps the value exact for any grid extent, and each is
-    contracted with rho_a as soon as it is made, block by block over the grid,
-    so memory is set by the cutoff and not by the number of grid points.
+    rho_a = v v† (the b mode traced out).  The matrix elements of D(2 alpha)
+    are made between the stored levels only, which keeps the value exact for
+    any grid extent inside the underflow limit of fock._laguerre_rows, and
+    each row of them is contracted with rho_a as soon as it is made, block by
+    block over the grid, so memory is set by the cutoff and not by the number
+    of grid points.
     """
     _audit_truncation(state)
     xs, ys = grid.xs(), grid.ys()
     alphas = (xs[:, None] + 1j * ys[None, :]).ravel()
     v = state.coeffs
-    op = ((-1.0) ** np.arange(state.na))[:, None] * (v @ v.conj().T)
-    w = (2 / math.pi) * _trace_displaced(op, 2 * alphas).real
+    w = (2 / math.pi) * _trace_displaced(v @ v.conj().T, 2 * alphas, parity=True).real
     return ScalarField(grid, w.reshape(grid.nx, grid.ny), kind="wigner")
 
 
@@ -179,11 +167,11 @@ def wigner_characteristic_quadrature(
     wts[-1] *= 0.5
     xi = (lam[:, None] + 1j * lam[None, :]).ravel()
     v = state.coeffs
-    c = _trace_displaced(v @ v.conj().T, xi).reshape(char_n, char_n)
+    c = _trace_displaced(v @ v.conj().T, xi, parity=False).reshape(char_n, char_n)
     xs, ps = grid.xs(), grid.ys()
     ep = np.exp(2j * np.outer(ps, lam)) * wts[None, :]          # (ny, n) over xi'
     ex = np.exp(-2j * np.outer(xs, lam)) * wts[None, :]         # (nx, n) over xi''
-    w = np.einsum("jg,gh,ih->ij", ep, c, ex) / math.pi**2
+    w = ex @ (ep @ c).T / math.pi**2
     return ScalarField(grid, w.real, kind="wigner")
 
 

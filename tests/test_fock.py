@@ -9,13 +9,12 @@ from oampointer.fock import (
     NormDriftWarning,
     ScalarField,
     TwoModeState,
+    _laguerre_rows,
     apply_ladder,
     coordinate_wavefunction,
     default_cutoff,
     displace_a,
-    displaced_fock_overlaps,
     displacement_matrix,
-    genlaguerre_rec,
     hermite_functions,
     inner,
     vacuum,
@@ -115,53 +114,97 @@ def test_ladder_rejects_unknown_name():
 
 
 # ---------------------------------------------------------------------------
-# Laguerre recurrence and displaced-Fock overlaps
+# Laguerre rows and displaced-Fock overlaps (the columns of D(alpha))
 # ---------------------------------------------------------------------------
 
-def test_genlaguerre_against_scipy():
-    from scipy.special import eval_genlaguerre
+def _laguerre_table_assembly(alpha, dim):
+    """Reference: D(alpha) from one table L_m^(a)(|alpha|^2) and log-space
+    magnitudes on a meshgrid, the assembly displacement_matrix used before
+    the row kernel (fine up to about dim 450 at |alpha| = 15)."""
+    alpha = complex(alpha)
+    x = abs(alpha) ** 2
+    a = np.arange(dim, dtype=float)
+    lag = np.empty((dim, dim))
+    lag[0] = 1.0
+    if dim > 1:
+        lag[1] = 1.0 + a - x
+    for m in range(1, dim - 1):
+        lag[m + 1] = ((2 * m + 1 + a - x) * lag[m] - (m + a) * lag[m - 1]) / (m + 1)
+    k = np.arange(dim)
+    half_logfact = 0.5 * np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim, dtype=float)))))
+    rows, cols = np.meshgrid(k, k, indexing="ij")
+    diff = rows - cols
+    lower = diff >= 0
+    if x > 0:
+        mag = np.exp(-x / 2 + np.abs(diff) * (math.log(x) / 2) - np.abs(half_logfact[rows] - half_logfact[cols]))
+    else:
+        mag = np.where(diff == 0, 1.0, 0.0)
+    unit_up = alpha / abs(alpha) if x > 0 else 1.0
+    phase = np.where(lower, unit_up ** diff, (-np.conj(unit_up)) ** (-diff))
+    lag_vals = np.where(lower, lag[cols, np.abs(diff)], lag[rows, np.abs(diff)])
+    return mag * phase * lag_vals
+
+
+def test_laguerre_rows_against_scipy():
+    from scipy.special import eval_genlaguerre, gammaln
 
     xs = np.linspace(0.0, 9.0, 13)
-    for n in (0, 1, 2, 5, 11):
-        for k in (0, 1, 3, 7):
-            mine = genlaguerre_rec(n, k, xs)
-            ref = eval_genlaguerre(n, k, xs)
-            assert np.allclose(mine, ref, rtol=1e-12, atol=1e-12)
+    rows = list(_laguerre_rows(xs, 12))
+    for m in (0, 1, 2, 5, 11):
+        assert rows[m].shape == (12 - m, xs.size)
+        for a in range(12 - m):
+            pref = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + a + 1)) - xs / 2) * xs ** (a / 2)
+            ref = pref * eval_genlaguerre(m, a, xs)
+            assert np.allclose(rows[m][a], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_overlaps_identity_displacement():
-    ov = displaced_fock_overlaps(0.0, 2, 5)
-    assert np.allclose(ov, [0, 0, 1, 0, 0])
+    col = displacement_matrix(0.0, 5)[:, 2]
+    assert np.allclose(col, [0, 0, 1, 0, 0])
 
 
 def test_overlaps_coherent_column():
     # n = 0 reduces to coherent-state amplitudes e^{-|a|^2/2} a^k / sqrt(k!)
     alpha = 0.5
-    ov = displaced_fock_overlaps(alpha, 0, 8)
+    col = displacement_matrix(alpha, 8)[:, 0]
     ks = np.arange(8)
     ref = np.exp(-0.125) * alpha**ks / np.sqrt([math.factorial(k) for k in ks])
-    assert np.allclose(ov, ref, atol=1e-15)
+    assert np.allclose(col, ref, atol=1e-15)
 
 
 def test_overlaps_match_matrix_exponential_column():
     # independent oracle: truncated matrix exponential of 0.5 (a_dag - a)
-    ov = displaced_fock_overlaps(0.5, 1, 16)
-    col = displacement_matrix(0.5, 16, method="series")[:, 1]
-    assert np.abs(ov - col).max() < 1e-10
+    col = displacement_matrix(0.5, 16)[:, 1]
+    ref = displacement_matrix(0.5, 16, method="series")[:, 1]
+    assert np.abs(col - ref).max() < 1e-10
 
 
 def test_overlaps_preconditions():
     with pytest.raises(ValueError):
-        displaced_fock_overlaps(0.5, 3, 3)
+        displacement_matrix(0.5, 0)
     with pytest.raises(ValueError):
-        displaced_fock_overlaps(0.5, -1, 3)
+        displacement_matrix(0.5, 3, method="taylor")
 
 
 def test_displacement_matrix_columns_equal_overlaps():
-    for alpha in (0.5, -0.3 + 0.8j, 1.7 - 2.2j):
-        d = displacement_matrix(alpha, 30)
-        cols = np.column_stack([displaced_fock_overlaps(alpha, n, 30) for n in range(30)])
-        assert np.abs(d - cols).max() < 1e-13
+    for alpha, dim in ((0.5, 30), (-0.3 + 0.8j, 30), (1.7 - 2.2j, 30), (1.7 - 2.2j, 60), (15.0, 441)):
+        d = displacement_matrix(alpha, dim)
+        assert np.abs(d - _laguerre_table_assembly(alpha, dim)).max() < 1e-13
+
+
+def test_displacement_matrix_high_order_is_finite_and_unitary():
+    # the Laguerre table overflows at these orders; the normalized rows do not
+    d = displacement_matrix(0.5, 1200)
+    assert np.isfinite(d).all()
+    block = d[:, :600]
+    assert np.abs(block.conj().T @ block - np.eye(600)).max() < 1e-12
+
+
+def test_displacement_matrix_states_its_underflow_limit():
+    # e^{-|alpha|^2/2} underflows at |alpha|^2 = 1600 while the 676-level
+    # truncation still reaches elements that are not negligible
+    with pytest.raises(ValueError, match="underflows"):
+        displacement_matrix(40.0, 676)
 
 
 def test_displacement_matrix_unitary_in_contained_block():

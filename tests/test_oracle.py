@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oampointer import closedform as cf
 from oampointer.fock import GridSpec, TwoModeState, displace_a, vacuum
 from oampointer.measurement import MeasurementParams
 from oampointer.oracle import (
@@ -133,7 +134,6 @@ def _wigner_full_accumulator(state, grid):
 
 
 def test_wigner_block_seams_match_closed_form_and_full_accumulator():
-    from oampointer import closedform as cf
     from oampointer.oracle import _BLOCK
 
     # several blocks, a partial last block, and the origin (the |beta| = 0
@@ -146,6 +146,20 @@ def test_wigner_block_seams_match_closed_form_and_full_accumulator():
     w = oracle_wigner(psi, grid).values
     assert np.abs(w - cf.wigner_field(NAMED_POINT, grid).values).max() <= 1e-10
     assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("gamma_c,half_x,half_p", [(8.0, 10.0, 6.0), (20.0, 16.0, 6.0), (1.0, 25.0, 25.0)])
+def test_wigner_matches_closed_form_far_from_origin(gamma_c, half_x, half_p):
+    # Gamma = 8, 20: both lobes at +-Gamma/2 are on the grid, where a column
+    # recurrence c_k = (a† - conj(beta)) c_{k-1} / sqrt(k) loses all digits.
+    # Gamma = 1: |2 alpha|^2 reaches 5000, past the underflow of
+    # e^{-|beta|^2/2}, but 43 levels reach no element that is not negligible
+    # there, so the underflow limit must not fire.
+    p = MeasurementParams(Gamma=gamma_c, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
+    grid = GridSpec(-half_x, half_x, -half_p, half_p, 41, 41)
+    _, _, psi, _ = oracle_states(p)
+    w = oracle_wigner(psi, grid).values
+    assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
 
 
 def test_wigner_memory_is_bounded_by_block_not_grid():
@@ -166,6 +180,13 @@ def test_wigner_memory_is_bounded_by_block_not_grid():
 # ---------------------------------------------------------------------------
 # convergence and record
 # ---------------------------------------------------------------------------
+
+def test_oracle_quantities_state_the_underflow_limit():
+    # I1 needs D(40) on 676 levels, past the limit of the displaced-Fock rows
+    p = MeasurementParams(Gamma=40.0, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
+    with pytest.raises(ValueError, match="underflows"):
+        oracle_quantities(p)
+
 
 def test_cutoff_doubling_self_consistency():
     p = MeasurementParams(Gamma=2.0, alpha=2.5, delta=0.0, phi=math.pi / 2, gamma=1.5)
