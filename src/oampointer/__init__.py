@@ -63,7 +63,6 @@ from .oracle import (
     oracle_states,
     oracle_wigner,
     validation_params,
-    wigner_characteristic_quadrature,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,10 @@ _laguerre_rows, which walks the normalized Laguerre recurrence row by row;
 displacement_matrix and the oracle's Wigner kernel both read it, and the
 matrix exponential (displacement_matrix(method="series")) is the independent
 check.  Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, it raises
-ValueError unless the cutoff stays below |beta|^2/8.
+ValueError unless the cutoff stays below |beta|^2/8; default_cutoff states
+the same ceiling (Gamma ~ 74.8) before anything is allocated.  The
+Hermite-Gauss functions carry e^{-x^2/2} in a per-point exponent, so they
+stay right where that factor alone underflows.
 """
 from __future__ import annotations
 
@@ -183,6 +186,8 @@ def apply_ladder(state: TwoModeState, which: str) -> TwoModeState:
 
 
 _UNDERFLOW_X = 1400.0  # |beta|^2 beyond which e^{-|beta|^2/2} leaves the normal floats
+# ln 2 = _LN2_HI + _LN2_LO, with e * _LN2_HI exact for |e| < 2^20 (fdlibm's split)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 def _laguerre_rows(x: np.ndarray, K: int):
@@ -266,10 +271,12 @@ def displace_a(state: TwoModeState, alpha: complex, method: str = "closed_form")
 def _apply_displacement(d: np.ndarray, state: TwoModeState, alpha: complex) -> TwoModeState:
     """d @ state on the a mode, audited for norm drift (d is D(alpha) truncated).
 
-    The warning is attributed to the caller of the public function that
-    called this one.
+    Only the columns of d at occupied a levels enter the product.  The
+    warning is attributed to the caller of the public function that called
+    this one.
     """
-    out = TwoModeState(d @ state.coeffs, state.sigma)
+    rows = np.flatnonzero(state.coeffs.any(axis=1))
+    out = TwoModeState(d[:, rows] @ state.coeffs[rows], state.sigma)
     drift = abs(out.norm() - state.norm())
     if drift > 1e-8:
         warnings.warn(
@@ -291,17 +298,27 @@ def hermite_functions(pts: np.ndarray, nmax: int, sigma: float = 1.0) -> np.ndar
     """Normalized Hermite-Gauss functions u_0..u_{nmax-1} sampled at pts.
 
     u_n(x) = (pi sigma^2)^{-1/4} (2^n n!)^{-1/2} H_n(x/sigma) e^{-x^2/(2 sigma^2)},
-    evaluated by the normalized three-term recurrence (stable for n <= 60 at least;
-    factorial prefactors are folded in per step, so nothing overflows).
+    evaluated by the normalized three-term recurrence on mantissas: u_n = m_n 2^e,
+    where the per-point exponent e carries e^{-xi^2/2} and every rescaling of
+    the mantissas, so nothing underflows where the Gaussian alone would
+    (|xi| >= 38.6) and nothing overflows.
     """
-    pts = np.asarray(pts, dtype=float)
-    xi = pts / sigma
-    out = np.zeros((nmax, pts.size))
-    out[0] = np.pi ** -0.25 / math.sqrt(sigma) * np.exp(-(xi**2) / 2)
-    if nmax > 1:
-        out[1] = math.sqrt(2.0) * xi * out[0]
-    for n in range(1, nmax - 1):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * xi * out[n] - math.sqrt(n / (n + 1)) * out[n - 1]
+    xi = np.asarray(pts, dtype=float) / sigma
+    # the floor keeps e in int64; no recurrence of fewer than 1e15 steps climbs back from 2^-1.4e18
+    h = np.maximum(-(xi**2) / 2, -1e18)
+    e = np.floor(h / math.log(2))
+    cur = np.pi ** -0.25 / math.sqrt(sigma) * np.exp((h - e * _LN2_HI) - e * _LN2_LO)
+    prev = np.zeros_like(cur)
+    e = e.astype(int)
+    out = np.empty((nmax, xi.size))
+    for n in range(nmax):
+        out[n] = np.ldexp(cur, e)
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * xi * cur - math.sqrt(n / (n + 1)) * prev
+        big = np.abs(cur) > 2.0**256
+        if big.any():
+            cur[big], k = np.frexp(cur[big])
+            prev[big] = np.ldexp(prev[big], -k)
+            e[big] += k
     return out
 
 
@@ -317,7 +334,14 @@ def default_cutoff(gamma_max: float) -> int:
     """a-mode cutoff for displacements up to |alpha| = gamma_max / 2.
 
     A displaced one-photon state spreads over roughly (|alpha| + a few sigma)^2
-    levels; 40 covers gamma_max <= 4 with headroom.
+    levels; 40 covers gamma_max <= 4 with headroom.  Past |alpha|^2 = 1400
+    (gamma_max ~ 74.8) no cutoff can hold D(alpha) (see _laguerre_rows), so
+    this raises ValueError there instead of sizing one.
     """
     alpha_max = abs(gamma_max) / 2
+    if alpha_max**2 > _UNDERFLOW_X:
+        raise ValueError(
+            f"Gamma = {gamma_max:g} needs D(alpha) at |alpha|^2 = {alpha_max**2:.6g}: e^(-|alpha|^2/2) "
+            f"underflows beyond |alpha|^2 = {_UNDERFLOW_X:g}, that is Gamma > {2 * math.sqrt(_UNDERFLOW_X):.4g}"
+        )
     return max(40, math.ceil((alpha_max + 6.0) ** 2))

@@ -2,10 +2,11 @@
 
 Everything here is computed from truncated Fock-space state vectors with
 ladder operators and inner products; no closed-form shortcut enters.  The
-displaced-parity Wigner evaluation contracts the a-mode density matrix with
-the displaced-Fock rows of fock._laguerre_rows between the stored levels
-only, so it stays exact for far phase-space points without inflating the
-cutoff, and it walks the grid in fixed blocks, so memory does not grow with it.
+displaced-Fock elements of fock._laguerre_rows are exact on any truncation,
+so they are only made where they are needed: the displaced-parity Wigner
+function contracts the a-mode density matrix with them between the stored
+levels, block by block over the grid, and I1 = <Psi_i|D(Gamma)|Psi_i> takes
+the block over the a levels Psi_i occupies.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .fock import (
     _laguerre_rows,
     coordinate_wavefunction,
     default_cutoff,
-    displace_a,
+    displacement_matrix,
     inner,
 )
 from .measurement import (
@@ -50,7 +51,6 @@ __all__ = [
     "oracle_expectations",
     "oracle_states",
     "oracle_wigner",
-    "wigner_characteristic_quadrature",
     "oracle_intensity",
     "OracleRecord",
     "oracle_quantities",
@@ -100,79 +100,35 @@ def oracle_states(params: MeasurementParams, na: int | None = None):
 _BLOCK = 1024  # phase-space points per block: fixes the kernel's working memory
 
 
-def _trace_displaced(rho, betas, parity):
-    """Tr[rho D(beta) P] (parity) or Tr[rho D(beta)] for every beta of a flat
-    complex array, rho a Hermitian (K, K) matrix and P = (-1)^{a† a}.
+def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
+    """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho_a D(2 alpha) P].
 
-    With beta = |beta| e^{i theta} and the rows l_m^a of fock._laguerre_rows,
-    the sum over the matrix elements of D(beta) folds onto its diagonals:
-    S_a = sum_m s_m rho[m, m+a] l_m^a (s_m = (-1)^m with parity, else 1) gives
-    S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a with parity and
-    S_0 + sum_{a>=1} [e^{ia theta} S_a + (-1)^a conj(e^{ia theta} S_a)] without.
-    S accumulates as each row is made, and the points go in blocks of
-    _BLOCK, so the working memory is a few (K, _BLOCK) arrays whatever
-    len(betas) is.
+    rho_a = v v† (the b mode traced out) and P = (-1)^{a† a}.  With
+    2 alpha = |beta| e^{i theta} and the rows l_m^a of fock._laguerre_rows,
+    the trace folds onto the diagonals of rho_a:
+    S_a = sum_m (-1)^m rho_a[m, m+a] l_m^a gives
+    W = (2/pi) [S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a].  The elements are
+    made between the stored levels only, which keeps the value exact for any
+    grid extent inside the underflow limit of fock._laguerre_rows; S
+    accumulates as each row is made and the points go in blocks of _BLOCK,
+    so memory is set by the cutoff and not by the number of grid points.
     """
-    K = rho.shape[0]
+    _audit_truncation(state)
+    xs, ys = grid.xs(), grid.ys()
+    betas = 2 * (xs[:, None] + 1j * ys[None, :]).ravel()
+    v = state.coeffs
+    K = v.shape[0]
     ks = np.arange(K)
-    rho = ((-1.0) ** ks)[:, None] * rho if parity else rho
-    # the coefficient of conj(e^{ia theta} S_a), a >= 1
-    fold = np.ones(K - 1) if parity else (-1.0) ** ks[1:]
-    out = np.empty(betas.size, dtype=complex)
+    rho = ((-1.0) ** ks)[:, None] * (v @ v.conj().T)
+    w = np.empty(betas.size)
     for lo in range(0, betas.size, _BLOCK):
         beta = betas[lo:lo + _BLOCK]
         s = np.zeros((K, beta.size), dtype=complex)
         for m, row in enumerate(_laguerre_rows(np.abs(beta) ** 2, K)):
             s[:K - m] += rho[m, m:, None] * row
         t = np.exp(1j * ks[1:, None] * np.angle(beta)) * s[1:]
-        out[lo:lo + _BLOCK] = s[0] + t.sum(axis=0) + (fold[:, None] * t.conj()).sum(axis=0)
-    return out
-
-
-def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
-    """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho_a D(2 alpha) P].
-
-    rho_a = v v† (the b mode traced out).  The matrix elements of D(2 alpha)
-    are made between the stored levels only, which keeps the value exact for
-    any grid extent inside the underflow limit of fock._laguerre_rows, and
-    each row of them is contracted with rho_a as soon as it is made, block by
-    block over the grid, so memory is set by the cutoff and not by the number
-    of grid points.
-    """
-    _audit_truncation(state)
-    xs, ys = grid.xs(), grid.ys()
-    alphas = (xs[:, None] + 1j * ys[None, :]).ravel()
-    v = state.coeffs
-    w = (2 / math.pi) * _trace_displaced(v @ v.conj().T, 2 * alphas, parity=True).real
+        w[lo:lo + _BLOCK] = (2 / math.pi) * (s[0].real + 2 * t.real.sum(axis=0))
     return ScalarField(grid, w.reshape(grid.nx, grid.ny), kind="wigner")
-
-
-def wigner_characteristic_quadrature(
-    state: TwoModeState,
-    grid: GridSpec,
-    char_halfwidth: float = 6.0,
-    char_n: int = 241,
-) -> ScalarField:
-    """Wigner function by trapezoid quadrature of the symmetric characteristic
-    function; a deliberately different route used to cross-check oracle_wigner.
-
-    C(xi) = Tr[rho_a D(xi)] on a square xi grid (oracle_wigner's kernel
-    without the parity), then
-    W(x, p) = (1/pi^2) integral e^{2i(p xi' - x xi'')} C(xi) dxi' dxi''.
-    """
-    _audit_truncation(state)
-    lam = np.linspace(-char_halfwidth, char_halfwidth, char_n)
-    wts = np.full(char_n, lam[1] - lam[0])
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    xi = (lam[:, None] + 1j * lam[None, :]).ravel()
-    v = state.coeffs
-    c = _trace_displaced(v @ v.conj().T, xi, parity=False).reshape(char_n, char_n)
-    xs, ps = grid.xs(), grid.ys()
-    ep = np.exp(2j * np.outer(ps, lam)) * wts[None, :]          # (ny, n) over xi'
-    ex = np.exp(-2j * np.outer(xs, lam)) * wts[None, :]         # (nx, n) over xi''
-    w = ex @ (ep @ c).T / math.pi**2
-    return ScalarField(grid, w.real, kind="wigner")
 
 
 def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
@@ -242,7 +198,10 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> Oracl
     wv = w.value
     un = (1 + wv) * joint.branch_plus.coeffs + (1 - wv) * joint.branch_minus.coeffs
     lam = 2.0 / float(np.linalg.norm(un))
-    i1 = inner(psi_i, displace_a(psi_i, params.Gamma))
+    # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
+    k = int(np.flatnonzero(psi_i.coeffs.any(axis=1))[-1]) + 1
+    c = psi_i.coeffs[:k]
+    i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, k) @ c))
     g2, g2_reason = _value_or_reason(cf.g2_from_moments, m)
     phi_full = nonpostselected_moments(joint)
     phi_triplet = (phi_full.a, phi_full.adag_a, phi_full.a2)

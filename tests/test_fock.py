@@ -327,6 +327,21 @@ def test_hermite_functions_orthonormal():
     assert np.abs(gram - np.eye(8)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n,xi,ref", [
+    # mpmath (60 digits): hermite(n, xi) e^{-xi^2/2} / sqrt(2^n n! sqrt(pi))
+    (1295, 40.0, 0.085150360225982102267),
+    (1295, 45.0, 0.15697651045809074358),
+    (1000, 42.0, -0.13547314541220205098),
+    (600, 39.0, 5.4978129573112693733e-24),
+    (40, 1e10, 0.0),
+    (40, 1e150, 0.0),
+])
+def test_hermite_functions_past_gaussian_underflow(n, xi, ref):
+    # e^{-xi^2/2} alone is 0.0 in floating point at every one of these points
+    u = hermite_functions(np.array([xi]), n + 1)[n, 0]
+    assert abs(u - ref) <= 1e-12 * abs(ref)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(1, -1, 0, 1, 5, 5)
@@ -338,3 +353,8 @@ def test_default_cutoff_policy():
     assert default_cutoff(0.0) == 40
     assert default_cutoff(4.0) == max(40, math.ceil(8.0**2))
     assert default_cutoff(2.0) == 49
+    # (Gamma/2)^2 = 1400 at Gamma = 74.83: no cutoff holds D(Gamma/2) past it
+    assert default_cutoff(74.8) == math.ceil((37.4 + 6.0) ** 2)
+    for gamma_max in (74.9, -80.0, 1e4, math.inf):
+        with pytest.raises(ValueError, match="underflows"):
+            default_cutoff(gamma_max)

@@ -1,21 +1,24 @@
 """Oracle internals: moments, Wigner paths, convergence, comparison reports."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from oampointer import closedform as cf
-from oampointer.fock import GridSpec, TwoModeState, displace_a, vacuum
+from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displace_a, vacuum
 from oampointer.measurement import MeasurementParams
 from oampointer.oracle import (
+    SCALAR_QUANTITIES,
+    _entry,
     compare,
     oracle_expectations,
+    oracle_intensity,
     oracle_quantities,
     oracle_states,
     oracle_wigner,
     validation_params,
-    wigner_characteristic_quadrature,
 )
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
@@ -99,14 +102,6 @@ def test_wigner_normalization_and_b_trace():
     assert np.abs(marg - dens).max() < 1e-6
 
 
-def test_wigner_quadrature_path_agrees_with_parity():
-    _, _, psi, _ = oracle_states(MeasurementParams(Gamma=0.8, alpha=2.0, delta=0.0, phi=0.0, gamma=1.0))
-    grid = GridSpec(-3, 3, -3, 3, 61, 61)
-    w1 = oracle_wigner(psi, grid)
-    w2 = wigner_characteristic_quadrature(psi, grid)
-    assert np.abs(w1.values - w2.values).max() < 1e-6
-
-
 def _wigner_full_accumulator(state, grid):
     """Reference: the (points, K, Nb) accumulator form of the displaced-parity
     sum, every column D(2 alpha)|k> kept for all points at once."""
@@ -142,10 +137,11 @@ def test_wigner_block_seams_match_closed_form_and_full_accumulator():
     origin = 33 * grid.ny + 26
     assert grid.nx * grid.ny > 2 * _BLOCK and (grid.nx * grid.ny) % _BLOCK != 0
     assert grid.xs()[33] == 0.0 and grid.ys()[26] == 0.0 and 0 < origin % _BLOCK < _BLOCK - 1
-    _, _, psi, _ = oracle_states(NAMED_POINT)
-    w = oracle_wigner(psi, grid).values
-    assert np.abs(w - cf.wigner_field(NAMED_POINT, grid).values).max() <= 1e-10
-    assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+    for p in (NAMED_POINT, MeasurementParams(Gamma=0.8, alpha=2.0, delta=0.0, phi=0.0, gamma=1.0)):
+        _, _, psi, _ = oracle_states(p)
+        w = oracle_wigner(psi, grid).values
+        assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
+        assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("gamma_c,half_x,half_p", [(8.0, 10.0, 6.0), (20.0, 16.0, 6.0), (1.0, 25.0, 25.0)])
@@ -160,6 +156,16 @@ def test_wigner_matches_closed_form_far_from_origin(gamma_c, half_x, half_p):
     _, _, psi, _ = oracle_states(p)
     w = oracle_wigner(psi, grid).values
     assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
+
+
+def test_intensity_matches_closed_form_past_gaussian_underflow():
+    # the lobes sit at X = +-Gamma/sqrt2 = +-42.4, where e^{-X^2/2} is 0.0
+    p = MeasurementParams(Gamma=60.0, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
+    half_x = 60.0 / math.sqrt(2) + 6.0
+    grid = GridSpec(-half_x, half_x, -6.0, 6.0, 121, 41)
+    _, _, psi, _ = oracle_states(p)
+    i = oracle_intensity(psi, grid).values
+    assert np.abs(i - cf.intensity_field(p, grid).values).max() <= 1e-10
 
 
 def test_wigner_memory_is_bounded_by_block_not_grid():
@@ -182,9 +188,27 @@ def test_wigner_memory_is_bounded_by_block_not_grid():
 # ---------------------------------------------------------------------------
 
 def test_oracle_quantities_state_the_underflow_limit():
-    # I1 needs D(40) on 676 levels, past the limit of the displaced-Fock rows
-    p = MeasurementParams(Gamma=40.0, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
-    with pytest.raises(ValueError, match="underflows"):
+    # below (Gamma/2)^2 = 1400 the oracle agrees with the closed forms at
+    # validate's tolerances; past it default_cutoff raises before any allocation
+    for gamma_c in (40.0, 60.0, 74.0):
+        p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
+        rec = oracle_quantities(p)
+        for name in ("Q1", "Q2", "lambda", "I1", "fidelity"):
+            q = SCALAR_QUANTITIES[name]
+            entry = _entry(name, 0, p, q.closed_value(p), q.oracle(rec), 1e-10, 1e-8)
+            assert entry.status == "pass", (gamma_c, entry)
+    for gamma_c in (80.0, 1e4):
+        p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
+        with pytest.raises(ValueError, match="underflows"):
+            oracle_quantities(p)
+
+
+@pytest.mark.parametrize("gamma_c", [6.5, 10.0, 30.0])
+def test_oracle_quantities_raise_no_norm_drift(gamma_c):
+    # I1 takes D(Gamma) only on the occupied levels, never on a cutoff sized for Gamma/2
+    p = MeasurementParams(Gamma=gamma_c, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NormDriftWarning)
         oracle_quantities(p)
 
 
