@@ -105,6 +105,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid bounds must satisfy min < max")
         if self.nx < 2 or self.ny < 2:

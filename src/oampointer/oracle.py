@@ -5,8 +5,9 @@ ladder operators and inner products; no closed-form shortcut enters.  The
 displaced-Fock elements of fock._laguerre_rows are exact on any truncation,
 so they are only made where they are needed: the displaced-parity Wigner
 function contracts the a-mode density matrix with them between the stored
-levels, block by block over the grid, and I1 = <Psi_i|D(Gamma)|Psi_i> takes
-the block over the a levels Psi_i occupies.
+levels, once per distinct |beta|^2 on the grid and in blocks of radii, then
+sums each point's angular series by Horner in e^{i theta}; and
+I1 = <Psi_i|D(Gamma)|Psi_i> takes the block over the a levels Psi_i occupies.
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ def oracle_states(params: MeasurementParams, na: int | None = None):
 # phase-space and coordinate-space fields
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1024  # phase-space points per block: fixes the kernel's working memory
+_BLOCK = 1024  # distinct radii per block: fixes the kernel's working memory
 
 
 def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
@@ -107,27 +108,42 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
     2 alpha = |beta| e^{i theta} and the rows l_m^a of fock._laguerre_rows,
     the trace folds onto the diagonals of rho_a:
     S_a = sum_m (-1)^m rho_a[m, m+a] l_m^a gives
-    W = (2/pi) [S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a].  The elements are
-    made between the stored levels only, which keeps the value exact for any
-    grid extent inside the underflow limit of fock._laguerre_rows; S
-    accumulates as each row is made and the points go in blocks of _BLOCK,
-    so memory is set by the cutoff and not by the number of grid points.
+    W = (2/pi) [S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a].  S_a depends on the
+    point only through x = |beta|^2, so it is made once per distinct x on the
+    grid (exact float equality: equal x give bit-identical rows), walking the
+    sorted radii in blocks of _BLOCK and accumulating as each row is made; each
+    point of a block then sums its angular series by Horner in e^{i theta}.
+    The elements are made between the stored levels only, which keeps the
+    value exact for any grid extent inside the underflow limit of
+    fock._laguerre_rows.  Memory is K * _BLOCK for the sums plus a few index
+    arrays per grid point; no array holds K values for every point.
     """
     _audit_truncation(state)
     xs, ys = grid.xs(), grid.ys()
-    betas = 2 * (xs[:, None] + 1j * ys[None, :]).ravel()
+    x = np.abs(2 * (xs[:, None] + 1j * ys[None, :])).ravel() ** 2
+    order = np.argsort(x)  # points by radius
+    x = x[order]
+    radii = np.unique(x)
     v = state.coeffs
     K = v.shape[0]
-    ks = np.arange(K)
-    rho = ((-1.0) ** ks)[:, None] * (v @ v.conj().T)
-    w = np.empty(betas.size)
-    for lo in range(0, betas.size, _BLOCK):
-        beta = betas[lo:lo + _BLOCK]
-        s = np.zeros((K, beta.size), dtype=complex)
-        for m, row in enumerate(_laguerre_rows(np.abs(beta) ** 2, K)):
+    rho = ((-1.0) ** np.arange(K))[:, None] * (v @ v.conj().T)
+    w = np.empty(x.size)
+    p0 = 0
+    for lo in range(0, radii.size, _BLOCK):
+        r = radii[lo:lo + _BLOCK]
+        s = np.zeros((K, r.size), dtype=complex)
+        for m, row in enumerate(_laguerre_rows(r, K)):
             s[:K - m] += rho[m, m:, None] * row
-        t = np.exp(1j * ks[1:, None] * np.angle(beta)) * s[1:]
-        w[lo:lo + _BLOCK] = (2 / math.pi) * (s[0].real + 2 * t.real.sum(axis=0))
+        p1 = np.searchsorted(x, r[-1], side="right")
+        pts, j = order[p0:p1], np.searchsorted(r, x[p0:p1])
+        i, k = np.divmod(pts, grid.ny)
+        z = np.exp(1j * np.arctan2(ys[k], xs[i]))  # e^{i theta} of each point
+        h = np.zeros(pts.size, dtype=complex)
+        for a in range(K - 1, 0, -1):
+            h += s[a, j]
+            h *= z
+        w[pts] = (2 / math.pi) * (s[0, j].real + 2 * h.real)
+        p0 = p1
     return ScalarField(grid, w.reshape(grid.nx, grid.ny), kind="wigner")
 
 

@@ -241,6 +241,15 @@ def test_field_rejects_bad_grid(tmp_path):
     assert run(["field", "--kind", "wigner", "--grid", "0,1,0", "--out", tmp_path / "x.csv"]) == 1
 
 
+def test_field_rejects_non_finite_grid_bound(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = run(["field", "--kind", "wigner", "--engine", "oracle", "--Gamma", 1,
+              "--grid=-inf,6,-6,6,5,5", "--out", out])
+    assert rc == 1
+    assert "x_min must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------

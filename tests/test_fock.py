@@ -349,6 +349,15 @@ def test_grid_validation():
         GridSpec(-1, 1, 0, 1, 1, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max"])
+def test_grid_rejects_non_finite_bound(name, bad):
+    bounds = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
+    bounds[name] = bad
+    with pytest.raises(ValueError, match=f"grid bound {name} must be finite"):
+        GridSpec(**bounds, nx=5, ny=5)
+
+
 def test_default_cutoff_policy():
     assert default_cutoff(0.0) == 40
     assert default_cutoff(4.0) == max(40, math.ceil(8.0**2))

@@ -128,20 +128,44 @@ def _wigner_full_accumulator(state, grid):
     return w.reshape(grid.nx, grid.ny)
 
 
+def _distinct_radii(grid):
+    """The sorted distinct |beta|^2 = |2 alpha|^2 of the grid points."""
+    return np.unique(np.abs(2 * (grid.xs()[:, None] + 1j * grid.ys()[None, :])) ** 2)
+
+
 def test_wigner_block_seams_match_closed_form_and_full_accumulator():
     from oampointer.oracle import _BLOCK
 
-    # several blocks, a partial last block, and the origin (the |beta| = 0
-    # branch) inside a block rather than on its edge
-    grid = GridSpec(-4, 4, -4, 4, 67, 53)
-    origin = 33 * grid.ny + 26
-    assert grid.nx * grid.ny > 2 * _BLOCK and (grid.nx * grid.ny) % _BLOCK != 0
-    assert grid.xs()[33] == 0.0 and grid.ys()[26] == 0.0 and 0 < origin % _BLOCK < _BLOCK - 1
-    for p in (NAMED_POINT, MeasurementParams(Gamma=0.8, alpha=2.0, delta=0.0, phi=0.0, gamma=1.0)):
-        _, _, psi, _ = oracle_states(p)
-        w = oracle_wigner(psi, grid).values
-        assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
-        assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+    for grid, n_radii, n_blocks, origin in (
+        # two blocks of radii, the last partial, the origin (the |beta| = 0
+        # branch) in block 0, and radii shared by several points
+        (GridSpec(-4, 4, -4, 4, 67, 53), 1613, 2, True),
+        # no two points share a radius: three blocks, one point per radius
+        (GridSpec(-3.1, 5.3, -2.7, 4.9, 53, 47), 2491, 3, False),
+    ):
+        radii = _distinct_radii(grid)
+        assert radii.size == n_radii and -(-n_radii // _BLOCK) == n_blocks and n_radii % _BLOCK != 0
+        assert (radii[0] == 0.0) == origin
+        for p in (NAMED_POINT, MeasurementParams(Gamma=0.8, alpha=2.0, delta=0.0, phi=0.0, gamma=1.0)):
+            _, _, psi, _ = oracle_states(p)
+            w = oracle_wigner(psi, grid).values
+            assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
+            assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+
+
+def test_wigner_makes_radial_sums_once_per_distinct_radius(monkeypatch):
+    from oampointer import oracle
+
+    rows, seen = oracle._laguerre_rows, []
+
+    def counting(x, K):
+        seen.append(x.size)
+        return rows(x, K)
+
+    monkeypatch.setattr(oracle, "_laguerre_rows", counting)
+    grid = GridSpec(-6, 6, -6, 6, 241, 241)
+    oracle_wigner(vacuum(20, 2), grid)
+    assert sum(seen) == _distinct_radii(grid).size == 11_993
 
 
 @pytest.mark.parametrize("gamma_c,half_x,half_p", [(8.0, 10.0, 6.0), (20.0, 16.0, 6.0), (1.0, 25.0, 25.0)])
