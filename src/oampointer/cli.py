@@ -4,7 +4,8 @@ Output is data only (CSV plus JSON sidecars); plotting is left to external
 tools.  All floats are written with 17 significant digits so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 usage/config error, 2 validation failure.
+Exit codes: 0 success, 1 usage/config error or a library limit (any ValueError),
+2 validation failure.
 """
 from __future__ import annotations
 
@@ -76,13 +77,10 @@ DEFAULT_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 241, 241)
 
 
 def _params_from(ns) -> MeasurementParams:
-    try:
-        return MeasurementParams(
-            Gamma=ns.Gamma, alpha=ns.alpha, delta=ns.delta,
-            phi=ns.phi, gamma=ns.gamma, sigma=ns.sigma,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MeasurementParams(
+        Gamma=ns.Gamma, alpha=ns.alpha, delta=ns.delta,
+        phi=ns.phi, gamma=ns.gamma, sigma=ns.sigma,
+    )
 
 
 def _evaluate(quantity: str, params: MeasurementParams, engine: str, na=None):
@@ -135,31 +133,21 @@ def cmd_sweep(ns) -> int:
         raise ConfigError(f"steps must be >= 2, got {ns.steps}")
     base = _params_from(ns)
     values = np.linspace(ns.start, ns.stop, ns.steps)
-    # fail early if any axis value leaves the legal domain
-    try:
-        for v in values:
-            replace(base, **{ns.axis: float(v)})
-    except ValueError as exc:
-        raise ConfigError(f"axis leaves the legal domain: {exc}") from exc
+    for v in values:  # fail before evaluating anything if an axis value leaves the legal domain
+        replace(base, **{ns.axis: float(v)})
     rows = _sweep_rows(ns.quantity, ns.axis, values, base, ns.engine, na=ns.cutoff)
     _write_rows(ns.out, SWEEP_HEADER, rows, ns.format)
     print(f"wrote {ns.out} ({len(rows)} rows)")
     return 0
 
 
-def _field(kind, params, grid, engine, na=None):
+def _write_field(path, kind, params, grid, engine, na, fmt):
+    """Compute one intensity or Wigner field; write its rows and the .meta.json sidecar."""
     if engine == "closedform":
-        return cf.intensity_field(params, grid) if kind == "intensity" else cf.wigner_field(params, grid)
-    _, _, psi, _ = orc.oracle_states(params, na)
-    return orc.oracle_intensity(psi, grid) if kind == "intensity" else orc.oracle_wigner(psi, grid)
-
-
-def cmd_field(ns) -> int:
-    if ns.kind not in ("intensity", "wigner"):
-        raise ConfigError(f"kind must be intensity or wigner, got {ns.kind!r}")
-    params = _params_from(ns)
-    grid = ns.grid or DEFAULT_GRID
-    fld = _field(ns.kind, params, grid, ns.engine, na=ns.cutoff)
+        fld = (cf.intensity_field if kind == "intensity" else cf.wigner_field)(params, grid)
+    else:
+        psi = orc.oracle_states(params, na)[2]
+        fld = (orc.oracle_intensity if kind == "intensity" else orc.oracle_wigner)(psi, grid)
     # '%.17g' % v on Python floats gives the bytes of _fmt, several times faster
     xs = ["%.17g" % x for x in grid.xs().tolist()]
     ys = ["%.17g" % y for y in grid.ys().tolist()]
@@ -168,22 +156,25 @@ def cmd_field(ns) -> int:
         for x, line in zip(xs, fld.values.tolist())
         for y, v in zip(ys, line)
     ]
-    _write_rows(ns.out, "x,y_or_p,value", rows, ns.format)
+    _write_rows(path, "x,y_or_p,value", rows, fmt)
     sidecar = {
-        "kind": ns.kind,
-        "engine": ns.engine,
-        "params": {
-            "Gamma": params.Gamma, "alpha": params.alpha, "delta": params.delta,
-            "phi": params.phi, "gamma": params.gamma, "sigma": params.sigma,
-        },
+        "kind": kind,
+        "engine": engine,
+        "params": vars(params),
         "grid": [grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx, grid.ny],
         "integral": fld.integral(),
         "min": float(fld.values.real.min()),
         "max": float(fld.values.real.max()),
     }
-    with open(ns.out + ".meta.json", "w", newline="\n") as fh:
+    with open(path + ".meta.json", "w", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def cmd_field(ns) -> int:
+    if ns.kind not in ("intensity", "wigner"):
+        raise ConfigError(f"kind must be intensity or wigner, got {ns.kind!r}")
+    _write_field(ns.out, ns.kind, _params_from(ns), ns.grid, ns.engine, ns.cutoff, ns.format)
     print(f"wrote {ns.out} and {ns.out}.meta.json")
     return 0
 
@@ -228,7 +219,6 @@ def cmd_validate(ns) -> int:
         rel_tol=ns.rel_tol,
         na=ns.cutoff,
         field_params=_field_check_points(),
-        field_grid=GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61),
     )
     with open(ns.out, "w", newline="\n") as fh:
         fh.write(report.to_json(indent=2))
@@ -263,91 +253,65 @@ _STUB_TEXT = (
 )
 
 
-def _figure_jobs(name: str):
-    """Returns (sweeps, fields, stubs): sweep jobs (fname, quantity, axis, values, bases),
-    field jobs (fname, kind, params), stub file names."""
-    aline = np.linspace(0.0, 0.95 * math.pi, 191)
-    gline = np.linspace(0.0, 2.0, 201)
-    cline = np.linspace(0.0, 2.0, 201)
-    gammas3 = (0.0, 0.3, 1.0)
-    alphas3 = (math.pi / 4, math.pi / 2, _ALPHA_MAIN)
-    base_q = MeasurementParams(Gamma=0.0, alpha=_ALPHA_MAIN, delta=0.0, phi=math.pi / 2, gamma=1.0)
-    sweeps, fields, stubs = [], [], []
-    if name == "fig2":
-        for i, G in enumerate(gammas3):
-            for j, al in enumerate((_W_SMALL, _W_LARGE)):
-                fields.append((
-                    f"{name}_r{i + 1}c{j + 1}.csv", "intensity",
-                    MeasurementParams(Gamma=G, alpha=al, delta=0.0, phi=0.0, gamma=1.0),
-                ))
-    elif name in ("fig3a", "fig3c"):
-        q = "Q1" if name == "fig3a" else "Q2"
-        stubs.append(f"{name}_r_axis.stub.txt")
-        sweeps.append((f"{name}_fallback_gamma.csv", q, "gamma", cline,
-                       [replace(base_q, Gamma=G) for G in gammas3]))
-    elif name in ("fig3b", "fig3d"):
-        q = "Q1" if name == "fig3b" else "Q2"
-        sweeps.append((f"{name}.csv", q, "alpha", aline,
-                       [replace(base_q, Gamma=G) for G in gammas3]))
-    elif name == "fig4a":
-        stubs.append(f"{name}_r_axis.stub.txt")
-        sweeps.append((f"{name}_fallback_gamma.csv", "g2", "gamma", cline,
-                       [replace(base_q, Gamma=G) for G in gammas3]))
-    elif name == "fig4b":
-        sweeps.append((f"{name}.csv", "g2", "alpha", aline,
-                       [replace(base_q, Gamma=G) for G in gammas3]))
-    elif name == "fig5":
-        for i, G in enumerate(gammas3):
-            fields.append((
-                f"{name}_c{i + 1}.csv", "wigner",
-                MeasurementParams(Gamma=G, alpha=_ALPHA_MAIN, delta=0.0, phi=0.0, gamma=1.0),
-            ))
-    elif name == "fig6a":
-        sweeps.append((f"{name}.csv", "chi", "Gamma", gline,
-                       [replace(base_q, alpha=al) for al in alphas3]))
-    elif name in ("fig6b", "fig6c"):
-        stubs.append(f"{name}_r_axis.stub.txt")
-        bases = [replace(base_q, Gamma=0.2, alpha=al) for al in alphas3] if name == "fig6b" \
-            else [replace(base_q, Gamma=G, alpha=_ALPHA_MAIN) for G in (0.2, 0.5, 1.0)]
-        sweeps.append((f"{name}_fallback_gamma.csv", "chi", "gamma", cline, bases))
-    elif name == "fig7a":
-        sweeps.append((f"{name}.csv", "fidelity", "Gamma", gline,
-                       [replace(base_q, alpha=al) for al in alphas3]))
-    elif name == "fig7b":
-        sweeps.append((f"{name}.csv", "fidelity", "alpha", aline,
-                       [replace(base_q, Gamma=G) for G in gammas3]))
-    else:
-        raise ConfigError(f"unknown figure {name!r}; valid names: {', '.join(FIGURES)}")
-    return sweeps, fields, stubs
+def _point(Gamma, alpha, phi):
+    return MeasurementParams(Gamma=Gamma, alpha=alpha, delta=0.0, phi=phi, gamma=1.0)
+
+
+# (start, stop, steps) of each figure sweep axis
+_FIGURE_AXES = {"alpha": (0.0, 0.95 * math.pi, 191), "Gamma": (0.0, 2.0, 201), "gamma": (0.0, 2.0, 201)}
+_GAMMAS = (0.0, 0.3, 1.0)
+_ALPHAS = (math.pi / 4, math.pi / 2, _ALPHA_MAIN)
+_BY_GAMMA = [(G, _ALPHA_MAIN) for G in _GAMMAS]
+_BY_ALPHA = [(0.0, al) for al in _ALPHAS]
+
+# Sweep presets: name -> (quantity, axis, [(Gamma, alpha) of each series]), every
+# series at delta = 0, phi = pi/2, gamma = 1; a gamma axis stands in for the
+# source figure's radial axis (<name>_fallback_gamma.csv plus the stub).
+# Field presets: name -> (kind, {file name: params}).
+_FIGURE_PRESETS = {
+    "fig2": ("intensity", {
+        f"fig2_r{i}c{j}.csv": _point(G, al, 0.0)
+        for i, G in enumerate(_GAMMAS, 1) for j, al in enumerate((_W_SMALL, _W_LARGE), 1)
+    }),
+    "fig3a": ("Q1", "gamma", _BY_GAMMA),
+    "fig3b": ("Q1", "alpha", _BY_GAMMA),
+    "fig3c": ("Q2", "gamma", _BY_GAMMA),
+    "fig3d": ("Q2", "alpha", _BY_GAMMA),
+    "fig4a": ("g2", "gamma", _BY_GAMMA),
+    "fig4b": ("g2", "alpha", _BY_GAMMA),
+    "fig5": ("wigner", {f"fig5_c{i}.csv": _point(G, _ALPHA_MAIN, 0.0) for i, G in enumerate(_GAMMAS, 1)}),
+    "fig6a": ("chi", "Gamma", _BY_ALPHA),
+    "fig6b": ("chi", "gamma", [(0.2, al) for al in _ALPHAS]),
+    "fig6c": ("chi", "gamma", [(G, _ALPHA_MAIN) for G in (0.2, 0.5, 1.0)]),
+    "fig7a": ("fidelity", "Gamma", _BY_ALPHA),
+    "fig7b": ("fidelity", "alpha", _BY_GAMMA),
+}
+FIGURES = tuple(_FIGURE_PRESETS)
 
 
 def cmd_figure(ns) -> int:
-    grid = ns.grid or DEFAULT_GRID
-    sweeps, fields, stubs = _figure_jobs(ns.name)
+    if ns.name not in _FIGURE_PRESETS:
+        raise ConfigError(f"unknown figure {ns.name!r}; valid names: {', '.join(FIGURES)}")
+    preset = _FIGURE_PRESETS[ns.name]
     os.makedirs(ns.outdir, exist_ok=True)
-    written = []
-    for fname, quantity, axis, values, bases in sweeps:
-        rows = []
-        for base in bases:
-            rows.extend(_sweep_rows(quantity, axis, values, base, ns.engine, na=ns.cutoff))
-        path = os.path.join(ns.outdir, fname)
-        _write_rows(path, SWEEP_HEADER, rows, "csv")
-        written.append(path)
-    for fname, kind, params in fields:
-        path = os.path.join(ns.outdir, fname)
-        sub = argparse.Namespace(
-            kind=kind, out=path, engine=ns.engine, format="csv", grid=grid, cutoff=ns.cutoff,
-            Gamma=params.Gamma, alpha=params.alpha, delta=params.delta,
-            phi=params.phi, gamma=params.gamma, sigma=params.sigma,
-        )
-        cmd_field(sub)
-        written.append(path)
-    for fname in stubs:
-        path = os.path.join(ns.outdir, fname)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_STUB_TEXT)
-        written.append(path)
-    print(f"figure {ns.name}: wrote {len(written)} file(s) under {ns.outdir}")
+    if len(preset) == 2:
+        kind, fields = preset
+        for fname, params in fields.items():
+            _write_field(os.path.join(ns.outdir, fname), kind, params, ns.grid, ns.engine, ns.cutoff, "csv")
+        written = len(fields)
+    else:
+        quantity, axis, series = preset
+        values = np.linspace(*_FIGURE_AXES[axis])
+        rows = [row for G, al in series for row in
+                _sweep_rows(quantity, axis, values, _point(G, al, math.pi / 2), ns.engine, na=ns.cutoff)]
+        fallback = axis == "gamma"
+        _write_rows(os.path.join(ns.outdir, ns.name + ("_fallback_gamma.csv" if fallback else ".csv")),
+                    SWEEP_HEADER, rows, "csv")
+        if fallback:
+            with open(os.path.join(ns.outdir, ns.name + "_r_axis.stub.txt"), "w", newline="\n") as fh:
+                fh.write(_STUB_TEXT)
+        written = 1 + fallback
+    print(f"figure {ns.name}: wrote {written} file(s) under {ns.outdir}")
     return 0
 
 
@@ -356,6 +320,10 @@ def cmd_figure(ns) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: figure's --outdir must not take --out
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -369,13 +337,18 @@ def _add_param_args(p):
     p.add_argument("--sigma", type=float, default=1.0, help="beam waist")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--engine", default="closedform", choices=("closedform", "oracle"))
-    p.add_argument("--cutoff", type=int, default=None, help="a-mode Fock cutoff override")
-    p.add_argument("--grid", type=_parse_grid, default=None, help="xmin,xmax,ymin,ymax,nx,ny")
+_SHARED_OPTIONS = {
+    "config": dict(help="flat key=value config file; flags override it"),
+    "format": dict(default="csv", choices=("csv", "json")),
+    "engine": dict(default="closedform", choices=("closedform", "oracle")),
+    "cutoff": dict(type=int, default=None, help="a-mode Fock cutoff override"),
+    "grid": dict(type=_parse_grid, default=DEFAULT_GRID, help="xmin,xmax,ymin,ymax,nx,ny"),
+}
+
+
+def _add_shared(p, *names):
+    for name in ("config", *names):
+        p.add_argument("--" + name, **_SHARED_OPTIONS[name])
 
 
 def _build_parser():
@@ -389,28 +362,31 @@ def _build_parser():
     p.add_argument("--stop", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     _add_param_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep, default_out="sweep.csv")
+    p.add_argument("--out", default="sweep.csv", help="output path")
+    _add_shared(p, "format", "engine", "cutoff")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("field", help="export an intensity or Wigner field")
     p.add_argument("--kind", default=None)
     _add_param_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_field, default_out="field.csv")
+    p.add_argument("--out", default="field.csv", help="output path")
+    _add_shared(p, "format", "engine", "cutoff", "grid")
+    p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("validate", help="closed-form vs oracle validation run")
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-10)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
     p.add_argument("--whitelist", default=None,
                    help="comma-separated quantity names (or prefix*) allowed to fail")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate, default_out="validation_report.json")
+    p.add_argument("--out", default="validation_report.json", help="output path")
+    _add_shared(p, "cutoff")
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("figure", help="emit the data behind one preset figure")
     p.add_argument("--name", default=None)
     p.add_argument("--outdir", default="figures")
-    _add_common(p)
-    p.set_defaults(func=cmd_figure, default_out=None)
+    _add_shared(p, "engine", "cutoff", "grid")
+    p.set_defaults(func=cmd_figure)
     return ap, sub.choices
 
 
@@ -441,10 +417,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.config:
             ns = _apply_config(parser, commands, argv, ns)
-        if getattr(ns, "out", None) is None and ns.default_out is not None:
-            ns.out = ns.default_out
         return ns.func(ns)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError: a library limit, e.g. the Gamma ceiling
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

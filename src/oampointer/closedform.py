@@ -134,14 +134,6 @@ def _w_terms(params: MeasurementParams):
     return w, abs(1 + w) ** 2, abs(1 - w) ** 2, (1 + wc) * (1 - w), (1 - wc) * (1 + w)
 
 
-def _s1(params: MeasurementParams) -> float:
-    """Squared norm of [(1+w)D(s) + (1-w)D(-s)]|Psi_i>."""
-    i1 = _i1(params)
-    _, tp2, tm2, cm, cp = _w_terms(params)
-    val = tp2 + tm2 + cm * np.conj(i1) + cp * i1
-    return float(val.real)
-
-
 def _lambda_from_bracket(bracket: float) -> float:
     if not bracket > 0:
         raise PostselectionError(f"normalization bracket {bracket:.3e} is not positive; postselection impossible")

@@ -281,6 +281,44 @@ def test_figure_stub_for_radial_axis(tmp_path):
     assert (tmp_path / "fig3a_fallback_gamma.csv").exists()
 
 
+def _radial(name):
+    return [f"{name}_fallback_gamma.csv", f"{name}_r_axis.stub.txt"]
+
+
+def _with_sidecars(*names):
+    return sorted(n + ext for n in names for ext in ("", ".meta.json"))
+
+
+FIGURE_FILES = {
+    "fig2": _with_sidecars(*(f"fig2_r{i}c{j}.csv" for i in (1, 2, 3) for j in (1, 2))),
+    "fig3a": _radial("fig3a"),
+    "fig3b": ["fig3b.csv"],
+    "fig3c": _radial("fig3c"),
+    "fig3d": ["fig3d.csv"],
+    "fig4a": _radial("fig4a"),
+    "fig4b": ["fig4b.csv"],
+    "fig5": _with_sidecars("fig5_c1.csv", "fig5_c2.csv", "fig5_c3.csv"),
+    "fig6a": ["fig6a.csv"],
+    "fig6b": _radial("fig6b"),
+    "fig6c": _radial("fig6c"),
+    "fig7a": ["fig7a.csv"],
+    "fig7b": ["fig7b.csv"],
+}
+
+
+def test_figure_preset_table_emits_pinned_files(tmp_path):
+    # the radial-axis presets get a fallback gamma sweep plus a stub, field presets a
+    # sidecar per field, every other preset one CSV named after it
+    from oampointer.cli import FIGURES
+
+    assert FIGURES == ("fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b",
+                       "fig5", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b")
+    for name in FIGURES:
+        d = tmp_path / name
+        assert run(["figure", "--name", name, "--outdir", d, "--grid=-4,4,-4,4,21,21"]) == 0
+        assert sorted(p.name for p in d.iterdir()) == FIGURE_FILES[name], name
+
+
 def test_figure_unknown_name(tmp_path):
     assert run(["figure", "--name", "fig99", "--outdir", tmp_path]) == 1
 
@@ -378,6 +416,47 @@ def test_unknown_config_key(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("mystery=1\n")
     assert run(["sweep", "--config", conf]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--engine", "oracle"],
+    ["validate", "--format", "json"],
+    ["validate", "--grid=-4,4,-4,4,21,21"],
+    ["figure", "--name", "fig3b", "--out", "x"],
+    ["figure", "--name", "fig3b", "--format", "json"],
+    ["sweep", "--quantity", "lambda", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 3,
+     "--grid=-4,4,-4,4,21,21"],
+])
+def test_option_the_command_does_not_read_exits_one(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_config_key_it_does_not_read_exits_one(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"engine=oracle\nout={tmp_path / 'report.json'}\n")
+    assert run(["validate", "--config", conf]) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("args, limit", [
+    (["sweep", "--engine", "oracle", "--quantity", "Q1", "--axis", "Gamma",
+      "--start", 0, "--stop", 80, "--steps", 3], "Gamma > 74.83"),
+    (["field", "--kind", "wigner", "--engine", "oracle", "--Gamma", 80], "Gamma > 74.83"),
+    *[(args + ["--cutoff", na], f"need na >= 2 to hold the one-photon component, got {na}")
+      for na in (1, -5)
+      for args in (["sweep", "--engine", "oracle", "--quantity", "Q1", "--axis", "Gamma",
+                    "--start", 0, "--stop", 1, "--steps", 3],
+                   ["field", "--kind", "wigner", "--engine", "oracle", "--grid=-4,4,-4,4,5,5"],
+                   ["validate"])],
+])
+def test_library_limit_exits_one_with_message(args, limit, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_options_exit_one(tmp_path):
