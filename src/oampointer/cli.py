@@ -181,7 +181,7 @@ def cmd_field(ns) -> int:
 
 def _field_check_points():
     """Ten varied points for the field cross-validation."""
-    pts = [
+    return [
         MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0),
         MeasurementParams(Gamma=0.0, alpha=0.0, delta=0.0, phi=0.0, gamma=0.0),
         MeasurementParams(Gamma=0.0, alpha=2.0, delta=0.0, phi=math.pi / 2, gamma=1.0),
@@ -193,7 +193,6 @@ def _field_check_points():
         MeasurementParams(Gamma=0.7, alpha=2.2, delta=0.0, phi=math.pi / 2, gamma=1.3),
         MeasurementParams(Gamma=1.0, alpha=0.0, delta=0.0, phi=0.0, gamma=1.0),
     ]
-    return pts
 
 
 def cmd_validate(ns) -> int:
@@ -201,7 +200,7 @@ def cmd_validate(ns) -> int:
     params_set = orc.validation_params()
     # cutoff-doubling self-check on the most demanding point first
     worst = max(params_set, key=lambda p: p.Gamma)
-    na0 = ns.cutoff or default_cutoff(worst.Gamma)
+    na0 = default_cutoff(worst.Gamma) if ns.cutoff is None else ns.cutoff
     records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
     drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
     for name in SWEEP_QUANTITIES:
@@ -221,11 +220,9 @@ def cmd_validate(ns) -> int:
         field_params=_field_check_points(),
     )
     with open(ns.out, "w", newline="\n") as fh:
-        fh.write(report.to_json(indent=2))
-        fh.write("\n")
+        print(report.to_json(), file=fh)
     summary = report.summary()
-    for q in sorted(summary):
-        s = summary[q]
+    for q, s in sorted(summary.items()):
         print(f"  {q:38s} pass={s['pass']:4d} fail={s['fail']:4d} undefined={s['undefined']:4d} "
               f"max|d|={s['max_abs_delta']:.3e}")
     bad = report.failures(whitelist=whitelist)
@@ -341,7 +338,7 @@ _SHARED_OPTIONS = {
     "config": dict(help="flat key=value config file; flags override it"),
     "format": dict(default="csv", choices=("csv", "json")),
     "engine": dict(default="closedform", choices=("closedform", "oracle")),
-    "cutoff": dict(type=int, default=None, help="a-mode Fock cutoff override"),
+    "cutoff": dict(type=int, default=None, help="a-mode Fock cutoff override (oracle only)"),
     "grid": dict(type=_parse_grid, default=DEFAULT_GRID, help="xmin,xmax,ymin,ymax,nx,ny"),
 }
 
@@ -417,6 +414,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.config:
             ns = _apply_config(parser, commands, argv, ns)
+        if getattr(ns, "engine", None) == "closedform" and ns.cutoff is not None:
+            raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
         return ns.func(ns)
     except (ConfigError, ValueError) as exc:  # ValueError: a library limit, e.g. the Gamma ceiling
         print(f"error: {exc}", file=sys.stderr)

@@ -192,8 +192,11 @@ def test_criterion_10_reproducibility(tmp_path):
     report = tmp_path / "report.json"
     rc = main(["validate", "--out", str(report)])
     assert rc == 0
-    data = json.loads(report.read_text())
+    text = report.read_text()
+    data = json.loads(text)
     assert all(v["fail"] == 0 for q, v in data["summary"].items() if not q.startswith("published:"))
+    # the report is a fixed point of json.dumps(indent=2, sort_keys=True)
+    assert json.dumps(data, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_g2_matches_oracle_on_named_strong_point():

@@ -445,7 +445,7 @@ def test_validate_config_key_it_does_not_read_exits_one(tmp_path):
       "--start", 0, "--stop", 80, "--steps", 3], "Gamma > 74.83"),
     (["field", "--kind", "wigner", "--engine", "oracle", "--Gamma", 80], "Gamma > 74.83"),
     *[(args + ["--cutoff", na], f"need na >= 2 to hold the one-photon component, got {na}")
-      for na in (1, -5)
+      for na in (1, -5, 0)
       for args in (["sweep", "--engine", "oracle", "--quantity", "Q1", "--axis", "Gamma",
                     "--start", 0, "--stop", 1, "--steps", 3],
                    ["field", "--kind", "wigner", "--engine", "oracle", "--grid=-4,4,-4,4,5,5"],
@@ -454,9 +454,25 @@ def test_validate_config_key_it_does_not_read_exits_one(tmp_path):
 def test_library_limit_exits_one_with_message(args, limit, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and limit in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and limit in captured.err
+    assert "self-check ok" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("args", [
+    ["sweep", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 3],
+    ["field", "--kind", "wigner", "--grid=-4,4,-4,4,5,5"],
+    ["figure", "--name", "fig3b"],
+], ids=["sweep", "field", "figure"])
+def test_cutoff_with_closed_form_engine_exits_one(args, via, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text("cutoff=60\n")
+    assert run(args + (["--cutoff", 60] if via == "flag" else ["--config", conf])) == 1
+    assert "oracle-only" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 def test_missing_required_options_exit_one(tmp_path):

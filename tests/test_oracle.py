@@ -11,6 +11,8 @@ from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displace_a
 from oampointer.measurement import MeasurementParams
 from oampointer.oracle import (
     SCALAR_QUANTITIES,
+    ReportEntry,
+    ValidationReport,
     _entry,
     compare,
     oracle_expectations,
@@ -295,7 +297,7 @@ def test_compare_impossible_tolerance_fails():
 
 def test_compare_report_json_round_trip(tmp_path):
     rep = compare([NAMED_POINT], include_published=True)
-    text = rep.to_json(indent=1)
+    text = rep.to_json()
     data = json.loads(text)
     assert data["tolerances"] == {"abs": 1e-10, "rel": 1e-8}
     assert len(data["entries"]) == len(rep.entries)
@@ -303,6 +305,51 @@ def test_compare_report_json_round_trip(tmp_path):
     for q, counts in summary.items():
         n = sum(1 for e in rep.entries if e.quantity == q)
         assert counts["pass"] + counts["fail"] + counts["undefined"] == n
+
+
+def _reference_report_json(rep):
+    """json.dumps of the report as plain data: the encoder the template writer must match."""
+    def enc(v):
+        if v is None:
+            return None
+        if isinstance(v, complex):
+            return [v.real, v.imag]
+        return float(v)
+
+    entries = [
+        {
+            "quantity": e.quantity, "point_index": e.point_index, "params": vars(e.params),
+            "closed": enc(e.closed_value), "oracle": enc(e.oracle_value),
+            "abs_delta": enc(e.abs_delta), "rel_delta": enc(e.rel_delta),
+            "status": e.status, "reason": e.reason,
+        }
+        for e in rep.entries
+    ]
+    return json.dumps(
+        {"tolerances": {"abs": rep.abs_tol, "rel": rep.rel_tol}, "entries": entries, "summary": rep.summary()},
+        indent=2,
+        sort_keys=True,
+    )
+
+
+def test_report_json_bytes_match_json_dumps():
+    p = MeasurementParams(Gamma=0.1, alpha=1 / 3, delta=math.pi / 2, phi=0.0, gamma=2.0)
+    q = MeasurementParams(Gamma=2.0, alpha=0.0, delta=0.0, phi=1e-300, gamma=0.0, sigma=1.5)
+    nan, inf = float("nan"), float("inf")
+    rep = ValidationReport(abs_tol=1e-10, rel_tol=1e-8, entries=[
+        ReportEntry("g2", 0, p, None, None, None, None, "undefined",
+                    reason='gamma = 0: the "b" mode is empty, so g2 is 0/0 \u2014 undefined'),
+        ReportEntry("I1", 0, p, complex(1.0, -0.0), np.complex128(0.3 - 1e-17j), 2.5e-17, 0.1, "pass"),
+        ReportEntry("moment:a", 0, p, np.float64(0.1), -0.0, np.float64(0.0), 5e-324, "pass"),
+        ReportEntry("Q1", 1, q, nan, 1.0, nan, inf, "fail"),
+        ReportEntry("chi", 1, q, None, -inf, None, None, "fail", reason="one engine undefined"),
+        ReportEntry("I2", 1, q, np.complex128(nan + 1j * inf), complex(-inf, 0.0), inf, -inf, "fail"),
+        ReportEntry("wigner:field_maxdev", 10_000, q, 3e-16, 0.0, 3e-16, None, "pass"),
+        ReportEntry("published:intensity:field_maxdev", 10_000, q, 2.0, 0.0, 2.0, None, "fail"),
+    ])
+    assert rep.to_json() == _reference_report_json(rep)
+    empty = ValidationReport(abs_tol=0.0, rel_tol=1.0)
+    assert empty.to_json() == _reference_report_json(empty)
 
 
 def test_compare_flags_published_residuals_but_not_exact():
