@@ -21,7 +21,7 @@ import numpy as np
 from . import closedform as cf
 from . import oracle as orc
 from .fock import GridSpec, default_cutoff
-from .measurement import MeasurementParams
+from .measurement import MeasurementParams, _require_two_levels
 
 __all__ = ["main"]
 
@@ -414,8 +414,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.config:
             ns = _apply_config(parser, commands, argv, ns)
-        if getattr(ns, "engine", None) == "closedform" and ns.cutoff is not None:
-            raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
+        if ns.cutoff is not None:
+            if getattr(ns, "engine", None) == "closedform":
+                raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
+            _require_two_levels(ns.cutoff)  # before any evaluation, also of closed-form-only quantities
         return ns.func(ns)
     except (ConfigError, ValueError) as exc:  # ValueError: a library limit, e.g. the Gamma ceiling
         print(f"error: {exc}", file=sys.stderr)

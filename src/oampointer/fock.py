@@ -10,11 +10,17 @@ Displaced-Fock amplitudes <k|D(beta)|n> come from one generator,
 _laguerre_rows, which walks the normalized Laguerre recurrence row by row;
 displacement_matrix and the oracle's Wigner kernel both read it, and the
 matrix exponential (displacement_matrix(method="series")) is the independent
-check.  Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, it raises
-ValueError unless the cutoff stays below |beta|^2/8; default_cutoff states
-the same ceiling (Gamma ~ 74.8) before anything is allocated.  The
-Hermite-Gauss functions carry e^{-x^2/2} in a per-point exponent, so they
-stay right where that factor alone underflows.
+check.  Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, the generator
+raises ValueError unless the cutoff stays below |beta|^2/8; default_cutoff
+states the same ceiling (Gamma ~ 74.8) before anything is allocated.
+
+displacement_matrix builds only the leading columns it is asked for, and the
+displacements of states (displace_a, measurement.evolve_joint) ask for the
+columns up to the highest occupied a level, two for the initial pointer:
+O(dim) work and memory per displaced state, not O(dim^2).
+
+The Hermite-Gauss functions carry e^{-x^2/2} in a per-point exponent, so
+they stay right where that factor alone underflows.
 """
 from __future__ import annotations
 
@@ -205,10 +211,12 @@ def _laguerre_rows(x: np.ndarray, K: int):
 
         l_{m+1} = [(2m+1+a-x) l_m - sqrt(m(m+a)) l_{m-1}] / sqrt((m+1)(m+1+a)),
 
-    which neither overflows nor builds factorials.  Where e^{-x/2} underflows
-    (x > 1400) row 0 is zero in floating point, so the rows are only right
-    while K <= x/8 keeps every element they reach negligible; beyond that
-    this raises ValueError instead of returning wrong amplitudes.
+    which neither overflows nor builds factorials.  Each row's coefficients
+    are made as the row is, so a consumer that stops after c rows does
+    O(K c) work, not O(K^2).  Where e^{-x/2} underflows (x > 1400) row 0 is
+    zero in floating point, so the rows are only right while K <= x/8 keeps
+    every element they reach negligible; beyond that this raises ValueError
+    instead of returning wrong amplitudes.
     """
     bad = (x > _UNDERFLOW_X) & (K > x / 8)
     if bad.any():
@@ -216,70 +224,79 @@ def _laguerre_rows(x: np.ndarray, K: int):
             f"displaced-Fock amplitudes at |beta|^2 = {x[bad].max():.6g} need a cutoff "
             f"K <= |beta|^2/8 (got K = {K}): e^(-|beta|^2/2) underflows beyond |beta|^2 = {_UNDERFLOW_X:g}"
         )
-    k = np.arange(K, dtype=float)
-    a = k[:, None]
+    a = np.arange(K, dtype=float)[:, None]
     pos = x > 0
     logx = np.log(np.where(pos, x, 1.0))
     lgam = np.cumsum(np.log(np.maximum(a, 1.0)), axis=0)  # log a!
     row = np.where(pos, np.exp(a * logx / 2 - x / 2 - lgam / 2), a == 0)
-    # the recurrence coefficients, indexed [m, a, point]
-    norm = 1.0 / np.sqrt((a + 1) * (a + k + 1))[:, :, None]
-    back = np.sqrt(a * (a + k))[:, :, None]
     a_minus_x = a - x
     prev = np.zeros_like(row)
     yield row
     for m in range(K - 1):
         n = K - 1 - m
         nxt = (a_minus_x[:n] + (2 * m + 1)) * row[:n]
-        nxt -= back[m, :n] * prev[:n]
-        nxt *= norm[m, :n]
+        nxt -= np.sqrt(m * (m + a[:n])) * prev[:n]
+        nxt *= 1.0 / np.sqrt((m + 1) * (m + 1 + a[:n]))
         prev, row = row, nxt
         yield row
 
 
-def displacement_matrix(alpha: complex, dim: int, method: str = "closed_form") -> np.ndarray:
-    """D(alpha) on a dim-level truncation.
+def displacement_matrix(alpha: complex, dim: int, method: str = "closed_form", cols: int | None = None) -> np.ndarray:
+    """The leading (dim, cols) columns of D(alpha) on a dim-level truncation.
 
-    closed_form places row m of _laguerre_rows on the diagonals through
-    (m, m): e^{ia theta} l_m^a at (m+a, m) and (-e^{-i theta})^a l_m^a at
-    (m, m+a), with alpha = |alpha| e^{i theta}; it raises ValueError past the
-    underflow limit stated there.  series is the scaled-and-squared matrix
-    exponential of alpha a_dag - conj(alpha) a, the independent reference.
+    cols=None gives the whole dim x dim matrix.  closed_form places row m of
+    _laguerre_rows (m < cols) on the diagonals through (m, m):
+    e^{ia theta} l_m^a at (m+a, m) and (-e^{-i theta})^a l_m^a at (m, m+a),
+    with alpha = |alpha| e^{i theta}, so it makes O(dim * cols) elements; it
+    raises ValueError past the underflow limit stated there.  series is the
+    scaled-and-squared matrix exponential of alpha a_dag - conj(alpha) a,
+    the independent reference, sliced to its first cols columns.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if cols is None:
+        cols = dim
+    if not 1 <= cols <= dim:
+        raise ValueError(f"cols must lie in [1, dim = {dim}], got {cols}")
     if method == "series":
         a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-        return expm(alpha * a.conj().T - np.conj(alpha) * a)
+        return expm(alpha * a.conj().T - np.conj(alpha) * a)[:, :cols]
     if method != "closed_form":
         raise ValueError(f"unknown method {method!r}")
     lower = np.exp(1j * np.angle(alpha) * np.arange(dim))
-    upper = (-1.0) ** np.arange(dim) * lower.conj()
-    d = np.empty((dim, dim), dtype=complex)
-    for m, row in enumerate(_laguerre_rows(np.array([abs(alpha) ** 2]), dim)):
+    upper = (-1.0) ** np.arange(cols) * lower[:cols].conj()
+    d = np.empty((dim, cols), dtype=complex)
+    for m, row in zip(range(cols), _laguerre_rows(np.array([abs(alpha) ** 2]), dim)):
         d[m:, m] = lower[: dim - m] * row[:, 0]
-        d[m, m:] = upper[: dim - m] * row[:, 0]
+        d[m, m:] = upper[: cols - m] * row[: cols - m, 0]
     return d
 
 
 def displace_a(state: TwoModeState, alpha: complex, method: str = "closed_form") -> TwoModeState:
     """Apply D(alpha) to the a mode only.
 
-    Emits NormDriftWarning when the norm moves by more than 1e-8, which means
-    the a cutoff is too small for this displacement.
+    Only the columns of D(alpha) up to the highest occupied a level are
+    built.  Emits NormDriftWarning when the norm moves by more than 1e-8,
+    which means the a cutoff is too small for this displacement.
     """
-    return _apply_displacement(displacement_matrix(alpha, state.na, method=method), state, alpha)
+    d = displacement_matrix(alpha, state.na, method=method, cols=_occupied_levels(state))
+    return _apply_displacement(d, state, alpha)
+
+
+def _occupied_levels(state: TwoModeState) -> int:
+    """One past the highest occupied a level (1 for the zero state): the columns of D a product reads."""
+    return int(np.flatnonzero(state.coeffs.any(axis=1)).max(initial=0)) + 1
 
 
 def _apply_displacement(d: np.ndarray, state: TwoModeState, alpha: complex) -> TwoModeState:
-    """d @ state on the a mode, audited for norm drift (d is D(alpha) truncated).
+    """d @ state on the a mode, audited for norm drift.
 
-    Only the columns of d at occupied a levels enter the product.  The
-    warning is attributed to the caller of the public function that called
-    this one.
+    d holds at least the leading _occupied_levels(state) columns of D(alpha)
+    truncated; only those enter the product.  The warning is attributed to
+    the caller of the public function that called this one.
     """
-    rows = np.flatnonzero(state.coeffs.any(axis=1))
-    out = TwoModeState(d[:, rows] @ state.coeffs[rows], state.sigma)
+    k = _occupied_levels(state)
+    out = TwoModeState(d[:, :k] @ state.coeffs[:k], state.sigma)
     drift = abs(out.norm() - state.norm())
     if drift > 1e-8:
         warnings.warn(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import TwoModeState, _apply_displacement, apply_ladder, displacement_matrix, inner
+from .fock import TwoModeState, _apply_displacement, _occupied_levels, apply_ladder, displacement_matrix, inner
 
 __all__ = [
     "PostselectionError",
@@ -84,10 +84,14 @@ def weak_value(alpha: float, delta: float = 0.0) -> WeakValue:
     )
 
 
-def initial_pointer(params: MeasurementParams, na: int) -> TwoModeState:
-    """(1+gamma^2)^{-1/2} [(|0> + gamma e^{i phi}/sqrt2 |1>)|0>_b + i gamma e^{i phi}/sqrt2 |0>|1>_b]."""
+def _require_two_levels(na: int):
     if na < 2:
         raise ValueError(f"need na >= 2 to hold the one-photon component, got {na}")
+
+
+def initial_pointer(params: MeasurementParams, na: int) -> TwoModeState:
+    """(1+gamma^2)^{-1/2} [(|0> + gamma e^{i phi}/sqrt2 |1>)|0>_b + i gamma e^{i phi}/sqrt2 |0>|1>_b]."""
+    _require_two_levels(na)
     g = params.gamma * np.exp(1j * params.phi)
     c = np.zeros((na, 2), dtype=complex)
     c[0, 0] = 1.0
@@ -121,12 +125,17 @@ class JointState:
 def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState:
     """Couple system and pointer: each sigma_x branch is displaced by ±Gamma/2.
 
-    Gamma is real, so the minus branch reuses the dagger of one displacement
-    matrix; both branches get the same norm-drift audit displace_a performs.
+    Only the columns of D(Gamma/2) up to the highest occupied a level are
+    built.  Gamma is real, so the minus branch takes D(-Gamma/2) = P D(Gamma/2) P
+    with P = diag((-1)^n), exact sign flips of the same columns; both branches
+    get the same norm-drift audit displace_a performs.
     """
     s = params.Gamma / 2
-    d = displacement_matrix(s, pointer.na)
-    branches = [_apply_displacement(mat, pointer, amp) for mat, amp in ((d, +s), (d.conj().T, -s))]
+    k = _occupied_levels(pointer)
+    d = displacement_matrix(s, pointer.na, cols=k)
+    parity = (-1.0) ** np.arange(pointer.na)
+    minus = parity[:, None] * d * parity[:k]
+    branches = [_apply_displacement(mat, pointer, amp) for mat, amp in ((d, +s), (minus, -s))]
     ca, sa = math.cos(params.alpha / 2), math.sin(params.alpha / 2)
     ph = np.exp(1j * params.delta)
     return JointState(

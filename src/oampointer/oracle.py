@@ -34,6 +34,7 @@ from .fock import (
     TruncationWarning,
     TwoModeState,
     _laguerre_rows,
+    _occupied_levels,
     coordinate_wavefunction,
     default_cutoff,
     displacement_matrix,
@@ -214,9 +215,8 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> Oracl
     un = (1 + wv) * joint.branch_plus.coeffs + (1 - wv) * joint.branch_minus.coeffs
     lam = 2.0 / float(np.linalg.norm(un))
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
-    k = int(np.flatnonzero(psi_i.coeffs.any(axis=1))[-1]) + 1
-    c = psi_i.coeffs[:k]
-    i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, k) @ c))
+    c = psi_i.coeffs[: _occupied_levels(psi_i)]
+    i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
     g2, g2_reason = _value_or_reason(cf.g2_from_moments, m)
     phi_full = nonpostselected_moments(joint)
     phi_triplet = (phi_full.a, phi_full.adag_a, phi_full.a2)

@@ -450,6 +450,9 @@ def test_validate_config_key_it_does_not_read_exits_one(tmp_path):
                     "--start", 0, "--stop", 1, "--steps", 3],
                    ["field", "--kind", "wigner", "--engine", "oracle", "--grid=-4,4,-4,4,5,5"],
                    ["validate"])],
+    (["sweep", "--engine", "oracle", "--quantity", "weak_value", "--axis", "Gamma",
+      "--start", 0, "--stop", 1, "--steps", 3, "--cutoff", 1],
+     "need na >= 2 to hold the one-photon component, got 1"),
 ])
 def test_library_limit_exits_one_with_message(args, limit, tmp_path, capsys):
     out = tmp_path / "out"

@@ -184,6 +184,19 @@ def test_overlaps_preconditions():
         displacement_matrix(0.5, 0)
     with pytest.raises(ValueError):
         displacement_matrix(0.5, 3, method="taylor")
+    for cols in (0, 4):
+        with pytest.raises(ValueError, match="cols"):
+            displacement_matrix(0.5, 3, cols=cols)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "series"])
+def test_displacement_matrix_column_block_is_leading_columns(method):
+    dim = 30
+    full = displacement_matrix(1.7 - 2.2j, dim, method=method)
+    for cols in (1, 2, 7, dim):
+        block = displacement_matrix(1.7 - 2.2j, dim, method=method, cols=cols)
+        assert block.shape == (dim, cols)
+        assert np.array_equal(block, full[:, :cols])
 
 
 def test_displacement_matrix_columns_equal_overlaps():

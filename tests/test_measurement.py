@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oampointer.closedform import lambda_norm
-from oampointer.fock import TwoModeState, apply_ladder, inner
+from oampointer.fock import TwoModeState, apply_ladder, default_cutoff, displacement_matrix, inner
 from oampointer.measurement import (
     JointState,
     MeasurementParams,
@@ -147,6 +147,36 @@ def test_evolve_total_norm():
     st = initial_pointer(p, 60)
     joint = evolve_joint(st, p)
     assert joint.total_norm() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("Gamma", [0.0, 1.3, 30.0])
+def test_evolve_branches_equal_full_matrix_products(Gamma):
+    p = MeasurementParams(Gamma=Gamma, alpha=2.2, delta=0.9, phi=1.1, gamma=1.4)
+    na = default_cutoff(Gamma)
+    st = initial_pointer(p, na)
+    c = st.coeffs
+    joint = evolve_joint(st, p)
+    d = displacement_matrix(Gamma / 2, na)
+    assert np.abs(joint.branch_plus.coeffs - d @ c).max() <= 1e-15
+    # D(-s) = D(s)^dagger element by element; displacement_matrix(-s) carries
+    # the rounding of pi in its phases e^{i a pi}, about a * 1e-16
+    assert np.abs(joint.branch_minus.coeffs - d.conj().T @ c).max() <= 1e-15
+    assert np.abs(joint.branch_minus.coeffs - displacement_matrix(-Gamma / 2, na) @ c).max() <= na * 1e-16
+
+
+def test_evolve_memory_is_bounded_by_occupied_columns():
+    import tracemalloc
+
+    p = MeasurementParams(Gamma=74.0, alpha=2.2, delta=0.9, phi=1.1, gamma=1.4)
+    st = initial_pointer(p, default_cutoff(p.Gamma))
+    assert st.na == 1849
+    tracemalloc.start()
+    try:
+        evolve_joint(st, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a full D(Gamma/2) alone is 1849^2 * 16 B = 52 MiB
 
 
 # ---------------------------------------------------------------------------
