@@ -97,6 +97,8 @@ def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None
         res = _evaluate(quantity, p, engine, na=na)
         if isinstance(res, tuple):
             value, reason = "", res[1]
+        elif not math.isfinite(res):
+            raise ValueError(f"{quantity} is not finite ({res}) at {axis} = {v:g}, {p}")
         else:
             value, reason = _fmt(res), ""
         return [
@@ -148,6 +150,10 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     else:
         psi = orc.oracle_states(params, na)[2]
         fld = (orc.oracle_intensity if kind == "intensity" else orc.oracle_wigner)(psi, grid)
+    bad = np.argwhere(~np.isfinite(fld.values))
+    if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
+        raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
+                         f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
     # '%.17g' % v on Python floats gives the bytes of _fmt, several times faster
     xs = ["%.17g" % x for x in grid.xs().tolist()]
     ys = ["%.17g" % y for y in grid.ys().tolist()]

@@ -8,11 +8,11 @@ operation returns a new state.
 
 Displaced-Fock amplitudes <k|D(beta)|n> come from one generator,
 _laguerre_rows, which walks the normalized Laguerre recurrence row by row;
-displacement_matrix and the oracle's Wigner kernel both read it, and the
-matrix exponential (displacement_matrix(method="series")) is the independent
-check.  Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, the generator
-raises ValueError unless the cutoff stays below |beta|^2/8; default_cutoff
-states the same ceiling (Gamma ~ 74.8) before anything is allocated.
+displacement_matrix and the oracle's Wigner kernel both read it; the tests
+check it against the matrix exponential, so the library needs numpy only.
+Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, the generator raises
+ValueError unless the cutoff stays below |beta|^2/8; default_cutoff states the
+same ceiling (Gamma ~ 74.8) before anything is allocated.
 
 displacement_matrix builds only the leading columns it is asked for, and the
 displacements of states (displace_a, measurement.evolve_joint) ask for the
@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "NormDriftWarning",
@@ -175,23 +174,31 @@ def apply_ladder(state: TwoModeState, which: str) -> TwoModeState:
     if which not in _LADDER_NAMES:
         raise ValueError(f"which must be one of {_LADDER_NAMES}, got {which!r}")
     c = state.coeffs
-    na, nb = c.shape
-    out = np.zeros_like(c)
     if which == "a":
-        n = np.arange(1, na)
-        out[:-1, :] = np.sqrt(n)[:, None] * c[1:, :]
-        if na == 1:
-            out[:] = 0.0
-    elif which == "a_dag":
-        n = np.arange(1, na)
-        out[1:, :] = np.sqrt(n)[:, None] * c[:-1, :]
+        out = _lower_a(c)
     elif which == "b":
-        m = np.arange(1, nb)
-        out[:, :-1] = np.sqrt(m)[None, :] * c[:, 1:]
-    else:  # b_dag
-        m = np.arange(1, nb)
-        out[:, 1:] = np.sqrt(m)[None, :] * c[:, :-1]
+        out = _lower_b(c)
+    else:
+        out = np.zeros_like(c)
+        if which == "a_dag":
+            out[1:, :] = np.sqrt(np.arange(1, c.shape[0]))[:, None] * c[:-1, :]
+        else:  # b_dag
+            out[:, 1:] = np.sqrt(np.arange(1, c.shape[1]))[None, :] * c[:, :-1]
     return TwoModeState(out, state.sigma)
+
+
+def _lower_a(c: np.ndarray) -> np.ndarray:
+    """a on a raw (na, nb) coefficient grid; the result keeps its shape, with a zero top row."""
+    out = np.zeros_like(c)
+    out[:-1, :] = np.sqrt(np.arange(1, c.shape[0]))[:, None] * c[1:, :]
+    return out
+
+
+def _lower_b(c: np.ndarray) -> np.ndarray:
+    """b on a raw (na, nb) coefficient grid; the result keeps its shape, with a zero top column."""
+    out = np.zeros_like(c)
+    out[:, :-1] = np.sqrt(np.arange(1, c.shape[1]))[None, :] * c[:, 1:]
+    return out
 
 
 _UNDERFLOW_X = 1400.0  # |beta|^2 beyond which e^{-|beta|^2/2} leaves the normal floats
@@ -241,16 +248,16 @@ def _laguerre_rows(x: np.ndarray, K: int):
         yield row
 
 
-def displacement_matrix(alpha: complex, dim: int, method: str = "closed_form", cols: int | None = None) -> np.ndarray:
+def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np.ndarray:
     """The leading (dim, cols) columns of D(alpha) on a dim-level truncation.
 
-    cols=None gives the whole dim x dim matrix.  closed_form places row m of
-    _laguerre_rows (m < cols) on the diagonals through (m, m):
-    e^{ia theta} l_m^a at (m+a, m) and (-e^{-i theta})^a l_m^a at (m, m+a),
-    with alpha = |alpha| e^{i theta}, so it makes O(dim * cols) elements; it
-    raises ValueError past the underflow limit stated there.  series is the
-    scaled-and-squared matrix exponential of alpha a_dag - conj(alpha) a,
-    the independent reference, sliced to its first cols columns.
+    cols=None gives the whole dim x dim matrix.  Row m of _laguerre_rows
+    (m < cols) goes on the diagonals through (m, m): e^{ia theta} l_m^a at
+    (m+a, m) and (-e^{-i theta})^a l_m^a at (m, m+a), with alpha = |alpha|
+    e^{i theta}, so it makes O(dim * cols) elements; it raises ValueError past
+    the underflow limit stated there.  A real alpha takes exact signs, not a
+    rounded e^{i pi n}, so D(-s) = P D(s) P with P = diag((-1)^n) exactly.
+    The matrix exponential that checks these elements lives in the tests.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -258,28 +265,24 @@ def displacement_matrix(alpha: complex, dim: int, method: str = "closed_form", c
         cols = dim
     if not 1 <= cols <= dim:
         raise ValueError(f"cols must lie in [1, dim = {dim}], got {cols}")
-    if method == "series":
-        a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-        return expm(alpha * a.conj().T - np.conj(alpha) * a)[:, :cols]
-    if method != "closed_form":
-        raise ValueError(f"unknown method {method!r}")
-    lower = np.exp(1j * np.angle(alpha) * np.arange(dim))
+    z = complex(alpha)
+    lower = np.exp(1j * np.angle(z) * np.arange(dim)) if z.imag else (-1.0 if z.real < 0 else 1.0) ** np.arange(dim)
     upper = (-1.0) ** np.arange(cols) * lower[:cols].conj()
     d = np.empty((dim, cols), dtype=complex)
-    for m, row in zip(range(cols), _laguerre_rows(np.array([abs(alpha) ** 2]), dim)):
+    for m, row in zip(range(cols), _laguerre_rows(np.array([abs(z) ** 2]), dim)):
         d[m:, m] = lower[: dim - m] * row[:, 0]
         d[m, m:] = upper[: cols - m] * row[: cols - m, 0]
     return d
 
 
-def displace_a(state: TwoModeState, alpha: complex, method: str = "closed_form") -> TwoModeState:
+def displace_a(state: TwoModeState, alpha: complex) -> TwoModeState:
     """Apply D(alpha) to the a mode only.
 
     Only the columns of D(alpha) up to the highest occupied a level are
     built.  Emits NormDriftWarning when the norm moves by more than 1e-8,
     which means the a cutoff is too small for this displacement.
     """
-    d = displacement_matrix(alpha, state.na, method=method, cols=_occupied_levels(state))
+    d = displacement_matrix(alpha, state.na, cols=_occupied_levels(state))
     return _apply_displacement(d, state, alpha)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import TwoModeState, _apply_displacement, _occupied_levels, apply_ladder, displacement_matrix, inner
+from .fock import TwoModeState, _apply_displacement, _lower_a, _lower_b, _occupied_levels, displacement_matrix
 
 __all__ = [
     "PostselectionError",
@@ -166,32 +166,22 @@ def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeSta
 
 
 def _lowering_moments(st: TwoModeState):
-    """All eleven moments of one state by ladder-operator application and inner products.
+    """All eleven moments of one state by lowering-operator application and inner products.
 
     Only lowering operators are applied (raising is rewritten away), so the
     result is exact to the stored truncation and the two-level b cutoff stays
-    exact.  Returns an ExpectationSet.
+    exact.  Each moment is np.vdot over its named pair of lowered grids, raw
+    arrays of the state's shape.  Returns an ExpectationSet.
     """
     from .closedform import ExpectationSet
 
-    av = apply_ladder(st, "a")
-    bv = apply_ladder(st, "b")
-    aav = apply_ladder(av, "a")
-    bbv = apply_ladder(bv, "b")
-    abv = apply_ladder(bv, "a")
-    return ExpectationSet(
-        a=inner(st, av),
-        b=inner(st, bv),
-        a2=inner(st, aav),
-        b2=inner(st, bbv),
-        adag_a=inner(av, av),
-        bdag_b=inner(bv, bv),
-        adag_b=inner(av, bv),
-        ab=inner(st, abv),
-        adaga_bdagb=inner(abv, abv),
-        adag2a2=inner(aav, aav),
-        bdag2b2=inner(bbv, bbv),
-    )
+    c = st.coeffs
+    av, bv = _lower_a(c), _lower_b(c)
+    aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
+
+    pairs = dict(a=(c, av), b=(c, bv), a2=(c, aav), b2=(c, bbv), adag_a=(av, av), bdag_b=(bv, bv), adag_b=(av, bv),
+                 ab=(c, abv), adaga_bdagb=(abv, abv), adag2a2=(aav, aav), bdag2b2=(bbv, bbv))
+    return ExpectationSet(**{name: complex(np.vdot(u, v)) for name, (u, v) in pairs.items()})
 
 
 def nonpostselected_moments(joint: JointState):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from oampointer import cli
 from oampointer.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -247,6 +248,26 @@ def test_field_rejects_non_finite_grid_bound(tmp_path, capsys):
               "--grid=-inf,6,-6,6,5,5", "--out", out])
     assert rc == 1
     assert "x_min must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_refuses_non_finite_values(tmp_path, capsys):
+    # the closed-form cross term overflows past Gamma ~ 37.7; nothing may be written
+    out = tmp_path / "x.csv"
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        rc = run(["field", "--kind", "wigner", "--Gamma", 40, "--grid=-24,24,-5,5,11,11", "--out", out])
+    assert rc == 1
+    assert "wigner field at Gamma = 40 is not finite at (x, y) = (" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_evaluate", lambda *args, **kwargs: math.nan)
+    out = tmp_path / "x.csv"
+    rc = run(["sweep", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 2,
+              "--out", out])
+    assert rc == 1
+    assert "Q1 is not finite (nan) at Gamma = 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -496,6 +517,16 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_import_loads_no_scipy():
+    # scipy is a test-only reference; importing it would add about 0.3 s to every command
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, oampointer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

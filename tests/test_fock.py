@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import expm_displacement
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -175,28 +176,34 @@ def test_overlaps_coherent_column():
 def test_overlaps_match_matrix_exponential_column():
     # independent oracle: truncated matrix exponential of 0.5 (a_dag - a)
     col = displacement_matrix(0.5, 16)[:, 1]
-    ref = displacement_matrix(0.5, 16, method="series")[:, 1]
+    ref = expm_displacement(0.5, 16)[:, 1]
     assert np.abs(col - ref).max() < 1e-10
 
 
 def test_overlaps_preconditions():
     with pytest.raises(ValueError):
         displacement_matrix(0.5, 0)
-    with pytest.raises(ValueError):
-        displacement_matrix(0.5, 3, method="taylor")
     for cols in (0, 4):
         with pytest.raises(ValueError, match="cols"):
             displacement_matrix(0.5, 3, cols=cols)
 
 
-@pytest.mark.parametrize("method", ["closed_form", "series"])
-def test_displacement_matrix_column_block_is_leading_columns(method):
+def test_displacement_matrix_column_block_is_leading_columns():
     dim = 30
-    full = displacement_matrix(1.7 - 2.2j, dim, method=method)
+    full = displacement_matrix(1.7 - 2.2j, dim)
     for cols in (1, 2, 7, dim):
-        block = displacement_matrix(1.7 - 2.2j, dim, method=method, cols=cols)
+        block = displacement_matrix(1.7 - 2.2j, dim, cols=cols)
         assert block.shape == (dim, cols)
         assert np.array_equal(block, full[:, :cols])
+
+
+@pytest.mark.parametrize("s,dim,cols", [(0.65, 30, 2), (15.0, 441, 2), (37.0, 1849, 7)])
+def test_displacement_matrix_real_alpha_takes_exact_signs(s, dim, cols):
+    # D(-s) = P D(s) P with P = diag((-1)^n), the identity evolve_joint's minus branch relies on
+    minus = displacement_matrix(-s, dim, cols=cols)
+    assert not minus.imag.any()
+    parity = (-1.0) ** np.arange(dim)
+    assert np.array_equal(minus, parity[:, None] * displacement_matrix(s, dim, cols=cols) * parity[:cols])
 
 
 def test_displacement_matrix_columns_equal_overlaps():
@@ -251,9 +258,9 @@ def test_displace_methods_agree(alpha, na):
     # never reaches the truncation edge where the two methods must differ
     for seed in range(3):
         st = random_state(na=na, seed=seed)
-        d1 = displace_a(st, alpha, "closed_form")
-        d2 = displace_a(st, alpha, "series")
-        assert np.abs(d1.coeffs - d2.coeffs).max() < 1e-10
+        d1 = displace_a(st, alpha)
+        d2 = expm_displacement(alpha, na) @ st.coeffs
+        assert np.abs(d1.coeffs - d2).max() < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.0, 1.0 + 1.0j])
