@@ -48,6 +48,8 @@ from .closedform import (
     lambda_norm,
     phi_moments,
     projected_wavefunction,
+    published_intensity,
+    published_scalars,
     snr_ratio,
     squeezing,
     wigner_field,

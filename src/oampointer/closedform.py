@@ -11,10 +11,10 @@ O = 1 (so normalization cancels identically).  The E±/C± below were derived
 with computer algebra and verified against brute-force matrix-exponential
 state vectors to machine precision.
 
-Several commonly quoted closed forms for these moments contain transcription
-defects (they can even yield complex values for Hermitian observables); those
-variants remain available behind ``published=True`` so validation reports can
-quantify the residuals, but the defaults are the exact forms.
+Every public function here gives the exact form.  Commonly quoted closed forms
+carry transcription defects (some give complex values for Hermitian
+observables); the last section keeps them verbatim for the validation report
+alone, through ``published_scalars`` and ``published_intensity``.
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ __all__ = [
     "projected_wavefunction",
     "intensity_field",
     "wigner_field",
+    "published_scalars",
+    "published_intensity",
 ]
 
 _RT2 = math.sqrt(2.0)
@@ -61,8 +63,8 @@ class VarianceCollapseError(ValueError):
     """A position variance came out non-positive under the selected convention."""
 
 
-class FieldConsistencyError(RuntimeError):
-    """A field that must be real carried imaginary residue beyond tolerance."""
+class FieldConsistencyError(ValueError):
+    """A field carried imaginary residue beyond tolerance, or an intensity had no positive integral."""
 
 
 @dataclass(frozen=True)
@@ -90,28 +92,8 @@ class ExpectationSet:
         return {name: getattr(self, name) for name in self.field_names()}
 
 
-@dataclass(frozen=True)
-class HelperTerms:
-    """The scalar helper terms of the published moment expressions, verbatim."""
-
-    I1: complex
-    I2: complex
-    II: complex
-    III_plus: complex
-    III_minus: complex
-    B_plus: complex
-    B_minus: complex
-    M_plus: complex
-    M_minus: complex
-    M1: complex
-    M2: complex
-    T_plus: complex
-    T_minus: complex
-    T: complex
-    IV1: complex
-    IV2: complex
-    V_plus: complex
-    V_minus: complex
+# quantity-table name of each moment, as compare and published_scalars report it
+MOMENT_NAMES = {f"moment:{name}": name for name in ExpectationSet.field_names()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,74 +122,23 @@ def _lambda_from_bracket(bracket: float) -> float:
     return 1.0 / math.sqrt(bracket)
 
 
-def lambda_norm(params: MeasurementParams, published: bool = False) -> float:
+def lambda_norm(params: MeasurementParams) -> float:
     """Normalization constant of the postselected pointer state.
 
-    The exact bracket is (1/2)[1 + |w|^2 + (1-|w|^2)Re(I1) - 2 Im(w) Im(I1)];
-    the published variant drops the Im(w)Im(I1) term (harmless for real weak
-    values, wrong otherwise).
+    The bracket is (1/2)[1 + |w|^2 + (1-|w|^2)Re(I1) - 2 Im(w) Im(I1)].
     """
     w = weak_value(params.alpha, params.delta).value
     i1 = _i1(params)
     aw2 = abs(w) ** 2
-    bracket = 0.5 * (1 + aw2 + (1 - aw2) * i1.real)
-    if not published:
-        bracket -= w.imag * i1.imag
-    return _lambda_from_bracket(bracket)
-
-
-def helper_terms(params: MeasurementParams) -> HelperTerms:
-    """Evaluate every published helper term exactly as displayed.
-
-    These are transcriptions, kept as the reference for validation reports;
-    M1/M2 in particular do not reproduce the exact <a†²a²> cross terms.
-    """
-    G, gam, phi = params.Gamma, params.gamma, params.phi
-    u = 1 + gam**2
-    g = gam * np.exp(1j * phi)
-    eG = math.exp(-(G**2) / 2)
-    I1 = _i1(params)
-    I2 = np.conj(I1)
-    II = g * eG / (_RT2 * u)
-    III_plus = eG / u * (gam**2 / 2 * (1 - G**2) + g / _RT2 * G)
-    III_minus = eG / u * (gam**2 / 2 * (1 - G**2) - g / _RT2 * G)
-    B_plus = (1j * gam * eG / u) * (gam / 2 * (1 - G**2) - np.exp(1j * phi) / _RT2 * G)
-    B_minus = (-1j * gam * eG / u) * (gam / 2 * (1 - G**2) - np.exp(-1j * phi) / _RT2 * G)
-    M_plus = G**2 * gam**2 / (2 * u) + G**3 * gam * math.cos(phi) / (2 * _RT2 * u) + G**4 / 16
-    M_minus = G**2 * gam**2 / (2 * u) - G**3 * gam * math.cos(phi) / (2 * _RT2 * u) + G**4 / 16
-    T_plus = g * G / u * (G / _RT2 - gam * np.exp(-1j * phi) * (1 - G**2 / 2)) * eG
-    T_minus = g * G / u * (G / _RT2 + gam * np.exp(-1j * phi) * (1 - G**2 / 2)) * eG
-    T = G**2 / u * (1 + gam**2 * (2 - G**2 / 2)) * eG
-    IV1 = III_minus
-    IV2 = III_plus
-    V_plus = eG / (2 * u) * (
-        G**2 * g + _RT2 * gam * np.exp(-1j * phi) * (1 - G**2) - 2 * G - G * gam**2 * (1 + (2 - G**2) / _RT2)
-    )
-    V_minus = eG / (2 * u) * (
-        G**2 * g + _RT2 * gam * np.exp(-1j * phi) * (1 - G**2) + 2 * G + G * gam**2 * (1 + (2 - G**2) / _RT2)
-    )
-    M1 = G * T_plus + G**2 / 4 * (T + 4 * IV1) + G**3 / 4 * (V_plus + II) + G**4 * I1 / 16
-    M2 = -G * T_minus + G**2 / 4 * (T + 4 * IV2) - G**3 / 4 * (V_minus + II) + G**4 * I2 / 16
-    return HelperTerms(
-        I1=I1, I2=I2, II=complex(II),
-        III_plus=complex(III_plus), III_minus=complex(III_minus),
-        B_plus=complex(B_plus), B_minus=complex(B_minus),
-        M_plus=complex(M_plus), M_minus=complex(M_minus),
-        M1=complex(M1), M2=complex(M2),
-        T_plus=complex(T_plus), T_minus=complex(T_minus), T=complex(T),
-        IV1=complex(IV1), IV2=complex(IV2),
-        V_plus=complex(V_plus), V_minus=complex(V_minus),
-    )
+    return _lambda_from_bracket(0.5 * (1 + aw2 + (1 - aw2) * i1.real) - w.imag * i1.imag)
 
 
 # ---------------------------------------------------------------------------
 # the eleven moments
 # ---------------------------------------------------------------------------
 
-def expectations(params: MeasurementParams, published: bool = False) -> ExpectationSet:
+def expectations(params: MeasurementParams) -> ExpectationSet:
     """All eleven pointer moments of the postselected state."""
-    if published:
-        return _expectations_published(params)
     G, gam, phi = params.Gamma, params.gamma, params.phi
     u = 1 + gam**2
     g = gam * np.exp(1j * phi)
@@ -268,71 +199,27 @@ def expectations(params: MeasurementParams, published: bool = False) -> Expectat
     )
 
 
-def _expectations_published(params: MeasurementParams) -> ExpectationSet:
-    """The published moment expressions, verbatim, with the published lambda."""
-    G, gam, phi = params.Gamma, params.gamma, params.phi
-    u = 1 + gam**2
-    g = gam * np.exp(1j * phi)
-    eG = math.exp(-(G**2) / 2)
-    h = helper_terms(params)
-    w = weak_value(params.alpha, params.delta).value
-    wc = np.conj(w)
-    aw2 = abs(w) ** 2
-    lam2 = lambda_norm(params, published=True) ** 2
-    a = lam2 / 2 * ((1 + aw2) * g / (_RT2 * u) + (1 - aw2) * h.II + G * (1 - h.I2) * w.real)
-    b = (lam2 * 1j * _RT2 * g / (4 * u)) * (1 + aw2 + (1 - aw2) * eG) \
-        - 1j * lam2 * gam**2 * G / (2 * u) * w.imag * eG
-    a2 = lam2 * G / 2 * ((_RT2 * g / u + 2 * h.II) * w.real + (1 + aw2) * G / 4) \
-        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1)
-    adag_a = lam2 / 2 * (1 + aw2) * (gam**2 / (2 * u) + G**2 / 4) \
-        + 1j * lam2 * G * gam * math.cos(phi) / (2 * _RT2 * u) * w.imag \
-        + lam2 / 4 * (1 + wc) * (1 - w) * h.III_plus + lam2 / 4 * (1 - aw2) * h.III_minus \
-        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1) \
-        + lam2 * G / 8 * ((1 - wc) * (1 + w) * (h.IV1 + h.II) - (1 + wc) * (1 - w) * (h.IV2 + h.II))
-    bdag_b = lam2 / 4 * ((1 + aw2) * gam**2 / u + (1 - aw2) * gam**2 / u * eG)
-    adag_b = lam2 / 4 * ((1 + aw2) * 1j * gam**2 / u
-                         + w.imag * 1j * G * g / (_RT2 * u) * (1 + eG)
-                         + (1 - aw2) * gam**2 * G**2 * eG / (2 * u)) \
-        + lam2 / 4 * ((1 + wc) * (1 - w) * h.B_plus + (1 - wc) * (1 + w) * h.B_minus)
-    ab = lam2 * gam * G / (8 * u) * (2 * _RT2 * 1j * np.exp(1j * phi) * (w.real + 1j * w.imag * eG)
-                                     + (1 - aw2) * gam * G * eG)
-    adaga_bdagb = lam2 * G**2 * gam**2 / (16 * u) * (1 + aw2 - (1 - aw2) * eG)
-    adag2a2 = lam2 / 4 * ((1 - wc) * (1 - w) * h.M_minus + (1 + wc) * (1 + w) * h.M_plus
-                          + (1 - wc) * (1 + w) * h.M1 + (1 + wc) * (1 - w) * h.M2)
-    return ExpectationSet(
-        a=complex(a), b=complex(b), a2=complex(a2), b2=0j,
-        adag_a=complex(adag_a), bdag_b=complex(bdag_b), adag_b=complex(adag_b),
-        ab=complex(ab), adaga_bdagb=complex(adaga_bdagb),
-        adag2a2=complex(adag2a2), bdag2b2=0j,
-    )
-
-
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def squeezing_from_moments(m: ExpectationSet, published: bool = False) -> tuple[float, float]:
+def squeezing_from_moments(m: ExpectationSet) -> tuple[float, float]:
     """Q1, Q2 from a moment record.
 
     Q_i = Var(F_i) - 1/4 with F1 = (A + A†)/2^{3/2}, F2 = (A - A†)/(2^{3/2} i),
-    A = a + b.  The published variant of Q2 flips the <ab + a†b†> sign and
-    squares the wrong mean; it is kept only for residual reporting.
+    A = a + b.
     """
     mean_a = m.a + m.b
     mean_a2 = m.a2 + 2 * m.ab + m.b2
     mean_ada = m.adag_a.real + m.bdag_b.real + 2 * m.adag_b.real
-    if published:
-        q1 = 0.25 * (mean_ada + 2 * m.ab.real) + 0.25 * (m.a2.real + m.b2.real) - 0.5 * mean_a.real**2
-        q2 = 0.25 * (mean_ada + 2 * m.ab.real) - 0.25 * (m.a2.real + m.b2.real) + 0.5 * mean_a.real**2
-        return float(q1), float(q2)
     q1 = 0.25 * (mean_ada + mean_a2.real) - 0.5 * mean_a.real**2
     q2 = 0.25 * (mean_ada - mean_a2.real) - 0.5 * mean_a.imag**2
     return float(q1), float(q2)
 
 
-def squeezing(params: MeasurementParams, published: bool = False) -> tuple[float, float]:
+def squeezing(params: MeasurementParams) -> tuple[float, float]:
     """Quadrature squeezing parameters (Q1, Q2) of the postselected state."""
-    return squeezing_from_moments(expectations(params, published=published), published=published)
+    return squeezing_from_moments(expectations(params))
 
 
 _G2_EPS = 1e-12
@@ -352,27 +239,21 @@ def g2_cross(params: MeasurementParams) -> float:
     return g2_from_moments(expectations(params))
 
 
-def phi_moments(params: MeasurementParams, published: bool = False):
+def phi_moments(params: MeasurementParams):
     """<a>, <a†a>, <a^2> of the pointer without postselection (system traced out).
 
-    Exact forms: with q = <a>_i and c = sin(alpha) cos(delta),
+    With q = <a>_i and c = sin(alpha) cos(delta),
         <a>   = q + (Gamma/2) c
         <a†a> = gamma^2/(2(1+gamma^2)) + Gamma^2/4 + Gamma c Re(q)
         <a^2> = Gamma^2/4 + Gamma c q
-    The published <a†a> drops the Re(q) cross term and the published <a^2>
-    replaces c by (1 + c).
     """
     G, gam = params.Gamma, params.gamma
     u = 1 + gam**2
     q = gam * np.exp(1j * params.phi) / (_RT2 * u)
     c = math.sin(params.alpha) * math.cos(params.delta)
     a = q + (G / 2) * c
-    if published:
-        ada = G**2 / 4 + gam**2 / (2 * u)
-        a2 = G**2 / 4 + G * gam * np.exp(1j * params.phi) * (1 + c) / (_RT2 * u)
-    else:
-        ada = gam**2 / (2 * u) + G**2 / 4 + G * c * q.real
-        a2 = G**2 / 4 + G * c * q
+    ada = gam**2 / (2 * u) + G**2 / 4 + G * c * q.real
+    a2 = G**2 / 4 + G * c * q
     return complex(a), complex(ada), complex(a2)
 
 
@@ -427,7 +308,6 @@ def snr_ratio(
     params: MeasurementParams,
     n_total: int,
     x2_convention: str = "published",
-    published: bool = False,
 ) -> tuple[float, float, float]:
     """SNR ratio chi = Rp / Rn between postselected and plain measurements.
 
@@ -435,27 +315,18 @@ def snr_ratio(
     the traced-out state; N cancels in chi.  Ps is the bare overlap
     probability cos^2(alpha/2).
     """
-    m_psi = expectations(params, published=published)
-    phi_m = phi_moments(params, published=published)
-    return snr_from_moments(m_psi, phi_m, params, n_total, x2_convention)
+    return snr_from_moments(expectations(params), phi_moments(params), params, n_total, x2_convention)
 
 
-def fidelity(params: MeasurementParams, published: bool = False) -> float:
-    """|<Psi_i|Psi>|^2.
-
-    The overlap needs the half-coupling integrals <Psi_i|D(±Gamma/2)|Psi_i>;
-    the published variant evaluates them at the full coupling (and with the
-    published lambda), which is kept for residual reporting only.
-    """
+def _overlap_probability(params: MeasurementParams, lam: float, i1: complex) -> float:
+    """|(lam/2)[(1+w) I + (1-w) I*]|^2 for the coupling integral I."""
     w = weak_value(params.alpha, params.delta).value
-    if published:
-        lam = lambda_norm(params, published=True)
-        i1 = _i1(params)
-    else:
-        lam = lambda_norm(params)
-        i1 = _i1(params, coupling=params.Gamma / 2)
-    i2 = np.conj(i1)
-    return float(abs(lam / 2 * ((1 + w) * i1 + (1 - w) * i2)) ** 2)
+    return float(abs(lam / 2 * ((1 + w) * i1 + (1 - w) * np.conj(i1))) ** 2)
+
+
+def fidelity(params: MeasurementParams) -> float:
+    """|<Psi_i|Psi>|^2, from the half-coupling integrals <Psi_i|D(±Gamma/2)|Psi_i>."""
+    return _overlap_probability(params, lambda_norm(params), _i1(params, coupling=params.Gamma / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -494,42 +365,17 @@ def projected_wavefunction(params: MeasurementParams, grid: GridSpec) -> ScalarF
     return ScalarField(grid, values, kind="wavefunction")
 
 
-def _published_wavefunction(params: MeasurementParams, grid: GridSpec) -> np.ndarray:
-    """The published two-lobe expansion with its defective T/K factors (unnormalized)."""
-    sig = params.sigma
-    s = params.Gamma / 2
-    g = params.gamma * np.exp(1j * params.phi)
-    w = weak_value(params.alpha, params.delta).value
-    X = grid.xs()[:, None]
-    Y = grid.ys()[None, :]
-    psi_y = (math.pi * sig**2) ** -0.25 * np.exp(-(Y**2) / (2 * sig**2))
-    out = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for v, t in ((+1, 1 + w), (-1, 1 - w)):
-        sv = v * s
-        phi_s = (math.pi * sig**2) ** -0.25 * np.exp(-(sv**2) / 2) * np.exp(X**2 / (2 * sig**2)) \
-            * np.exp(-((X / sig - sv / _RT2) ** 2))
-        m_term = phi_s * psi_y
-        t_term = g / _RT2 * (v * (1 - _RT2) * s + 2 * X / sig) * phi_s * psi_y
-        k_term = 1j * _RT2 * Y / sig * g * phi_s * psi_y
-        out += t * (m_term + t_term + k_term)
-    return out / math.sqrt(1 + params.gamma**2)
-
-
-def intensity_field(params: MeasurementParams, grid: GridSpec, published: bool = False) -> ScalarField:
-    """|Psi(x, y)|^2 on the grid, renormalized to unit grid integral.
-
-    The overall prefactor of the published expansion is undefined, so both
-    variants fix it by normalization; only the shape differs.
-    """
-    if published:
-        values = np.abs(_published_wavefunction(params, grid)) ** 2
-    else:
-        values = np.abs(projected_wavefunction(params, grid).values) ** 2
-    raw = ScalarField(grid, values, kind="intensity")
-    total = raw.integral()
+def _unit_intensity(grid: GridSpec, values: np.ndarray) -> ScalarField:
+    """The intensity scaled to unit grid integral; FieldConsistencyError where that integral is <= 0."""
+    total = ScalarField(grid, values, kind="intensity").integral()
     if total <= 0:
-        raise FieldConsistencyError("intensity integrated to a non-positive value")
+        raise FieldConsistencyError(f"intensity integrated to {total:.3e} over the grid; the grid misses the beam")
     return ScalarField(grid, values / total, kind="intensity")
+
+
+def intensity_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
+    """|Psi(x, y)|^2 on the grid, renormalized to unit grid integral."""
+    return _unit_intensity(grid, np.abs(projected_wavefunction(params, grid).values) ** 2)
 
 
 def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9) -> ScalarField:
@@ -567,3 +413,161 @@ def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9
     if im_max > im_tol:
         raise FieldConsistencyError(f"Wigner assembly carries imaginary residue {im_max:.3e}")
     return ScalarField(grid, total.real, kind="wigner")
+
+
+# ---------------------------------------------------------------------------
+# published transcriptions: the closed forms as commonly quoted, defects and
+# all, kept only for the residuals that compare reports as "published:*"
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HelperTerms:
+    """The scalar helper terms of the published moment expressions, verbatim."""
+
+    I1: complex
+    I2: complex
+    II: complex
+    III_plus: complex
+    III_minus: complex
+    B_plus: complex
+    B_minus: complex
+    M_plus: complex
+    M_minus: complex
+    M1: complex
+    M2: complex
+    T_plus: complex
+    T_minus: complex
+    T: complex
+    IV1: complex
+    IV2: complex
+    V_plus: complex
+    V_minus: complex
+
+
+def helper_terms(params: MeasurementParams) -> HelperTerms:
+    """Evaluate every published helper term exactly as displayed.
+
+    These are transcriptions, kept as the reference for validation reports;
+    M1/M2 in particular do not reproduce the exact <a†²a²> cross terms.
+    """
+    G, gam, phi = params.Gamma, params.gamma, params.phi
+    u = 1 + gam**2
+    g = gam * np.exp(1j * phi)
+    eG = math.exp(-(G**2) / 2)
+    I1 = _i1(params)
+    I2 = np.conj(I1)
+    II = g * eG / (_RT2 * u)
+    III_plus = eG / u * (gam**2 / 2 * (1 - G**2) + g / _RT2 * G)
+    III_minus = eG / u * (gam**2 / 2 * (1 - G**2) - g / _RT2 * G)
+    B_plus = (1j * gam * eG / u) * (gam / 2 * (1 - G**2) - np.exp(1j * phi) / _RT2 * G)
+    B_minus = (-1j * gam * eG / u) * (gam / 2 * (1 - G**2) - np.exp(-1j * phi) / _RT2 * G)
+    M_plus = G**2 * gam**2 / (2 * u) + G**3 * gam * math.cos(phi) / (2 * _RT2 * u) + G**4 / 16
+    M_minus = G**2 * gam**2 / (2 * u) - G**3 * gam * math.cos(phi) / (2 * _RT2 * u) + G**4 / 16
+    T_plus = g * G / u * (G / _RT2 - gam * np.exp(-1j * phi) * (1 - G**2 / 2)) * eG
+    T_minus = g * G / u * (G / _RT2 + gam * np.exp(-1j * phi) * (1 - G**2 / 2)) * eG
+    T = G**2 / u * (1 + gam**2 * (2 - G**2 / 2)) * eG
+    IV1 = III_minus
+    IV2 = III_plus
+    V_plus = eG / (2 * u) * (
+        G**2 * g + _RT2 * gam * np.exp(-1j * phi) * (1 - G**2) - 2 * G - G * gam**2 * (1 + (2 - G**2) / _RT2)
+    )
+    V_minus = eG / (2 * u) * (
+        G**2 * g + _RT2 * gam * np.exp(-1j * phi) * (1 - G**2) + 2 * G + G * gam**2 * (1 + (2 - G**2) / _RT2)
+    )
+    M1 = G * T_plus + G**2 / 4 * (T + 4 * IV1) + G**3 / 4 * (V_plus + II) + G**4 * I1 / 16
+    M2 = -G * T_minus + G**2 / 4 * (T + 4 * IV2) - G**3 / 4 * (V_minus + II) + G**4 * I2 / 16
+    return HelperTerms(
+        I1=I1, I2=I2, II=complex(II),
+        III_plus=complex(III_plus), III_minus=complex(III_minus),
+        B_plus=complex(B_plus), B_minus=complex(B_minus),
+        M_plus=complex(M_plus), M_minus=complex(M_minus),
+        M1=complex(M1), M2=complex(M2),
+        T_plus=complex(T_plus), T_minus=complex(T_minus), T=complex(T),
+        IV1=complex(IV1), IV2=complex(IV2),
+        V_plus=complex(V_plus), V_minus=complex(V_minus),
+    )
+
+
+def _expectations_published(params: MeasurementParams, lam: float) -> ExpectationSet:
+    """The published moment expressions, verbatim, with the published lambda lam."""
+    G, gam, phi = params.Gamma, params.gamma, params.phi
+    u = 1 + gam**2
+    g = gam * np.exp(1j * phi)
+    eG = math.exp(-(G**2) / 2)
+    h = helper_terms(params)
+    w = weak_value(params.alpha, params.delta).value
+    wc = np.conj(w)
+    aw2 = abs(w) ** 2
+    lam2 = lam**2
+    a = lam2 / 2 * ((1 + aw2) * g / (_RT2 * u) + (1 - aw2) * h.II + G * (1 - h.I2) * w.real)
+    b = (lam2 * 1j * _RT2 * g / (4 * u)) * (1 + aw2 + (1 - aw2) * eG) \
+        - 1j * lam2 * gam**2 * G / (2 * u) * w.imag * eG
+    a2 = lam2 * G / 2 * ((_RT2 * g / u + 2 * h.II) * w.real + (1 + aw2) * G / 4) \
+        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1)
+    adag_a = lam2 / 2 * (1 + aw2) * (gam**2 / (2 * u) + G**2 / 4) \
+        + 1j * lam2 * G * gam * math.cos(phi) / (2 * _RT2 * u) * w.imag \
+        + lam2 / 4 * (1 + wc) * (1 - w) * h.III_plus + lam2 / 4 * (1 - aw2) * h.III_minus \
+        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1) \
+        + lam2 * G / 8 * ((1 - wc) * (1 + w) * (h.IV1 + h.II) - (1 + wc) * (1 - w) * (h.IV2 + h.II))
+    bdag_b = lam2 / 4 * ((1 + aw2) * gam**2 / u + (1 - aw2) * gam**2 / u * eG)
+    adag_b = lam2 / 4 * ((1 + aw2) * 1j * gam**2 / u
+                         + w.imag * 1j * G * g / (_RT2 * u) * (1 + eG)
+                         + (1 - aw2) * gam**2 * G**2 * eG / (2 * u)) \
+        + lam2 / 4 * ((1 + wc) * (1 - w) * h.B_plus + (1 - wc) * (1 + w) * h.B_minus)
+    ab = lam2 * gam * G / (8 * u) * (2 * _RT2 * 1j * np.exp(1j * phi) * (w.real + 1j * w.imag * eG)
+                                     + (1 - aw2) * gam * G * eG)
+    adaga_bdagb = lam2 * G**2 * gam**2 / (16 * u) * (1 + aw2 - (1 - aw2) * eG)
+    adag2a2 = lam2 / 4 * ((1 - wc) * (1 - w) * h.M_minus + (1 + wc) * (1 + w) * h.M_plus
+                          + (1 - wc) * (1 + w) * h.M1 + (1 + wc) * (1 - w) * h.M2)
+    return ExpectationSet(
+        a=complex(a), b=complex(b), a2=complex(a2), b2=0j,
+        adag_a=complex(adag_a), bdag_b=complex(bdag_b), adag_b=complex(adag_b),
+        ab=complex(ab), adaga_bdagb=complex(adaga_bdagb),
+        adag2a2=complex(adag2a2), bdag2b2=0j,
+    )
+
+
+def published_scalars(params: MeasurementParams) -> dict:
+    """lambda, the eleven moments, Q2 and the fidelity as published, keyed by quantity-table name.
+
+    lambda drops the Im(w) Im(I1) term of the bracket, Q2 flips the sign of
+    <ab + a†b†> and squares the wrong mean, the fidelity takes I1 at Gamma, not Gamma/2.
+    """
+    w = weak_value(params.alpha, params.delta).value
+    aw2 = abs(w) ** 2
+    lam = _lambda_from_bracket(0.5 * (1 + aw2 + (1 - aw2) * _i1(params).real))
+    m = _expectations_published(params, lam)
+    ada = m.adag_a.real + m.bdag_b.real + 2 * m.adag_b.real
+    q2 = 0.25 * (ada + 2 * m.ab.real) - 0.25 * (m.a2.real + m.b2.real) + 0.5 * (m.a + m.b).real ** 2
+    return {
+        "lambda": lam,
+        **{key: getattr(m, name) for key, name in MOMENT_NAMES.items()},
+        "Q2": float(q2),
+        "fidelity": _overlap_probability(params, lam, _i1(params)),
+    }
+
+
+def _published_wavefunction(params: MeasurementParams, grid: GridSpec) -> np.ndarray:
+    """The published two-lobe expansion with its defective T/K factors (unnormalized)."""
+    sig = params.sigma
+    s = params.Gamma / 2
+    g = params.gamma * np.exp(1j * params.phi)
+    w = weak_value(params.alpha, params.delta).value
+    X = grid.xs()[:, None]
+    Y = grid.ys()[None, :]
+    psi_y = (math.pi * sig**2) ** -0.25 * np.exp(-(Y**2) / (2 * sig**2))
+    out = np.zeros((grid.nx, grid.ny), dtype=complex)
+    for v, t in ((+1, 1 + w), (-1, 1 - w)):
+        sv = v * s
+        phi_s = (math.pi * sig**2) ** -0.25 * np.exp(-(sv**2) / 2) * np.exp(X**2 / (2 * sig**2)) \
+            * np.exp(-((X / sig - sv / _RT2) ** 2))
+        m_term = phi_s * psi_y
+        t_term = g / _RT2 * (v * (1 - _RT2) * s + 2 * X / sig) * phi_s * psi_y
+        k_term = 1j * _RT2 * Y / sig * g * phi_s * psi_y
+        out += t * (m_term + t_term + k_term)
+    return out / math.sqrt(1 + params.gamma**2)
+
+
+def published_intensity(params: MeasurementParams, grid: GridSpec) -> ScalarField:
+    """The published intensity at unit grid integral, which fixes the prefactor the expansion leaves open."""
+    return _unit_intensity(grid, np.abs(_published_wavefunction(params, grid)) ** 2)

@@ -150,11 +150,9 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
 
 
 def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
-    """|Psi(x, y)|^2 from the Fock coefficients, normalized to unit grid integral."""
-    f = coordinate_wavefunction(state, grid)
-    vals = np.abs(f.values) ** 2
-    raw = ScalarField(grid, vals, kind="intensity")
-    return ScalarField(grid, vals / raw.integral(), kind="intensity")
+    """|Psi(x, y)|^2 from the Fock coefficients, normalized to unit grid integral
+    (FieldConsistencyError where the grid misses the beam)."""
+    return cf._unit_intensity(grid, np.abs(coordinate_wavefunction(state, grid).values) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,60 +247,48 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> Oracl
 class ScalarQuantity:
     """One scalar quantity by both routes.
 
-    closed(params, moments, published) evaluates the closed form, where
-    moments(published) returns the point's ExpectationSet in that convention.
-    oracle(record) reads the value off an OracleRecord; it is None for a
-    quantity fixed by the preselection alone, which both engines take from the
-    closed form and compare does not report.  published marks quantities whose
-    published transcription compare reports as "published:<name>".
+    closed(params, moments) evaluates the exact closed form, where moments()
+    returns the point's ExpectationSet.  oracle(record) reads the value off an
+    OracleRecord; it is None for a quantity fixed by the preselection alone,
+    which both engines take from the closed form and compare does not report.
+    The published transcriptions are not in the table: compare takes them from
+    closedform.published_scalars, whose names are table names.
     """
 
     closed: Callable
     oracle: Callable | None = None
-    published: bool = False
 
-    def closed_value(self, params: MeasurementParams, published: bool = False, moments=None):
+    def closed_value(self, params: MeasurementParams, moments=None):
         """The closed form, or (None, reason) where it is undefined.
 
         Without a moments function the moments are recomputed on every call.
         """
         if moments is None:
             moments = functools.partial(cf.expectations, params)
-        return _or_reason(*_value_or_reason(self.closed, params, moments, published))
+        return _or_reason(*_value_or_reason(self.closed, params, moments))
 
 
 def _chi(convention):
-    def closed(p, moments, published):
-        return cf.snr_from_moments(moments(False), cf.phi_moments(p), p, 1, convention)[0]
-    return closed
+    return lambda p, m: cf.snr_from_moments(m(), cf.phi_moments(p), p, 1, convention)[0]
 
 
 # name -> ScalarQuantity; compare reports the quantities in this order
 SCALAR_QUANTITIES = {
-    "lambda": ScalarQuantity(
-        lambda p, m, pub: cf.lambda_norm(p, published=pub), lambda r: r.lam, published=True),
-    "I1": ScalarQuantity(lambda p, m, pub: cf._i1(p), lambda r: r.i1),
-    "I2": ScalarQuantity(lambda p, m, pub: np.conj(cf._i1(p)), lambda r: r.i2),
+    "lambda": ScalarQuantity(lambda p, m: cf.lambda_norm(p), lambda r: r.lam),
+    "I1": ScalarQuantity(lambda p, m: cf._i1(p), lambda r: r.i1),
+    "I2": ScalarQuantity(lambda p, m: np.conj(cf._i1(p)), lambda r: r.i2),
     **{
-        f"moment:{name}": ScalarQuantity(
-            lambda p, m, pub, name=name: getattr(m(pub), name),
-            lambda r, name=name: getattr(r.moments, name),
-            published=True,
-        )
-        for name in ExpectationSet.field_names()
+        key: ScalarQuantity(lambda p, m, name=name: getattr(m(), name),
+                            lambda r, name=name: getattr(r.moments, name))
+        for key, name in cf.MOMENT_NAMES.items()
     },
-    "Q1": ScalarQuantity(
-        lambda p, m, pub: cf.squeezing_from_moments(m(pub), published=pub)[0], lambda r: r.q1),
-    "Q2": ScalarQuantity(
-        lambda p, m, pub: cf.squeezing_from_moments(m(pub), published=pub)[1], lambda r: r.q2,
-        published=True),
-    "fidelity": ScalarQuantity(
-        lambda p, m, pub: cf.fidelity(p, published=pub), lambda r: r.fidelity, published=True),
-    "g2": ScalarQuantity(
-        lambda p, m, pub: cf.g2_from_moments(m(False)), lambda r: _or_reason(r.g2, r.g2_reason)),
+    "Q1": ScalarQuantity(lambda p, m: cf.squeezing_from_moments(m())[0], lambda r: r.q1),
+    "Q2": ScalarQuantity(lambda p, m: cf.squeezing_from_moments(m())[1], lambda r: r.q2),
+    "fidelity": ScalarQuantity(lambda p, m: cf.fidelity(p), lambda r: r.fidelity),
+    "g2": ScalarQuantity(lambda p, m: cf.g2_from_moments(m()), lambda r: _or_reason(r.g2, r.g2_reason)),
     "chi": ScalarQuantity(_chi("published"), lambda r: _or_reason(r.chi, r.chi_reason)),
     "chi[x2=operator]": ScalarQuantity(_chi("operator"), lambda r: _or_reason(r.chi_op, r.chi_op_reason)),
-    "weak_value": ScalarQuantity(lambda p, m, pub: weak_value(p.alpha, p.delta).value.real),
+    "weak_value": ScalarQuantity(lambda p, m: weak_value(p.alpha, p.delta).value.real),
 }
 
 
@@ -439,33 +425,32 @@ def compare(
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-8,
     na: int | None = None,
-    include_published: bool = True,
     field_params=None,
 ) -> ValidationReport:
     """Evaluate closed forms and the oracle over a parameter set and report deltas.
 
     Failures are recorded as data, never raised.  Entries are ordered by
-    (point index, table order), the published variants after the rest.  Each
-    point of field_params adds the Wigner and intensity field checks, always on
-    the fixed 61 x 61 grid over [-6, 6]^2 with the fixed max-deviation
-    tolerance 1e-6 (the *:field_maxdev entries).
+    (point index, table order); each point ends with the residuals of the
+    published transcriptions (closedform.published_scalars) as
+    "published:<name>".  Each point of field_params adds the Wigner and
+    intensity field checks, the published intensity last, always on the fixed
+    61 x 61 grid over [-6, 6]^2 with the fixed max-deviation tolerance 1e-6
+    (the *:field_maxdev entries).
     """
     params_set = list(params_set)
     if not params_set:
         raise ValueError("parameter set must be nonempty")
     report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
-    conventions = (False, True) if include_published else (False,)
     for idx, p in enumerate(params_set):
         moments = functools.cache(functools.partial(cf.expectations, p))
         rec = oracle_quantities(p, na=na)
-        for published in conventions:
-            for name, q in SCALAR_QUANTITIES.items():
-                if q.oracle is None or (published and not q.published):
-                    continue
-                report.entries.append(_entry(
-                    "published:" + name if published else name, idx, p,
-                    q.closed_value(p, published, moments), q.oracle(rec), abs_tol, rel_tol,
-                ))
+        for name, q in SCALAR_QUANTITIES.items():
+            if q.oracle is not None:
+                report.entries.append(_entry(name, idx, p, q.closed_value(p, moments), q.oracle(rec),
+                                             abs_tol, rel_tol))
+        for name, value in cf.published_scalars(p).items():
+            report.entries.append(_entry("published:" + name, idx, p, value,
+                                         SCALAR_QUANTITIES[name].oracle(rec), abs_tol, rel_tol))
 
     for idx, p in enumerate(field_params or (), 10_000):
         psi = oracle_states(p, na)[2]
@@ -475,8 +460,7 @@ def compare(
             _field_maxdev("wigner:field_maxdev", idx, p, w_closed, oracle_wigner(psi, _FIELD_GRID)),
             _entry("wigner:integral", idx, p, w_closed.integral(), 1.0, 1e-6, 1e-6),
             _field_maxdev("intensity:field_maxdev", idx, p, cf.intensity_field(p, _FIELD_GRID), i_orc),
+            _field_maxdev("published:intensity:field_maxdev", idx, p,
+                          cf.published_intensity(p, _FIELD_GRID), i_orc),
         ]
-        if include_published:
-            i_pub = cf.intensity_field(p, _FIELD_GRID, published=True)
-            report.entries.append(_field_maxdev("published:intensity:field_maxdev", idx, p, i_pub, i_orc))
     return report

@@ -48,7 +48,7 @@ def test_criterion_01_weak_value_prose_numbers():
 
 
 def test_criterion_02_master_oracle_equivalence():
-    report = compare(validation_params(), abs_tol=1e-10, rel_tol=1e-8, include_published=True)
+    report = compare(validation_params(), abs_tol=1e-10, rel_tol=1e-8)
     exact_failures = report.failures(whitelist=("published:*",))
     assert exact_failures == [], [
         (e.quantity, e.params, e.abs_delta) for e in exact_failures[:5]

@@ -261,6 +261,18 @@ def test_field_refuses_non_finite_values(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_field_refuses_intensity_off_the_beam(engine, tmp_path, capsys):
+    # far from the beam the intensity integrates to 0: refused before the division
+    out = tmp_path / "x.csv"
+    rc = run(["field", "--kind", "intensity", "--engine", engine, "--grid=100,110,100,110,3,3", "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: intensity integrated to 0.000e+00 over the grid")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_evaluate", lambda *args, **kwargs: math.nan)
     out = tmp_path / "x.csv"
@@ -542,6 +554,35 @@ def test_validate_default_passes(tmp_path):
     assert data["summary"]["moment:a"]["fail"] == 0
     assert data["summary"]["published:moment:adag2a2"]["fail"] > 0
     assert data["summary"]["wigner:field_maxdev"]["fail"] == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
+@pytest.mark.parametrize("option", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_path, monkeypatch, capsys):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    monkeypatch.setattr(cli.orc, "oracle_quantities", evaluated)
+    out = tmp_path / "report.json"
+    flag = "--" + option.replace("_", "-")
+    if via == "flag":
+        args = ["validate", "--out", out, f"{flag}={value}"]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{option}={value}\nout={out}\n")
+        args = ["validate", "--config", conf]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert f"{flag}: must be a finite number >= 0, got '{value}'" in err
+    assert not out.exists()
+
+
+def test_validate_empty_whitelist_allows_no_failure(tmp_path):
+    # the published residuals fail, and only the default whitelist lets them
+    out = tmp_path / "report.json"
+    assert run(["validate", "--out", out, "--whitelist", ""]) == 2
+    assert json.loads(out.read_text())["summary"]["published:moment:adag2a2"]["fail"] > 0
 
 
 def test_validate_impossible_tolerance_exits_two(tmp_path):

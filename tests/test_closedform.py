@@ -15,6 +15,8 @@ from oampointer.closedform import (
     intensity_field,
     lambda_norm,
     projected_wavefunction,
+    published_intensity,
+    published_scalars,
     snr_ratio,
     squeezing,
     wigner_field,
@@ -97,12 +99,12 @@ def test_lambda_published_drops_imaginary_cross_term():
     # the published bracket deviates once Im(w) Im(I1) != 0
     p = MeasurementParams(Gamma=1.5, alpha=2.9, delta=math.pi / 2, phi=math.pi / 2, gamma=2.0)
     exact = lambda_norm(p)
-    pub = lambda_norm(p, published=True)
+    pub = published_scalars(p)["lambda"]
     assert abs(pub - exact) > 1e-3
     assert exact == pytest.approx(oracle_quantities(p).lam, abs=1e-12)
     # for real weak values the two coincide
     q = MeasurementParams(Gamma=1.5, alpha=2.9, delta=0.0, phi=math.pi / 2, gamma=2.0)
-    assert lambda_norm(q, published=True) == pytest.approx(lambda_norm(q), abs=1e-15)
+    assert published_scalars(q)["lambda"] == pytest.approx(lambda_norm(q), abs=1e-15)
 
 
 def test_lambda_bracket_guard():
@@ -152,13 +154,13 @@ def test_published_moments_deviate_and_are_reported_upstream():
     # exact default must match the oracle while the published variant drifts
     p = NAMED_POINT
     orc = oracle_expectations(oracle_states(p)[2])
-    pub = expectations(p, published=True)
+    pub = published_scalars(p)
     exact = expectations(p)
     assert abs(exact.a - orc.a) < 1e-12
-    assert abs(pub.a - orc.a) > 1e-2
-    assert abs(pub.adag_a.imag) > 1e-3  # published <a†a> is not even real here
+    assert abs(pub["moment:a"] - orc.a) > 1e-2
+    assert abs(pub["moment:adag_a"].imag) > 1e-3  # published <a†a> is not even real here
     # the b-photon-number expression is sound, so that one agrees
-    assert abs(pub.bdag_b - orc.bdag_b) < 1e-12
+    assert abs(pub["moment:bdag_b"] - orc.bdag_b) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_squeezing_bounds_and_uncertainty_product():
 def test_published_q2_differs_from_variance_definition():
     p = NAMED_POINT
     q2_exact = squeezing(p)[1]
-    q2_pub = squeezing(p, published=True)[1]
+    q2_pub = published_scalars(p)["Q2"]
     assert abs(q2_pub - q2_exact) > 1e-3
 
 
@@ -311,7 +313,7 @@ def test_fidelity_matches_oracle_overlap():
 
 def test_published_fidelity_uses_full_coupling_integrals():
     p = MeasurementParams(Gamma=1.5, alpha=2.9, delta=math.pi / 2, phi=math.pi / 2, gamma=2.0)
-    assert abs(fidelity(p, published=True) - fidelity(p)) > 1e-3
+    assert abs(published_scalars(p)["fidelity"] - fidelity(p)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def test_intensity_matches_oracle_pointwise():
 
 def test_published_intensity_shape_deviates():
     p = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0)
-    pub = intensity_field(p, FIELD_GRID, published=True)
+    pub = published_intensity(p, FIELD_GRID)
     orc = oracle_intensity(oracle_states(p)[2], FIELD_GRID)
     assert np.abs(pub.values - orc.values).max() > 1e-4
 

@@ -280,9 +280,11 @@ def test_gaussian_pointer_snr_limit():
 
 def test_compare_identity_regime_single_point():
     rep = compare([MeasurementParams(Gamma=0.0, alpha=1.0, delta=0.0, phi=0.5, gamma=1.0)],
-                  abs_tol=1e-10, rel_tol=1e-8, include_published=False)
-    assert all(e.status in ("pass", "undefined") for e in rep.entries)
-    assert any(e.quantity == "chi" and e.status == "undefined" for e in rep.entries)
+                  abs_tol=1e-10, rel_tol=1e-8)
+    # the published transcriptions of <a†b> and Q2 fail even at Gamma = 0
+    entries = [e for e in rep.entries if not e.quantity.startswith("published:")]
+    assert all(e.status in ("pass", "undefined") for e in entries)
+    assert any(e.quantity == "chi" and e.status == "undefined" for e in entries)
 
 
 def test_compare_empty_set_rejected():
@@ -291,12 +293,12 @@ def test_compare_empty_set_rejected():
 
 
 def test_compare_impossible_tolerance_fails():
-    rep = compare([NAMED_POINT], abs_tol=0.0, rel_tol=0.0, include_published=False)
+    rep = compare([NAMED_POINT], abs_tol=0.0, rel_tol=0.0)
     assert any(e.status == "fail" for e in rep.entries)
 
 
 def test_compare_report_json_round_trip(tmp_path):
-    rep = compare([NAMED_POINT], include_published=True)
+    rep = compare([NAMED_POINT])
     text = rep.to_json()
     data = json.loads(text)
     assert data["tolerances"] == {"abs": 1e-10, "rel": 1e-8}
@@ -353,13 +355,33 @@ def test_report_json_bytes_match_json_dumps():
 
 
 def test_compare_flags_published_residuals_but_not_exact():
-    rep = compare([NAMED_POINT], include_published=True)
+    rep = compare([NAMED_POINT])
     exact_fail = [e for e in rep.entries if e.status == "fail" and not e.quantity.startswith("published:")]
     pub_fail = [e for e in rep.entries if e.status == "fail" and e.quantity.startswith("published:")]
     assert exact_fail == []
     assert pub_fail, "published transcription defects should be visible in the report"
     names = {e.quantity for e in pub_fail}
     assert "published:moment:adag2a2" in names  # the known cross-term defect
+
+
+def test_compare_takes_published_entries_from_one_place():
+    # every published:* entry is a published_scalars value, plus the field entry
+    # from published_intensity, in the function's order after the exact entries
+    p = MeasurementParams(Gamma=1.5, alpha=2.9, delta=math.pi / 2, phi=math.pi / 2, gamma=2.0)
+    rep = compare([p], field_params=[p])
+    pub = cf.published_scalars(p)
+    scalar = [e for e in rep.entries if e.point_index == 0]
+    n_exact = len(scalar) - len(pub)
+    assert [e.quantity for e in scalar[n_exact:]] == ["published:" + name for name in pub]
+    assert not any(e.quantity.startswith("published:") for e in scalar[:n_exact])
+    for e in scalar[n_exact:]:
+        assert e.closed_value == pub[e.quantity.removeprefix("published:")], e.quantity
+    field = [e for e in rep.entries if e.point_index == 10_000]
+    assert [e.quantity for e in field if e.quantity.startswith("published:")] == [
+        "published:intensity:field_maxdev"]
+    grid = GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)
+    i_orc = oracle_intensity(oracle_states(p)[2], grid)
+    assert field[-1].closed_value == float(np.abs(cf.published_intensity(p, grid).values - i_orc.values).max())
 
 
 def test_validation_params_lattice():
@@ -372,7 +394,7 @@ def test_validation_params_lattice():
 
 
 def test_whitelist_prefix_matching():
-    rep = compare([NAMED_POINT], abs_tol=0.0, rel_tol=0.0, include_published=False)
+    rep = compare([NAMED_POINT], abs_tol=0.0, rel_tol=0.0)
     all_fail = rep.failures()
     none_fail = rep.failures(whitelist=("*",))
     assert all_fail and not none_fail
