@@ -15,6 +15,9 @@ Every public function here gives the exact form.  Commonly quoted closed forms
 carry transcription defects (some give complex values for Hermitian
 observables); the last section keeps them verbatim for the validation report
 alone, through ``published_scalars`` and ``published_intensity``.
+``published_scalars`` keys its values by quantity-table name, so this module
+spells the ``moment:<name>`` keys (``MOMENT_NAMES``) and the ``lambda``, ``Q2``
+and ``fidelity`` keys that ``oracle.SCALAR_QUANTITIES`` and ``compare`` share.
 """
 from __future__ import annotations
 
