@@ -55,7 +55,6 @@ from .closedform import (
     wigner_field,
 )
 from .oracle import (
-    OracleRecord,
     ReportEntry,
     ValidationReport,
     compare,

@@ -4,8 +4,8 @@ Output is data only (CSV plus JSON sidecars); plotting is left to external
 tools.  All floats are written with 17 significant digits so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 usage/config error or a library limit (any ValueError),
-2 validation failure.
+Exit codes: 0 success, 1 usage/config error, a library limit (any ValueError)
+or an output that cannot be written (any OSError), 2 validation failure.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import closedform as cf
 from . import oracle as orc
 from .fock import GridSpec, default_cutoff
-from .measurement import MeasurementParams, _require_two_levels
+from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
 
@@ -87,10 +87,11 @@ def _params_from(ns) -> MeasurementParams:
 
 def _evaluate(quantity: str, params: MeasurementParams, engine: str, na=None):
     """One scalar in the requested engine; (None, reason) when undefined."""
-    q = orc.SCALAR_QUANTITIES[quantity]
-    if engine == "oracle" and q.oracle is not None:
-        return q.oracle(orc.oracle_quantities(params, na=na))
-    return q.closed_value(params)
+    if quantity == "weak_value":  # fixed by the preselection alone: no engine computes it
+        return weak_value(params.alpha, params.delta).value.real
+    if engine == "oracle":
+        return orc.oracle_quantities(params, na=na)[quantity]
+    return orc.closed_value(quantity, params)
 
 
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
@@ -212,9 +213,8 @@ def cmd_validate(ns) -> int:
     records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
     drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
     for name in SWEEP_QUANTITIES:
-        access = orc.SCALAR_QUANTITIES[name].oracle
-        if access is not None:
-            v1, v2 = (0 if isinstance(v, tuple) else v for v in map(access, records))
+        if name in records[0]:
+            v1, v2 = (0 if isinstance(r[name], tuple) else r[name] for r in records)
             drift = max(drift, abs(v1 - v2))
     if drift > 1e-9:
         print(f"cutoff self-check FAILED: doubling Na moved results by {drift:.3e}", file=sys.stderr)
@@ -427,7 +427,8 @@ def main(argv=None) -> int:
                 raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
             _require_two_levels(ns.cutoff)  # before any evaluation, also of closed-form-only quantities
         return ns.func(ns)
-    except (ConfigError, ValueError) as exc:  # ValueError: a library limit, e.g. the Gamma ceiling
+    # ValueError: a library limit, e.g. the Gamma ceiling; OSError: an output that cannot be written
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,8 @@ observables); the last section keeps them verbatim for the validation report
 alone, through ``published_scalars`` and ``published_intensity``.
 ``published_scalars`` keys its values by quantity-table name, so this module
 spells the ``moment:<name>`` keys (``MOMENT_NAMES``) and the ``lambda``, ``Q2``
-and ``fidelity`` keys that ``oracle.SCALAR_QUANTITIES`` and ``compare`` share.
+and ``fidelity`` keys that ``oracle.SCALAR_QUANTITIES``,
+``oracle.oracle_quantities`` and ``compare`` share.
 """
 from __future__ import annotations
 

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -55,14 +54,13 @@ __all__ = [
     "oracle_states",
     "oracle_wigner",
     "oracle_intensity",
-    "OracleRecord",
     "oracle_quantities",
     "ReportEntry",
     "ValidationReport",
     "validation_params",
     "compare",
-    "ScalarQuantity",
     "SCALAR_QUANTITIES",
+    "closed_value",
 ]
 
 _TOP_OCC_TOL = 1e-8
@@ -156,140 +154,92 @@ def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# full scalar record
+# the scalar quantities from state vectors
 # ---------------------------------------------------------------------------
 
 _UNDEFINED_ERRORS = (UndefinedCorrelationError, DegenerateShiftError, VarianceCollapseError)
 
 
 def _value_or_reason(fn, *args):
-    """(fn(*args), None), or (None, reason) where the quantity is undefined."""
+    """fn(*args), or (None, reason) where the quantity is undefined."""
     try:
-        return fn(*args), None
+        return fn(*args)
     except _UNDEFINED_ERRORS as exc:
         return None, str(exc)
 
 
-def _or_reason(value, reason):
-    """The value, or (None, reason) where it is undefined."""
-    return value if reason is None else (None, reason)
+def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
+    """Every scalar of the quantity table from state vectors only.
 
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """Every scalar the oracle can produce at one parameter point."""
-
-    lam: float
-    i1: complex
-    i2: complex
-    moments: ExpectationSet
-    q1: float
-    q2: float
-    fidelity: float
-    ps_ideal: float
-    ps_exact: float
-    g2: float | None
-    g2_reason: str | None
-    chi: float | None
-    chi_reason: str | None
-    chi_op: float | None
-    chi_op_reason: str | None
-
-
-def oracle_quantities(params: MeasurementParams, na: int | None = None) -> OracleRecord:
-    """Evaluate every scalar quantity from state vectors only.
-
-    chi is assembled under both second-moment conventions from the same
-    numeric moments (chi: commonly quoted convention; chi_op: the operator
-    square of X = sigma (a + a†)).
+    Keyed by table name in table order, with (None, reason) where a quantity
+    is undefined.  chi is assembled under both second-moment conventions from
+    the same numeric moments (chi: commonly quoted convention;
+    chi[x2=operator]: the operator square of X = sigma (a + a†)).
     """
-    psi_i, joint, psi, prob = oracle_states(params, na)
+    psi_i, joint, psi, _ = oracle_states(params, na)
     m = oracle_expectations(psi)
     q1, q2 = cf.squeezing_from_moments(m)
-    fid = float(abs(inner(psi_i, psi)) ** 2)
-    w = weak_value(params.alpha, params.delta)
-    # lam of |Psi> = (lam/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
-    wv = w.value
-    un = (1 + wv) * joint.branch_plus.coeffs + (1 - wv) * joint.branch_minus.coeffs
-    lam = 2.0 / float(np.linalg.norm(un))
+    # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
+    w = weak_value(params.alpha, params.delta).value
+    un = (1 + w) * joint.branch_plus.coeffs + (1 - w) * joint.branch_minus.coeffs
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
     c = psi_i.coeffs[: _occupied_levels(psi_i)]
     i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
-    g2, g2_reason = _value_or_reason(cf.g2_from_moments, m)
     phi_full = nonpostselected_moments(joint)
-    phi_triplet = (phi_full.a, phi_full.adag_a, phi_full.a2)
-    chi_res, chi_reason = _value_or_reason(cf.snr_from_moments, m, phi_triplet, params, 1, "published")
-    chi_op_res, chi_op_reason = _value_or_reason(cf.snr_from_moments, m, phi_triplet, params, 1, "operator")
-    return OracleRecord(
-        lam=lam,
-        i1=i1,
-        i2=np.conj(i1),
-        moments=m,
-        q1=q1,
-        q2=q2,
-        fidelity=fid,
-        ps_ideal=w.ps,
-        ps_exact=prob,
-        g2=g2,
-        g2_reason=g2_reason,
-        chi=chi_res[0] if chi_res else None,
-        chi_reason=chi_reason,
-        chi_op=chi_op_res[0] if chi_op_res else None,
-        chi_op_reason=chi_op_reason,
-    )
+    phi = (phi_full.a, phi_full.adag_a, phi_full.a2)
+
+    def chi(convention):
+        return cf.snr_from_moments(m, phi, params, 1, convention)[0]
+
+    return {
+        "lambda": 2.0 / float(np.linalg.norm(un)),
+        "I1": i1,
+        "I2": np.conj(i1),
+        **{key: getattr(m, name) for key, name in cf.MOMENT_NAMES.items()},
+        "Q1": q1,
+        "Q2": q2,
+        "fidelity": float(abs(inner(psi_i, psi)) ** 2),
+        "g2": _value_or_reason(cf.g2_from_moments, m),
+        "chi": _value_or_reason(chi, "published"),
+        "chi[x2=operator]": _value_or_reason(chi, "operator"),
+    }
 
 
 # ---------------------------------------------------------------------------
 # the one table of scalar quantities (compare, the CLI sweeps and validate)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarQuantity:
-    """One scalar quantity by both routes.
-
-    closed(params, moments) evaluates the exact closed form, where moments()
-    returns the point's ExpectationSet.  oracle(record) reads the value off an
-    OracleRecord; it is None for a quantity fixed by the preselection alone,
-    which both engines take from the closed form and compare does not report.
-    The published transcriptions are not in the table: compare takes them from
-    closedform.published_scalars, whose names are table names.
-    """
-
-    closed: Callable
-    oracle: Callable | None = None
-
-    def closed_value(self, params: MeasurementParams, moments=None):
-        """The closed form, or (None, reason) where it is undefined.
-
-        Without a moments function the moments are recomputed on every call.
-        """
-        if moments is None:
-            moments = functools.partial(cf.expectations, params)
-        return _or_reason(*_value_or_reason(self.closed, params, moments))
-
-
 def _chi(convention):
     return lambda p, m: cf.snr_from_moments(m(), cf.phi_moments(p), p, 1, convention)[0]
 
 
-# name -> ScalarQuantity; compare reports the quantities in this order
+# name -> closed(params, moments), the exact closed form, where moments() returns
+# the point's ExpectationSet.  oracle_quantities returns the same names, and
+# compare reports them in this order; the published transcriptions are not in
+# the table: compare takes them from closedform.published_scalars, whose names
+# are table names.
 SCALAR_QUANTITIES = {
-    "lambda": ScalarQuantity(lambda p, m: cf.lambda_norm(p), lambda r: r.lam),
-    "I1": ScalarQuantity(lambda p, m: cf._i1(p), lambda r: r.i1),
-    "I2": ScalarQuantity(lambda p, m: np.conj(cf._i1(p)), lambda r: r.i2),
-    **{
-        key: ScalarQuantity(lambda p, m, name=name: getattr(m(), name),
-                            lambda r, name=name: getattr(r.moments, name))
-        for key, name in cf.MOMENT_NAMES.items()
-    },
-    "Q1": ScalarQuantity(lambda p, m: cf.squeezing_from_moments(m())[0], lambda r: r.q1),
-    "Q2": ScalarQuantity(lambda p, m: cf.squeezing_from_moments(m())[1], lambda r: r.q2),
-    "fidelity": ScalarQuantity(lambda p, m: cf.fidelity(p), lambda r: r.fidelity),
-    "g2": ScalarQuantity(lambda p, m: cf.g2_from_moments(m()), lambda r: _or_reason(r.g2, r.g2_reason)),
-    "chi": ScalarQuantity(_chi("published"), lambda r: _or_reason(r.chi, r.chi_reason)),
-    "chi[x2=operator]": ScalarQuantity(_chi("operator"), lambda r: _or_reason(r.chi_op, r.chi_op_reason)),
-    "weak_value": ScalarQuantity(lambda p, m: weak_value(p.alpha, p.delta).value.real),
+    "lambda": lambda p, m: cf.lambda_norm(p),
+    "I1": lambda p, m: cf._i1(p),
+    "I2": lambda p, m: np.conj(cf._i1(p)),
+    **{key: (lambda p, m, name=name: getattr(m(), name)) for key, name in cf.MOMENT_NAMES.items()},
+    "Q1": lambda p, m: cf.squeezing_from_moments(m())[0],
+    "Q2": lambda p, m: cf.squeezing_from_moments(m())[1],
+    "fidelity": lambda p, m: cf.fidelity(p),
+    "g2": lambda p, m: cf.g2_from_moments(m()),
+    "chi": _chi("published"),
+    "chi[x2=operator]": _chi("operator"),
 }
+
+
+def closed_value(name: str, params: MeasurementParams, moments=None):
+    """The closed form of a table quantity, or (None, reason) where it is undefined.
+
+    Without a moments function the moments are recomputed on every call.
+    """
+    if moments is None:
+        moments = functools.partial(cf.expectations, params)
+    return _value_or_reason(SCALAR_QUANTITIES[name], params, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +379,12 @@ def compare(
 ) -> ValidationReport:
     """Evaluate closed forms and the oracle over a parameter set and report deltas.
 
-    Failures are recorded as data, never raised.  Entries are ordered by
-    (point index, table order); each point ends with the residuals of the
-    published transcriptions (closedform.published_scalars) as
-    "published:<name>".  Each point of field_params adds the Wigner and
+    Failures are recorded as data, never raised.  Each quantity of
+    oracle_quantities is checked against closed_value under its table name,
+    so entries are ordered by (point index, table order); each point ends
+    with the residuals of the published transcriptions
+    (closedform.published_scalars) against the oracle value of the same name,
+    as "published:<name>".  Each point of field_params adds the Wigner and
     intensity field checks, the published intensity last, always on the fixed
     61 x 61 grid over [-6, 6]^2 with the fixed max-deviation tolerance 1e-6
     (the *:field_maxdev entries).
@@ -444,13 +396,10 @@ def compare(
     for idx, p in enumerate(params_set):
         moments = functools.cache(functools.partial(cf.expectations, p))
         rec = oracle_quantities(p, na=na)
-        for name, q in SCALAR_QUANTITIES.items():
-            if q.oracle is not None:
-                report.entries.append(_entry(name, idx, p, q.closed_value(p, moments), q.oracle(rec),
-                                             abs_tol, rel_tol))
+        for name, value in rec.items():
+            report.entries.append(_entry(name, idx, p, closed_value(name, p, moments), value, abs_tol, rel_tol))
         for name, value in cf.published_scalars(p).items():
-            report.entries.append(_entry("published:" + name, idx, p, value,
-                                         SCALAR_QUANTITIES[name].oracle(rec), abs_tol, rel_tol))
+            report.entries.append(_entry("published:" + name, idx, p, value, rec[name], abs_tol, rel_tol))
 
     for idx, p in enumerate(field_params or (), 10_000):
         psi = oracle_states(p, na)[2]

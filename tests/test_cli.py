@@ -55,6 +55,23 @@ def test_sweep_weak_value_endpoint(tmp_path):
     assert float(rows[-1][2]) == pytest.approx(5.671, abs=1e-3)
 
 
+def test_oracle_weak_value_sweep_builds_no_state(tmp_path, monkeypatch):
+    # the weak value is fixed by the preselection alone, so the oracle engine
+    # writes it past the oracle's Gamma ceiling without evaluating a state
+    def evaluated(*args, **kwargs):
+        raise AssertionError("weak_value taken from the oracle")
+
+    monkeypatch.setattr(cli.orc, "oracle_quantities", evaluated)
+    cells = {}
+    for engine in ("closedform", "oracle"):
+        out = tmp_path / f"{engine}.csv"
+        assert run(["sweep", "--quantity", "weak_value", "--axis", "Gamma", "--start", 0, "--stop", 200,
+                    "--steps", 5, "--alpha", 2.0, "--engine", engine, "--out", out]) == 0
+        cells[engine] = [row[2] for row in read_csv(out)[1]]
+    assert len(cells["oracle"]) == 5 and all(cells["oracle"])
+    assert cells["oracle"] == cells["closedform"]
+
+
 def test_sweep_dual_engine_agreement(tmp_path):
     outs = {}
     for engine in ("closedform", "oracle"):
@@ -128,18 +145,11 @@ def test_sweep_cells_match_public_api(engine, tmp_path):
         "lambda": cf.lambda_norm,
         "weak_value": lambda p: weak_value(p.alpha, p.delta).value.real,
     }
-    oracle = {
-        "Q1": lambda r: (r.q1, None),
-        "Q2": lambda r: (r.q2, None),
-        "g2": lambda r: (r.g2, r.g2_reason),
-        "chi": lambda r: (r.chi, r.chi_reason),
-        "fidelity": lambda r: (r.fidelity, None),
-        "lambda": lambda r: (r.lam, None),
-    }
 
     def expected(quantity, p):
-        if engine == "oracle" and quantity in oracle:
-            return oracle[quantity](oracle_quantities(p))
+        if engine == "oracle" and quantity != "weak_value":
+            res = oracle_quantities(p)[quantity]
+            return res if isinstance(res, tuple) else (res, None)
         try:
             return closed[quantity](p), None
         except (cf.UndefinedCorrelationError, cf.DegenerateShiftError, cf.VarianceCollapseError) as exc:
@@ -513,6 +523,24 @@ def test_cutoff_with_closed_form_engine_exits_one(args, via, tmp_path, monkeypat
 
 def test_missing_required_options_exit_one(tmp_path):
     assert run(["sweep", "--quantity", "Q1", "--axis", "Gamma"]) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
+def test_unwritable_output_exits_one(command, tmp_path, capsys):
+    missing = tmp_path / "nodir" / "out.csv"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    args = {
+        "sweep": ["sweep", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 2,
+                  "--out", missing],
+        "field": ["field", "--kind", "intensity", "--grid=-4,4,-4,4,5,5", "--out", missing],
+        "validate": ["validate", "--out", missing],
+        "figure": ["figure", "--name", "fig7a", "--outdir", a_file / "x"],
+    }[command]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_one():

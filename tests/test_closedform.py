@@ -87,12 +87,12 @@ def test_lambda_gaussian_value():
     expected = 1 / math.sqrt(0.5 * (1 + math.exp(-0.5)))
     assert lambda_norm(p) == pytest.approx(expected, abs=1e-15)
     assert lambda_norm(p) == pytest.approx(1.115759231377321, abs=1e-12)
-    assert oracle_quantities(p).lam == pytest.approx(expected, abs=1e-12)
+    assert oracle_quantities(p)["lambda"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_lambda_matches_oracle_everywhere():
     for p in GENERIC_POINTS:
-        assert lambda_norm(p) == pytest.approx(oracle_quantities(p).lam, abs=1e-10)
+        assert lambda_norm(p) == pytest.approx(oracle_quantities(p)["lambda"], abs=1e-10)
 
 
 def test_lambda_published_drops_imaginary_cross_term():
@@ -101,7 +101,7 @@ def test_lambda_published_drops_imaginary_cross_term():
     exact = lambda_norm(p)
     pub = published_scalars(p)["lambda"]
     assert abs(pub - exact) > 1e-3
-    assert exact == pytest.approx(oracle_quantities(p).lam, abs=1e-12)
+    assert exact == pytest.approx(oracle_quantities(p)["lambda"], abs=1e-12)
     # for real weak values the two coincide
     q = MeasurementParams(Gamma=1.5, alpha=2.9, delta=0.0, phi=math.pi / 2, gamma=2.0)
     assert published_scalars(q)["lambda"] == pytest.approx(lambda_norm(q), abs=1e-15)
@@ -188,8 +188,8 @@ def test_initial_state_not_squeezed_on_plotted_slices():
 def test_squeezing_golden_snapshot_and_oracle():
     q1, q2 = squeezing(NAMED_POINT)
     rec = oracle_quantities(NAMED_POINT)
-    assert q1 == pytest.approx(rec.q1, abs=1e-10)
-    assert q2 == pytest.approx(rec.q2, abs=1e-10)
+    assert q1 == pytest.approx(rec["Q1"], abs=1e-10)
+    assert q2 == pytest.approx(rec["Q2"], abs=1e-10)
     assert q1 == pytest.approx(0.0398004467064175, abs=1e-12)
     assert q2 == pytest.approx(0.1280888432830025, abs=1e-12)
 
@@ -226,7 +226,7 @@ def test_g2_below_unity_and_approaching_one_with_weak_value():
     p = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
     val = g2_cross(p)
     assert 0 < val < 1
-    assert val == pytest.approx(oracle_quantities(p).g2, abs=1e-10)
+    assert val == pytest.approx(oracle_quantities(p)["g2"], abs=1e-10)
     small = g2_cross(MeasurementParams(Gamma=1.0, alpha=0.5, delta=0.0, phi=math.pi / 2, gamma=1.0))
     assert small < val  # larger weak value pushes g2 toward one
 
@@ -273,7 +273,7 @@ def test_chi_small_alpha_limit_matches_oracle():
     p = MeasurementParams(Gamma=0.2, alpha=1e-4, delta=0.0, phi=math.pi / 2, gamma=1.0)
     chi, rp, rn = snr_ratio(p, 10)
     rec = oracle_quantities(p)
-    assert chi == pytest.approx(rec.chi, abs=1e-9)
+    assert chi == pytest.approx(rec["chi"], abs=1e-9)
     assert math.isfinite(chi)
 
 
@@ -284,7 +284,7 @@ def test_chi_matches_oracle_where_defined():
         except (DegenerateShiftError, VarianceCollapseError):
             continue
         rec = oracle_quantities(p)
-        assert chi == pytest.approx(rec.chi, rel=1e-8)
+        assert chi == pytest.approx(rec["chi"], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +305,9 @@ def test_fidelity_decreases_with_coupling():
 
 def test_fidelity_matches_oracle_overlap():
     p = MeasurementParams(Gamma=0.5, alpha=math.pi / 2, delta=0.0, phi=math.pi / 2, gamma=1.0)
-    assert fidelity(p) == pytest.approx(oracle_quantities(p).fidelity, abs=1e-10)
+    assert fidelity(p) == pytest.approx(oracle_quantities(p)["fidelity"], abs=1e-10)
     for q in GENERIC_POINTS:
-        assert fidelity(q) == pytest.approx(oracle_quantities(q).fidelity, abs=1e-10)
+        assert fidelity(q) == pytest.approx(oracle_quantities(q)["fidelity"], abs=1e-10)
         assert -1e-9 <= fidelity(q) <= 1 + 1e-9
 
 

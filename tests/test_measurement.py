@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from oampointer.closedform import lambda_norm
-from oampointer.fock import TwoModeState, apply_ladder, default_cutoff, displacement_matrix, inner
+from oampointer.fock import (
+    NormDriftWarning,
+    TwoModeState,
+    apply_ladder,
+    default_cutoff,
+    displace_a,
+    displacement_matrix,
+    inner,
+)
 from oampointer.measurement import (
     JointState,
     MeasurementParams,
@@ -177,6 +185,17 @@ def test_evolve_memory_is_bounded_by_occupied_columns():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20  # a full D(Gamma/2) alone is 1849^2 * 16 B = 52 MiB
+
+
+def test_norm_drift_warnings_name_the_caller():
+    # five levels are too few for Gamma = 2: each displacement warns at the line that asked for it
+    p = MeasurementParams(Gamma=2.0, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
+    st = initial_pointer(p, 5)
+    with pytest.warns(NormDriftWarning) as caught:
+        evolve_joint(st, p)  # one warning per branch
+        displace_a(st, p.Gamma)
+    assert len(caught) == 3
+    assert [w.filename for w in caught] == [__file__] * 3
 
 
 # ---------------------------------------------------------------------------
