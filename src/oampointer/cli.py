@@ -25,7 +25,7 @@ from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
 
-_FMT = "%.17g"  # applied inline (_FMT % v), not through a function: a field writes ~10^5 cells
+_FMT = "%.17g"  # every float written; a field fills a per-grid template of it in one % call
 
 SWEEP_QUANTITIES = ("Q1", "Q2", "g2", "chi", "fidelity", "lambda", "weak_value")
 SWEEP_AXES = ("Gamma", "alpha", "gamma", "phi", "delta")
@@ -118,11 +118,9 @@ SWEEP_HEADER = "axis_value,quantity,value,reason,engine,Gamma,alpha,delta,phi,ga
 def _write_rows(path, header, rows, fmt):
     if fmt == "csv":
         text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    elif fmt == "json":
+    else:  # json: argparse and the config check admit no other format
         keys = header.split(",")
         text = json.dumps([dict(zip(keys, r)) for r in rows], indent=0, sort_keys=True) + "\n"
-    else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
@@ -157,14 +155,16 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
         raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
                          f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
-    xs = [_FMT % x for x in grid.xs().tolist()]
-    ys = [_FMT % y for y in grid.ys().tolist()]
-    rows = [
-        [x, y, _FMT % v]
-        for x, line in zip(xs, fld.values.tolist())
-        for y, v in zip(ys, line)
-    ]
-    _write_rows(path, "x,y_or_p,value", rows, fmt)
+    # the rows, x-major: a template of the formatted coordinates, filled by one %
+    line = "".join(f"\0,{_FMT % y},{_FMT}\n" for y in grid.ys().tolist())
+    template = "".join(line.replace("\0", _FMT % x) for x in grid.xs().tolist())
+    body = template % tuple(fld.values.ravel().tolist())
+    if fmt == "csv":
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(("x,y_or_p,value\n", body))
+    else:  # json: rows split from the same text, each distinct coordinate held once
+        rows = (row.split(",") for row in body.splitlines())
+        _write_rows(path, "x,y_or_p,value", ([sys.intern(x), sys.intern(y), v] for x, y, v in rows), fmt)
     sidecar = {
         "kind": kind,
         "engine": engine,
@@ -207,28 +207,34 @@ def cmd_validate(ns) -> int:
     # the default only where the option is absent: an empty --whitelist allows no failure
     whitelist = DEFAULT_WHITELIST if ns.whitelist is None else tuple(w for w in ns.whitelist.split(",") if w)
     params_set = orc.validation_params()
-    # cutoff-doubling self-check on the most demanding point first
-    worst = max(params_set, key=lambda p: p.Gamma)
-    na0 = default_cutoff(worst.Gamma) if ns.cutoff is None else ns.cutoff
-    records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
-    drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
-    for name in SWEEP_QUANTITIES:
-        if name in records[0]:
-            v1, v2 = (0 if isinstance(r[name], tuple) else r[name] for r in records)
-            drift = max(drift, abs(v1 - v2))
-    if drift > 1e-9:
-        print(f"cutoff self-check FAILED: doubling Na moved results by {drift:.3e}", file=sys.stderr)
-        return 2
-    print(f"cutoff self-check ok (doubling drift {drift:.3e})")
-    report = orc.compare(
-        params_set,
-        abs_tol=ns.abs_tol,
-        rel_tol=ns.rel_tol,
-        na=ns.cutoff,
-        field_params=_field_check_points(),
-    )
-    with open(ns.out, "w", newline="\n") as fh:
+    fh = open(ns.out, "w", newline="\n")  # an unwritable --out fails here, before any evaluation
+    report = None
+    try:
+        # cutoff-doubling self-check on the most demanding point first
+        worst = max(params_set, key=lambda p: p.Gamma)
+        na0 = default_cutoff(worst.Gamma) if ns.cutoff is None else ns.cutoff
+        records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
+        drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
+        for name in SWEEP_QUANTITIES:
+            if name in records[0]:
+                v1, v2 = (0 if isinstance(r[name], tuple) else r[name] for r in records)
+                drift = max(drift, abs(v1 - v2))
+        if drift > 1e-9:
+            print(f"cutoff self-check FAILED: doubling Na moved results by {drift:.3e}", file=sys.stderr)
+            return 2
+        print(f"cutoff self-check ok (doubling drift {drift:.3e})")
+        report = orc.compare(
+            params_set,
+            abs_tol=ns.abs_tol,
+            rel_tol=ns.rel_tol,
+            na=ns.cutoff,
+            field_params=_field_check_points(),
+        )
         print(report.to_json(), file=fh)
+    finally:
+        fh.close()
+        if report is None and os.path.isfile(ns.out):  # no empty report after a failure; /dev/null stays
+            os.remove(ns.out)
     summary = report.summary()
     for q, s in sorted(summary.items()):
         print(f"  {q:38s} pass={s['pass']:4d} fail={s['fail']:4d} undefined={s['undefined']:4d} "

@@ -23,6 +23,7 @@ and ``fidelity`` keys that ``oracle.SCALAR_QUANTITIES``,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -406,11 +407,16 @@ def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9
 
     w_plus = w_branch(+1)
     w_minus = w_branch(-1)
-    w1 = (math.exp(-(G**2) / 2) / math.pi) * (
+    damp = math.exp(-(G**2) / 2)
+    if damp >= sys.float_info.min:  # the split form, as the figure bytes were made
+        scale, phase = damp / math.pi, np.exp(-2 * X**2 - (2 * P - 1j * G) ** 2 / 2)
+    else:  # damp underflows where the split exponent overflows: merged, the Gamma^2/2 cancel
+        scale, phase = 1 / math.pi, np.exp(-2 * X**2 - 2 * P**2 + 2j * P * G)
+    w1 = scale * (
         2
         + 4 * gam * _RT2 / u * (X * math.cos(phi) + P * math.sin(phi))
         + 2 * gam**2 / u * (2 * X**2 + 2 * P**2 - 1)
-    ) * np.exp(-2 * X**2 - (2 * P - 1j * G) ** 2 / 2)
+    ) * phase
     cross = (1 + np.conj(w)) * (1 - w) * w1
     total = (lam**2 / 4) * (abs(1 - w) ** 2 * w_plus + abs(1 + w) ** 2 * w_minus + cross + np.conj(cross))
     im_max = float(np.abs(total.imag).max())

@@ -1,4 +1,5 @@
 """CLI: sweeps, fields, figures, validation command, config handling."""
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 from oampointer import cli
-from oampointer.cli import main
+from oampointer.cli import FIGURES, main
+from oampointer.closedform import wigner_field
+from oampointer.fock import GridSpec, ScalarField
+from oampointer.measurement import MeasurementParams
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -261,14 +265,58 @@ def test_field_rejects_non_finite_grid_bound(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_field_refuses_non_finite_values(tmp_path, capsys):
-    # the closed-form cross term overflows past Gamma ~ 37.7; nothing may be written
+def test_field_refuses_non_finite_values(tmp_path, monkeypatch, capsys):
+    # one nan cell: refused by name before anything is written
+    def nan_field(params, grid):
+        values = np.zeros((grid.nx, grid.ny))
+        values[1, 2] = math.nan
+        return ScalarField(grid, values, kind="wigner")
+
+    monkeypatch.setattr(cli.cf, "wigner_field", nan_field)
     out = tmp_path / "x.csv"
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        rc = run(["field", "--kind", "wigner", "--Gamma", 40, "--grid=-24,24,-5,5,11,11", "--out", out])
+    rc = run(["field", "--kind", "wigner", "--Gamma", 40, "--grid=-24,24,-5,5,11,11", "--out", out])
     assert rc == 1
-    assert "wigner field at Gamma = 40 is not finite at (x, y) = (" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "wigner field at Gamma = 40 is not finite at (x, y) = (" in err
+    assert "(x, y) = (-19.2, -3), first of 1 cells" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_wigner_past_cross_term_underflow(tmp_path):
+    # the grid on which the closed-form cross term once overflowed to nan
+    out = tmp_path / "w.csv"
+    assert run(["field", "--kind", "wigner", "--Gamma", 40, "--grid=-24,24,-5,5,11,11", "--out", out]) == 0
+    meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+    assert all(math.isfinite(meta[key]) for key in ("integral", "min", "max"))
+    _, rows = read_csv(out)
+    assert len(rows) == 121 and all(math.isfinite(float(r[2])) for r in rows)
+
+
+_ODD_GRID = GridSpec(-1.3, 2.7, -0.9, 0.35, 7, 5)
+_SPECIALS = (-0.0, 5e-324, -1e-300, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("specials", [False, True])
+def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypatch):
+    # x-major rows of "{:.17g}" cells on an odd non-square grid, in csv and in json
+    p = MeasurementParams(Gamma=0.7, alpha=2.0, phi=0.3, gamma=1.2)
+    values = wigner_field(p, _ODD_GRID).values.copy()
+    if specials:
+        values.flat[[0, 6, 17, 34]] = _SPECIALS
+        monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values, kind="wigner"))
+    cells = [
+        ("{:.17g}".format(x), "{:.17g}".format(y), "{:.17g}".format(v))
+        for x, line in zip(_ODD_GRID.xs().tolist(), values.tolist())
+        for y, v in zip(_ODD_GRID.ys().tolist(), line)
+    ]
+    args = ["field", "--kind", "wigner", "--Gamma", 0.7, "--alpha", 2.0, "--phi", 0.3, "--gamma", 1.2,
+            "--grid=-1.3,2.7,-0.9,0.35,7,5"]
+    assert run(args + ["--out", tmp_path / "f.csv"]) == 0
+    csv = "x,y_or_p,value\n" + "".join(f"{x},{y},{v}\n" for x, y, v in cells)
+    assert (tmp_path / "f.csv").read_bytes() == csv.encode()
+    assert run(args + ["--format", "json", "--out", tmp_path / "f.json"]) == 0
+    rows = [{"x": x, "y_or_p": y, "value": v} for x, y, v in cells]
+    assert (tmp_path / "f.json").read_bytes() == (json.dumps(rows, indent=0, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
@@ -352,8 +400,6 @@ FIGURE_FILES = {
 def test_figure_preset_table_emits_pinned_files(tmp_path):
     # the radial-axis presets get a fallback gamma sweep plus a stub, field presets a
     # sidecar per field, every other preset one CSV named after it
-    from oampointer.cli import FIGURES
-
     assert FIGURES == ("fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b",
                        "fig5", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b")
     for name in FIGURES:
@@ -371,6 +417,16 @@ def test_figure_byte_identical_reruns(tmp_path):
     for d in (a, b):
         assert run(["figure", "--name", "fig7b", "--outdir", d]) == 0
     assert (a / "fig7b.csv").read_bytes() == (b / "fig7b.csv").read_bytes()
+
+
+def test_figure_presets_match_reference_digests(tmp_path):
+    # the byte contract: every preset's files on the default grid, as the benchmark's reference records them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        digests = json.load(fh)["figures"]
+    for name in FIGURES:
+        assert run(["figure", "--name", name, "--outdir", tmp_path]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == digests
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a",
@@ -525,8 +581,15 @@ def test_missing_required_options_exit_one(tmp_path):
     assert run(["sweep", "--quantity", "Q1", "--axis", "Gamma"]) == 1
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("evaluated before the output was checked")
+
+
 @pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
-def test_unwritable_output_exits_one(command, tmp_path, capsys):
+def test_unwritable_output_exits_one(command, tmp_path, monkeypatch, capsys):
+    # validate fails at once, before its self-check and comparison
+    monkeypatch.setattr(cli.orc, "oracle_quantities", _never_called)
+    monkeypatch.setattr(cli.orc, "compare", _never_called)
     missing = tmp_path / "nodir" / "out.csv"
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -604,6 +667,23 @@ def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_
     err = capsys.readouterr().err
     assert f"{flag}: must be a finite number >= 0, got '{value}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("failure", ["self-check", "error"])
+def test_validate_failure_leaves_no_report(failure, tmp_path, monkeypatch, capsys):
+    if failure == "self-check":  # doubling the cutoff moves Q1 by na0
+        monkeypatch.setattr(cli.orc, "oracle_quantities", lambda params, na=None: {"Q1": float(na)})
+        monkeypatch.setattr(cli.orc, "compare", _never_called)
+    else:
+        def compare(*args, **kwargs):
+            raise ValueError("a library limit")
+
+        monkeypatch.setattr(cli.orc, "compare", compare)
+    out = tmp_path / "report.json"
+    assert run(["validate", "--out", out]) == (2 if failure == "self-check" else 1)
+    err = capsys.readouterr().err
+    assert ("cutoff self-check FAILED" if failure == "self-check" else "error: a library limit") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_empty_whitelist_allows_no_failure(tmp_path):

@@ -370,6 +370,17 @@ def test_wigner_matches_oracle_and_integrates_to_one():
     assert fine.integral() == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("gamma_c", [38.0, 40.0, 60.0])
+def test_wigner_matches_oracle_past_cross_term_underflow(gamma_c):
+    # past Gamma ~ 37.7 exp(-Gamma^2/2) underflows while the split cross-term
+    # exponent overflows; the grid holds the interference fringes, not the lobes
+    p = MeasurementParams(Gamma=gamma_c, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
+    grid = GridSpec(-13, 13, -5, 5, 27, 11)
+    closed = wigner_field(p, grid).values
+    assert np.abs(closed).max() > 0.1
+    assert np.abs(closed - oracle_wigner(oracle_states(p)[2], grid).values).max() <= 1e-12
+
+
 def test_wigner_negativity_golden_depth():
     p = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0)
     f = wigner_field(p, GridSpec(-6, 6, -6, 6, 121, 121))
