@@ -23,6 +23,7 @@ from .fock import (
     vacuum,
 )
 from .measurement import (
+    ExpectationSet,
     JointState,
     MeasurementParams,
     PostselectionError,
@@ -35,7 +36,6 @@ from .measurement import (
 )
 from .closedform import (
     DegenerateShiftError,
-    ExpectationSet,
     FieldConsistencyError,
     HelperTerms,
     UndefinedCorrelationError,

@@ -25,7 +25,7 @@ from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
 
-_FMT = "%.17g"  # every float written; a field fills a per-grid template of it in one % call
+_FMT = "%.17g"  # every float written; a field's values fill one per-grid template of it in one % call
 
 SWEEP_QUANTITIES = ("Q1", "Q2", "g2", "chi", "fidelity", "lambda", "weak_value")
 SWEEP_AXES = ("Gamma", "alpha", "gamma", "phi", "delta")
@@ -95,8 +95,10 @@ def _evaluate(quantity: str, params: MeasurementParams, engine: str, na=None):
 
 
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
-    def one(v):
-        p = replace(base, **{axis: float(v)})
+    # every point first: an axis value outside the legal domain fails before any evaluation
+    points = [(v, replace(base, **{axis: float(v)})) for v in values]
+
+    def one(v, p):
         res = _evaluate(quantity, p, engine, na=na)
         if isinstance(res, tuple):
             value, reason = "", res[1]
@@ -109,17 +111,18 @@ def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None
             *(_FMT % x for x in (p.Gamma, p.alpha, p.delta, p.phi, p.gamma, p.sigma)),
         ]
 
-    return [one(v) for v in values]
+    return [one(v, p) for v, p in points]
 
 
 SWEEP_HEADER = "axis_value,quantity,value,reason,engine,Gamma,alpha,delta,phi,gamma,sigma"
 
 
-def _write_rows(path, header, rows, fmt):
+def _write_rows(path, rows, fmt):
+    """Sweep rows under SWEEP_HEADER, as csv lines or as json objects keyed by its columns."""
     if fmt == "csv":
-        text = header + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
+        text = SWEEP_HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
     else:  # json: argparse and the config check admit no other format
-        keys = header.split(",")
+        keys = SWEEP_HEADER.split(",")
         text = json.dumps([dict(zip(keys, r)) for r in rows], indent=0, sort_keys=True) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -136,12 +139,18 @@ def cmd_sweep(ns) -> int:
         raise ConfigError(f"steps must be >= 2, got {ns.steps}")
     base = _params_from(ns)
     values = np.linspace(ns.start, ns.stop, ns.steps)
-    for v in values:  # fail before evaluating anything if an axis value leaves the legal domain
-        replace(base, **{ns.axis: float(v)})
     rows = _sweep_rows(ns.quantity, ns.axis, values, base, ns.engine, na=ns.cutoff)
-    _write_rows(ns.out, SWEEP_HEADER, rows, ns.format)
+    _write_rows(ns.out, rows, ns.format)
     print(f"wrote {ns.out} ({len(rows)} rows)")
     return 0
+
+
+# head, row (\0 stands for x, \1 for y), separator, tail of a field file; the json
+# is json.dumps(rows, indent=0, sort_keys=True), as no %.17g string needs escaping
+_FIELD_LAYOUT = {
+    "csv": ("x,y_or_p,value\n", "\0,\1," + _FMT, "\n", "\n"),
+    "json": ("[\n", '{\n"value": "' + _FMT + '",\n"x": "\0",\n"y_or_p": "\1"\n}', ",\n", "\n]\n"),
+}
 
 
 def _write_field(path, kind, params, grid, engine, na, fmt):
@@ -155,16 +164,12 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
         raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
                          f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
-    # the rows, x-major: a template of the formatted coordinates, filled by one %
-    line = "".join(f"\0,{_FMT % y},{_FMT}\n" for y in grid.ys().tolist())
-    template = "".join(line.replace("\0", _FMT % x) for x in grid.xs().tolist())
-    body = template % tuple(fld.values.ravel().tolist())
-    if fmt == "csv":
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(("x,y_or_p,value\n", body))
-    else:  # json: rows split from the same text, each distinct coordinate held once
-        rows = (row.split(",") for row in body.splitlines())
-        _write_rows(path, "x,y_or_p,value", ([sys.intern(x), sys.intern(y), v] for x, y, v in rows), fmt)
+    # x-major rows: a template of the formatted coordinates, filled by one % and dropped before the write
+    head, row, sep, tail = _FIELD_LAYOUT[fmt]
+    line = sep.join(row.replace("\1", _FMT % y) for y in grid.ys().tolist())
+    body = sep.join(line.replace("\0", _FMT % x) for x in grid.xs().tolist()) % tuple(fld.values.ravel().tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines((head, body, tail))
     sidecar = {
         "kind": kind,
         "engine": engine,
@@ -210,8 +215,8 @@ def cmd_validate(ns) -> int:
     fh = open(ns.out, "w", newline="\n")  # an unwritable --out fails here, before any evaluation
     report = None
     try:
-        # cutoff-doubling self-check on the most demanding point first
-        worst = max(params_set, key=lambda p: p.Gamma)
+        # cutoff-doubling self-check first, on the most demanding point: largest Gamma, then gamma, then alpha
+        worst = max(params_set, key=lambda p: (p.Gamma, p.gamma, p.alpha))
         na0 = default_cutoff(worst.Gamma) if ns.cutoff is None else ns.cutoff
         records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
         drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
@@ -316,8 +321,7 @@ def cmd_figure(ns) -> int:
         rows = [row for G, al in series for row in
                 _sweep_rows(quantity, axis, values, _point(G, al, math.pi / 2), ns.engine, na=ns.cutoff)]
         fallback = axis == "gamma"
-        _write_rows(os.path.join(ns.outdir, ns.name + ("_fallback_gamma.csv" if fallback else ".csv")),
-                    SWEEP_HEADER, rows, "csv")
+        _write_rows(os.path.join(ns.outdir, ns.name + ("_fallback_gamma.csv" if fallback else ".csv")), rows, "csv")
         if fallback:
             with open(os.path.join(ns.outdir, ns.name + "_r_axis.stub.txt"), "w", newline="\n") as fh:
                 fh.write(_STUB_TEXT)

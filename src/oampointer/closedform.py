@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import GridSpec, ScalarField
-from .measurement import MeasurementParams, PostselectionError, weak_value
+from .measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -69,32 +69,7 @@ class VarianceCollapseError(ValueError):
 
 
 class FieldConsistencyError(ValueError):
-    """A field carried imaginary residue beyond tolerance, or an intensity had no positive integral."""
-
-
-@dataclass(frozen=True)
-class ExpectationSet:
-    """The eleven pointer moments <a>, <b>, <a^2>, <b^2>, <a†a>, <b†b>, <a†b>,
-    <ab>, <a†a b†b>, <a†²a²>, <b†²b²> of one state, as complex values."""
-
-    a: complex
-    b: complex
-    a2: complex
-    b2: complex
-    adag_a: complex
-    bdag_b: complex
-    adag_b: complex
-    ab: complex
-    adaga_bdagb: complex
-    adag2a2: complex
-    bdag2b2: complex
-
-    @classmethod
-    def field_names(cls):
-        return tuple(f.name for f in dc_fields(cls))
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.field_names()}
+    """An intensity had no positive integral over its grid: the grid misses the beam."""
 
 
 # quantity-table name of each moment, as compare and published_scalars report it
@@ -367,15 +342,15 @@ def projected_wavefunction(params: MeasurementParams, grid: GridSpec) -> ScalarF
         xv = (xs - v * c)[:, None]
         values += t * ((u0(xv) + g / _RT2 * u1(xv)) * u0y + 1j * g / _RT2 * u0(xv) * u1y)
     values *= lam / 2 * nrm
-    return ScalarField(grid, values, kind="wavefunction")
+    return ScalarField(grid, values)
 
 
 def _unit_intensity(grid: GridSpec, values: np.ndarray) -> ScalarField:
     """The intensity scaled to unit grid integral; FieldConsistencyError where that integral is <= 0."""
-    total = ScalarField(grid, values, kind="intensity").integral()
+    total = ScalarField(grid, values).integral()
     if total <= 0:
         raise FieldConsistencyError(f"intensity integrated to {total:.3e} over the grid; the grid misses the beam")
-    return ScalarField(grid, values / total, kind="intensity")
+    return ScalarField(grid, values / total)
 
 
 def intensity_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
@@ -383,13 +358,13 @@ def intensity_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
     return _unit_intensity(grid, np.abs(projected_wavefunction(params, grid).values) ** 2)
 
 
-def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9) -> ScalarField:
+def wigner_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
     """Phase-space distribution of the a mode of |Psi> (b mode traced out).
 
     W = (lam^2/4) { |1-w|^2 W+ + |1+w|^2 W- + 2 Re[(1+w*)(1-w) W1] } with
     Gaussian branch terms W± centered at x = ∓Gamma/2 and the interference
-    term W1 carrying the complex momentum shift.  The assembly must come out
-    real; imaginary residue beyond im_tol raises FieldConsistencyError.
+    term W1 carrying the complex momentum shift.  The cross term enters as
+    its real part added twice, so the field is real by construction.
     """
     G, gam, phi = params.Gamma, params.gamma, params.phi
     u = 1 + gam**2
@@ -405,8 +380,8 @@ def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9
             + gam**2 / u * (4 * P**2 + (2 * X + sign * G) ** 2 - 2)
         ) * np.exp(-2 * P**2 - (2 * X + sign * G) ** 2 / 2)
 
-    w_plus = w_branch(+1)
-    w_minus = w_branch(-1)
+    # the branches first, the cross term then added in place in the formula's order: a lower peak
+    total = abs(1 - w) ** 2 * w_branch(+1) + abs(1 + w) ** 2 * w_branch(-1)
     damp = math.exp(-(G**2) / 2)
     if damp >= sys.float_info.min:  # the split form, as the figure bytes were made
         scale, phase = damp / math.pi, np.exp(-2 * X**2 - (2 * P - 1j * G) ** 2 / 2)
@@ -417,12 +392,11 @@ def wigner_field(params: MeasurementParams, grid: GridSpec, im_tol: float = 1e-9
         + 4 * gam * _RT2 / u * (X * math.cos(phi) + P * math.sin(phi))
         + 2 * gam**2 / u * (2 * X**2 + 2 * P**2 - 1)
     ) * phase
-    cross = (1 + np.conj(w)) * (1 - w) * w1
-    total = (lam**2 / 4) * (abs(1 - w) ** 2 * w_plus + abs(1 + w) ** 2 * w_minus + cross + np.conj(cross))
-    im_max = float(np.abs(total.imag).max())
-    if im_max > im_tol:
-        raise FieldConsistencyError(f"Wigner assembly carries imaginary residue {im_max:.3e}")
-    return ScalarField(grid, total.real, kind="wigner")
+    cross = ((1 + np.conj(w)) * (1 - w) * w1).real
+    total += cross
+    total += cross
+    total *= lam**2 / 4
+    return ScalarField(grid, total)
 
 
 # ---------------------------------------------------------------------------

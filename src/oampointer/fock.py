@@ -131,16 +131,11 @@ class ScalarField:
 
     grid: GridSpec
     values: np.ndarray
-    kind: str = "intensity"
-
-    _KINDS = ("intensity", "wigner", "wavefunction")
 
     def __post_init__(self):
         v = np.asarray(self.values)
         if v.shape != (self.grid.nx, self.grid.ny):
             raise ValueError(f"values shape {v.shape} does not match grid ({self.grid.nx}, {self.grid.ny})")
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -350,7 +345,7 @@ def coordinate_wavefunction(state: TwoModeState, grid: GridSpec) -> ScalarField:
     ux = hermite_functions(grid.xs(), state.na, state.sigma)
     uy = hermite_functions(grid.ys(), state.nb, state.sigma)
     values = np.einsum("nm,nx,my->xy", state.coeffs, ux, uy)
-    return ScalarField(grid, values, kind="wavefunction")
+    return ScalarField(grid, values)
 
 
 def default_cutoff(gamma_max: float) -> int:

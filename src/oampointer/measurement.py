@@ -18,6 +18,7 @@ from .fock import TwoModeState, _apply_displacement, _lower_a, _lower_b, _occupi
 __all__ = [
     "PostselectionError",
     "MeasurementParams",
+    "ExpectationSet",
     "WeakValue",
     "JointState",
     "weak_value",
@@ -64,6 +65,31 @@ class MeasurementParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class ExpectationSet:
+    """The eleven pointer moments <a>, <b>, <a^2>, <b^2>, <a†a>, <b†b>, <a†b>,
+    <ab>, <a†a b†b>, <a†²a²>, <b†²b²> of one state, as complex values."""
+
+    a: complex
+    b: complex
+    a2: complex
+    b2: complex
+    adag_a: complex
+    bdag_b: complex
+    adag_b: complex
+    ab: complex
+    adaga_bdagb: complex
+    adag2a2: complex
+    bdag2b2: complex
+
+    @classmethod
+    def field_names(cls):
+        return tuple(f.name for f in fields(cls))
+
+    def as_dict(self):
+        return {name: getattr(self, name) for name in self.field_names()}
 
 
 @dataclass(frozen=True)
@@ -174,8 +200,6 @@ def _lowering_moments(st: TwoModeState):
     exact.  Each moment is np.vdot over its named pair of lowered grids, raw
     arrays of the state's shape.  Returns an ExpectationSet.
     """
-    from .closedform import ExpectationSet
-
     c = st.coeffs
     av, bv = _lower_a(c), _lower_b(c)
     aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
@@ -191,8 +215,6 @@ def nonpostselected_moments(joint: JointState):
     Every moment is the preselection-weighted mixture of the two branch
     expectations.  Returns an ExpectationSet.
     """
-    from .closedform import ExpectationSet
-
     wp = abs(joint.amp_plus) ** 2
     wm = abs(joint.amp_minus) ** 2
     plus, minus = _lowering_moments(joint.branch_plus), _lowering_moments(joint.branch_minus)

@@ -23,7 +23,6 @@ import numpy as np
 from . import closedform as cf
 from .closedform import (
     DegenerateShiftError,
-    ExpectationSet,
     UndefinedCorrelationError,
     VarianceCollapseError,
 )
@@ -40,6 +39,7 @@ from .fock import (
     inner,
 )
 from .measurement import (
+    ExpectationSet,
     MeasurementParams,
     _lowering_moments,
     evolve_joint,
@@ -144,7 +144,7 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
             h *= z
         w[pts] = (2 / math.pi) * (s[0, j].real + 2 * h.real)
         p0 = p1
-    return ScalarField(grid, w.reshape(grid.nx, grid.ny), kind="wigner")
+    return ScalarField(grid, w.reshape(grid.nx, grid.ny))
 
 
 def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:

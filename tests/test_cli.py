@@ -12,7 +12,7 @@ import pytest
 from oampointer import cli
 from oampointer.cli import FIGURES, main
 from oampointer.closedform import wigner_field
-from oampointer.fock import GridSpec, ScalarField
+from oampointer.fock import GridSpec, ScalarField, TruncationWarning
 from oampointer.measurement import MeasurementParams
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -28,6 +28,10 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("evaluated where the command must stop first")
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +121,12 @@ def test_sweep_rejects_bad_quantity(tmp_path):
     assert rc == 1
 
 
-def test_sweep_rejects_out_of_domain_axis(tmp_path):
+def test_sweep_rejects_out_of_domain_axis(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_evaluate", _never_called)  # the last point is refused before the first is evaluated
     rc = run(["sweep", "--quantity", "Q1", "--axis", "alpha",
               "--start", 0, "--stop", math.pi, "--steps", 3, "--out", tmp_path / "x.csv"])
     assert rc == 1  # alpha = pi is outside the open interval
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
@@ -270,7 +276,7 @@ def test_field_refuses_non_finite_values(tmp_path, monkeypatch, capsys):
     def nan_field(params, grid):
         values = np.zeros((grid.nx, grid.ny))
         values[1, 2] = math.nan
-        return ScalarField(grid, values, kind="wigner")
+        return ScalarField(grid, values)
 
     monkeypatch.setattr(cli.cf, "wigner_field", nan_field)
     out = tmp_path / "x.csv"
@@ -303,7 +309,7 @@ def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypa
     values = wigner_field(p, _ODD_GRID).values.copy()
     if specials:
         values.flat[[0, 6, 17, 34]] = _SPECIALS
-        monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values, kind="wigner"))
+        monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values))
     cells = [
         ("{:.17g}".format(x), "{:.17g}".format(y), "{:.17g}".format(v))
         for x, line in zip(_ODD_GRID.xs().tolist(), values.tolist())
@@ -581,10 +587,6 @@ def test_missing_required_options_exit_one(tmp_path):
     assert run(["sweep", "--quantity", "Q1", "--axis", "Gamma"]) == 1
 
 
-def _never_called(*args, **kwargs):
-    raise AssertionError("evaluated before the output was checked")
-
-
 @pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
 def test_unwritable_output_exits_one(command, tmp_path, monkeypatch, capsys):
     # validate fails at once, before its self-check and comparison
@@ -683,6 +685,16 @@ def test_validate_failure_leaves_no_report(failure, tmp_path, monkeypatch, capsy
     assert run(["validate", "--out", out]) == (2 if failure == "self-check" else 1)
     err = capsys.readouterr().err
     assert ("cutoff self-check FAILED" if failure == "self-check" else "error: a library limit") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_cutoff_self_check_runs_on_the_strongest_point(tmp_path, monkeypatch, capsys):
+    # at (Gamma, gamma, alpha) = (2, 2, 0.95 pi) a cutoff of 14 truncates: doubling it moves the results
+    monkeypatch.setattr(cli.orc, "compare", _never_called)
+    out = tmp_path / "report.json"
+    with pytest.warns(TruncationWarning):
+        assert run(["validate", "--cutoff", 14, "--out", out]) == 2
+    assert "cutoff self-check FAILED" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

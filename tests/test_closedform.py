@@ -1,5 +1,6 @@
 """Closed forms vs the state-vector oracle, plus the published-variant residuals."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from oampointer.closedform import (
 )
 from oampointer.closedform import ExpectationSet, _lambda_from_bracket
 from oampointer.fock import GridSpec
-from oampointer.measurement import MeasurementParams, PostselectionError
+from oampointer.measurement import MeasurementParams, PostselectionError, weak_value
 from oampointer.oracle import (
     oracle_expectations,
     oracle_intensity,
@@ -357,7 +358,7 @@ def test_projected_wavefunction_norm():
     f = projected_wavefunction(p, GridSpec(-8, 8, -8, 8, 161, 161))
     from oampointer.fock import ScalarField
 
-    dens = ScalarField(f.grid, np.abs(f.values) ** 2, kind="intensity")
+    dens = ScalarField(f.grid, np.abs(f.values) ** 2)
     assert dens.integral() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -400,9 +401,44 @@ def test_wigner_vacuum_peak():
     assert f.values.max() == pytest.approx(2 / math.pi, abs=1e-12)
 
 
-def test_wigner_imaginary_residue_guard():
-    from oampointer.closedform import FieldConsistencyError
+def _complex_wigner_assembly(params, grid):
+    """The Wigner field assembled in complex arithmetic, cross + conj(cross), as it once was."""
+    G, gam, phi = params.Gamma, params.gamma, params.phi
+    u = 1 + gam**2
+    w = weak_value(params.alpha, params.delta).value
+    lam = lambda_norm(params)
+    X = grid.xs()[:, None]
+    P = grid.ys()[None, :]
+    rt2 = math.sqrt(2.0)
 
-    # an unsatisfiable tolerance exercises the internal-consistency guard
-    with pytest.raises(FieldConsistencyError):
-        wigner_field(NAMED_POINT, GridSpec(-2, 2, -2, 2, 11, 11), im_tol=-1.0)
+    def w_branch(sign):
+        return (1 / math.pi) * (
+            2
+            + 2 * gam * rt2 / u * ((2 * X + sign * G) * math.cos(phi) + 2 * P * math.sin(phi))
+            + gam**2 / u * (4 * P**2 + (2 * X + sign * G) ** 2 - 2)
+        ) * np.exp(-2 * P**2 - (2 * X + sign * G) ** 2 / 2)
+
+    damp = math.exp(-(G**2) / 2)
+    if damp >= sys.float_info.min:
+        scale, phase = damp / math.pi, np.exp(-2 * X**2 - (2 * P - 1j * G) ** 2 / 2)
+    else:
+        scale, phase = 1 / math.pi, np.exp(-2 * X**2 - 2 * P**2 + 2j * P * G)
+    w1 = scale * (
+        2
+        + 4 * gam * rt2 / u * (X * math.cos(phi) + P * math.sin(phi))
+        + 2 * gam**2 / u * (2 * X**2 + 2 * P**2 - 1)
+    ) * phase
+    cross = (1 + np.conj(w)) * (1 - w) * w1
+    return (lam**2 / 4) * (abs(1 - w) ** 2 * w_branch(+1) + abs(1 + w) ** 2 * w_branch(-1) + cross + np.conj(cross))
+
+
+@pytest.mark.parametrize("Gamma", [0.0, 0.3, 1.0, 2.0, 40.0])
+def test_wigner_real_assembly_is_the_complex_one_bit_for_bit(Gamma):
+    # the fig5 point, and Gamma = 40 where the cross-term exponents are merged
+    p = MeasurementParams(Gamma=Gamma, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0)
+    grid = GridSpec(-24, 24, -6, 6, 241, 241) if Gamma > 2 else GridSpec(-6, 6, -6, 6, 241, 241)
+    values = wigner_field(p, grid).values
+    reference = _complex_wigner_assembly(p, grid)
+    assert values.dtype == np.float64
+    assert not reference.imag.any()
+    assert values.tobytes() == reference.real.tobytes()

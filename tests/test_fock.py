@@ -336,7 +336,7 @@ def test_coordinate_parseval():
     for seed in range(3):
         st = random_state(na=12, seed=seed, decay=1.5)
         f = coordinate_wavefunction(st, grid)
-        dens = ScalarField(grid, np.abs(f.values) ** 2, kind="intensity")
+        dens = ScalarField(grid, np.abs(f.values) ** 2)
         assert dens.integral() == pytest.approx(1.0, abs=1e-6)
 
 

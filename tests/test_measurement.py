@@ -1,5 +1,8 @@
 """Measurement pipeline: weak values, initial pointer, evolution, postselection."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -321,3 +324,19 @@ def test_phi_moments_match_closed_forms_anywhere():
         assert m.adag_a == pytest.approx(ada, abs=1e-12)
         assert m.a2 == pytest.approx(a2, abs=1e-12)
         assert m.b2 == 0 and m.bdag2b2 == 0
+
+
+def test_measurement_needs_no_closedform():
+    # the package __init__ imports every module, so a bare package stands in for it here
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "oampointer")
+    code = (
+        "import sys, types\n"
+        f"sys.modules['oampointer'] = types.ModuleType('oampointer'); sys.modules['oampointer'].__path__ = [{pkg!r}]\n"
+        "from oampointer.measurement import MeasurementParams, evolve_joint, initial_pointer, nonpostselected_moments\n"
+        "p = MeasurementParams(Gamma=0.3, alpha=2.0)\n"
+        "nonpostselected_moments(evolve_joint(initial_pointer(p, 40), p))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('oampointer')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['oampointer', 'oampointer.fock', 'oampointer.measurement']\n"
