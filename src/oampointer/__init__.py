@@ -13,14 +13,11 @@ from .fock import (
     ScalarField,
     TruncationWarning,
     TwoModeState,
-    apply_ladder,
     coordinate_wavefunction,
     default_cutoff,
-    displace_a,
     displacement_matrix,
     hermite_functions,
     inner,
-    vacuum,
 )
 from .measurement import (
     ExpectationSet,
@@ -37,13 +34,11 @@ from .measurement import (
 from .closedform import (
     DegenerateShiftError,
     FieldConsistencyError,
-    HelperTerms,
     UndefinedCorrelationError,
     VarianceCollapseError,
     expectations,
     fidelity,
     g2_cross,
-    helper_terms,
     intensity_field,
     lambda_norm,
     phi_moments,

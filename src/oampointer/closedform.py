@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +35,6 @@ __all__ = [
     "DegenerateShiftError",
     "VarianceCollapseError",
     "FieldConsistencyError",
-    "ExpectationSet",
-    "HelperTerms",
-    "helper_terms",
     "lambda_norm",
     "expectations",
     "squeezing",
@@ -404,34 +400,10 @@ def wigner_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
 # all, kept only for the residuals that compare reports as "published:*"
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HelperTerms:
-    """The scalar helper terms of the published moment expressions, verbatim."""
+def _expectations_published(params: MeasurementParams, lam: float) -> ExpectationSet:
+    """The published moment expressions, verbatim, with the published lambda lam.
 
-    I1: complex
-    I2: complex
-    II: complex
-    III_plus: complex
-    III_minus: complex
-    B_plus: complex
-    B_minus: complex
-    M_plus: complex
-    M_minus: complex
-    M1: complex
-    M2: complex
-    T_plus: complex
-    T_minus: complex
-    T: complex
-    IV1: complex
-    IV2: complex
-    V_plus: complex
-    V_minus: complex
-
-
-def helper_terms(params: MeasurementParams) -> HelperTerms:
-    """Evaluate every published helper term exactly as displayed.
-
-    These are transcriptions, kept as the reference for validation reports;
+    The helper terms I1 ... V_minus come first, each exactly as displayed;
     M1/M2 in particular do not reproduce the exact <a†²a²> cross terms.
     """
     G, gam, phi = params.Gamma, params.gamma, params.phi
@@ -460,49 +432,31 @@ def helper_terms(params: MeasurementParams) -> HelperTerms:
     )
     M1 = G * T_plus + G**2 / 4 * (T + 4 * IV1) + G**3 / 4 * (V_plus + II) + G**4 * I1 / 16
     M2 = -G * T_minus + G**2 / 4 * (T + 4 * IV2) - G**3 / 4 * (V_minus + II) + G**4 * I2 / 16
-    return HelperTerms(
-        I1=I1, I2=I2, II=complex(II),
-        III_plus=complex(III_plus), III_minus=complex(III_minus),
-        B_plus=complex(B_plus), B_minus=complex(B_minus),
-        M_plus=complex(M_plus), M_minus=complex(M_minus),
-        M1=complex(M1), M2=complex(M2),
-        T_plus=complex(T_plus), T_minus=complex(T_minus), T=complex(T),
-        IV1=complex(IV1), IV2=complex(IV2),
-        V_plus=complex(V_plus), V_minus=complex(V_minus),
-    )
 
-
-def _expectations_published(params: MeasurementParams, lam: float) -> ExpectationSet:
-    """The published moment expressions, verbatim, with the published lambda lam."""
-    G, gam, phi = params.Gamma, params.gamma, params.phi
-    u = 1 + gam**2
-    g = gam * np.exp(1j * phi)
-    eG = math.exp(-(G**2) / 2)
-    h = helper_terms(params)
     w = weak_value(params.alpha, params.delta).value
     wc = np.conj(w)
     aw2 = abs(w) ** 2
     lam2 = lam**2
-    a = lam2 / 2 * ((1 + aw2) * g / (_RT2 * u) + (1 - aw2) * h.II + G * (1 - h.I2) * w.real)
+    a = lam2 / 2 * ((1 + aw2) * g / (_RT2 * u) + (1 - aw2) * II + G * (1 - I2) * w.real)
     b = (lam2 * 1j * _RT2 * g / (4 * u)) * (1 + aw2 + (1 - aw2) * eG) \
         - 1j * lam2 * gam**2 * G / (2 * u) * w.imag * eG
-    a2 = lam2 * G / 2 * ((_RT2 * g / u + 2 * h.II) * w.real + (1 + aw2) * G / 4) \
-        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1)
+    a2 = lam2 * G / 2 * ((_RT2 * g / u + 2 * II) * w.real + (1 + aw2) * G / 4) \
+        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * I2 + (1 - wc) * (1 + w) * I1)
     adag_a = lam2 / 2 * (1 + aw2) * (gam**2 / (2 * u) + G**2 / 4) \
         + 1j * lam2 * G * gam * math.cos(phi) / (2 * _RT2 * u) * w.imag \
-        + lam2 / 4 * (1 + wc) * (1 - w) * h.III_plus + lam2 / 4 * (1 - aw2) * h.III_minus \
-        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * h.I2 + (1 - wc) * (1 + w) * h.I1) \
-        + lam2 * G / 8 * ((1 - wc) * (1 + w) * (h.IV1 + h.II) - (1 + wc) * (1 - w) * (h.IV2 + h.II))
+        + lam2 / 4 * (1 + wc) * (1 - w) * III_plus + lam2 / 4 * (1 - aw2) * III_minus \
+        + lam2 * G**2 / 16 * ((1 + wc) * (1 - w) * I2 + (1 - wc) * (1 + w) * I1) \
+        + lam2 * G / 8 * ((1 - wc) * (1 + w) * (IV1 + II) - (1 + wc) * (1 - w) * (IV2 + II))
     bdag_b = lam2 / 4 * ((1 + aw2) * gam**2 / u + (1 - aw2) * gam**2 / u * eG)
     adag_b = lam2 / 4 * ((1 + aw2) * 1j * gam**2 / u
                          + w.imag * 1j * G * g / (_RT2 * u) * (1 + eG)
                          + (1 - aw2) * gam**2 * G**2 * eG / (2 * u)) \
-        + lam2 / 4 * ((1 + wc) * (1 - w) * h.B_plus + (1 - wc) * (1 + w) * h.B_minus)
+        + lam2 / 4 * ((1 + wc) * (1 - w) * B_plus + (1 - wc) * (1 + w) * B_minus)
     ab = lam2 * gam * G / (8 * u) * (2 * _RT2 * 1j * np.exp(1j * phi) * (w.real + 1j * w.imag * eG)
                                      + (1 - aw2) * gam * G * eG)
     adaga_bdagb = lam2 * G**2 * gam**2 / (16 * u) * (1 + aw2 - (1 - aw2) * eG)
-    adag2a2 = lam2 / 4 * ((1 - wc) * (1 - w) * h.M_minus + (1 + wc) * (1 + w) * h.M_plus
-                          + (1 - wc) * (1 + w) * h.M1 + (1 + wc) * (1 - w) * h.M2)
+    adag2a2 = lam2 / 4 * ((1 - wc) * (1 - w) * M_minus + (1 + wc) * (1 + w) * M_plus
+                          + (1 - wc) * (1 + w) * M1 + (1 + wc) * (1 - w) * M2)
     return ExpectationSet(
         a=complex(a), b=complex(b), a2=complex(a2), b2=0j,
         adag_a=complex(adag_a), bdag_b=complex(bdag_b), adag_b=complex(adag_b),

@@ -3,8 +3,7 @@
 The a mode is the one the measurement back-action displaces; the b mode of
 every state built here never holds more than one photon, so a two-level b
 cutoff is exact as long as moments are assembled from normal-ordered
-(lowering-only) operator applications.  All values are immutable; every
-operation returns a new state.
+(lowering-only) operator applications.  All values are immutable.
 
 Displaced-Fock amplitudes <k|D(beta)|n> come from one generator,
 _laguerre_rows, which walks the normalized Laguerre recurrence row by row;
@@ -14,10 +13,12 @@ Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, the generator raises
 ValueError unless the cutoff stays below |beta|^2/8; default_cutoff states the
 same ceiling (Gamma ~ 74.8) before anything is allocated.
 
-displacement_matrix builds only the leading columns it is asked for, and the
-displacements of states (displace_a, measurement.evolve_joint) ask for the
+displacement_matrix builds only the leading columns it is asked for, and
+the one displacement of states, measurement.evolve_joint, asks for the
 columns up to the highest occupied a level, two for the initial pointer:
-O(dim) work and memory per displaced state, not O(dim^2).
+O(dim) work and memory per displaced state, not O(dim^2).  Lowering
+operators act on raw coefficient grids (_lower_a, _lower_b), as the moments
+read them.
 
 The Hermite-Gauss functions carry e^{-x^2/2} in a per-point exponent, so
 they stay right where that factor alone underflows.
@@ -25,7 +26,6 @@ they stay right where that factor alone underflows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +36,7 @@ __all__ = [
     "TwoModeState",
     "GridSpec",
     "ScalarField",
-    "vacuum",
-    "apply_ladder",
     "displacement_matrix",
-    "displace_a",
     "inner",
     "hermite_functions",
     "coordinate_wavefunction",
@@ -48,7 +45,7 @@ __all__ = [
 
 
 class NormDriftWarning(UserWarning):
-    """Displacement changed the norm beyond tolerance: the cutoff is too small."""
+    """measurement.evolve_joint changed a branch norm beyond tolerance: the cutoff is too small."""
 
 
 class TruncationWarning(UserWarning):
@@ -86,12 +83,6 @@ class TwoModeState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def normalized(self) -> "TwoModeState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return TwoModeState(self.coeffs / n, self.sigma)
 
     def top_level_occupation(self) -> float:
         """Max |c| on the highest a level; the truncation-health indicator."""
@@ -143,43 +134,6 @@ class ScalarField:
     def integral(self) -> float:
         """Trapezoid integral of the (real part of the) field over the grid."""
         return float(np.trapezoid(np.trapezoid(self.values.real, self.grid.ys(), axis=1), self.grid.xs()))
-
-
-def vacuum(na: int, nb: int, sigma: float = 1.0) -> TwoModeState:
-    """|0, 0> in an (na, nb)-truncated space."""
-    if na < 1:
-        raise ValueError(f"na must be >= 1, got {na}")
-    if nb < 2:
-        raise ValueError(f"nb must be >= 2, got {nb}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    c = np.zeros((na, nb), dtype=complex)
-    c[0, 0] = 1.0
-    return TwoModeState(c, sigma)
-
-
-_LADDER_NAMES = ("a", "a_dag", "b", "b_dag")
-
-
-def apply_ladder(state: TwoModeState, which: str) -> TwoModeState:
-    """Apply one ladder operator; raising on the top level silently drops amplitude.
-
-    a |n,m> = sqrt(n) |n-1,m>,  a_dag |n,m> = sqrt(n+1) |n+1,m>, likewise for b.
-    """
-    if which not in _LADDER_NAMES:
-        raise ValueError(f"which must be one of {_LADDER_NAMES}, got {which!r}")
-    c = state.coeffs
-    if which == "a":
-        out = _lower_a(c)
-    elif which == "b":
-        out = _lower_b(c)
-    else:
-        out = np.zeros_like(c)
-        if which == "a_dag":
-            out[1:, :] = np.sqrt(np.arange(1, c.shape[0]))[:, None] * c[:-1, :]
-        else:  # b_dag
-            out[:, 1:] = np.sqrt(np.arange(1, c.shape[1]))[None, :] * c[:, :-1]
-    return TwoModeState(out, state.sigma)
 
 
 def _lower_a(c: np.ndarray) -> np.ndarray:
@@ -249,18 +203,20 @@ def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np
     cols=None gives the whole dim x dim matrix.  Row m of _laguerre_rows
     (m < cols) goes on the diagonals through (m, m): e^{ia theta} l_m^a at
     (m+a, m) and (-e^{-i theta})^a l_m^a at (m, m+a), with alpha = |alpha|
-    e^{i theta}, so it makes O(dim * cols) elements; it raises ValueError past
-    the underflow limit stated there.  A real alpha takes exact signs, not a
+    e^{i theta}, so it makes O(dim * cols) elements; it raises ValueError for
+    a non-finite alpha and past the underflow limit stated there.  A real alpha takes exact signs, not a
     rounded e^{i pi n}, so D(-s) = P D(s) P with P = diag((-1)^n) exactly.
     The matrix exponential that checks these elements lives in the tests.
     """
+    z = complex(alpha)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if cols is None:
         cols = dim
     if not 1 <= cols <= dim:
         raise ValueError(f"cols must lie in [1, dim = {dim}], got {cols}")
-    z = complex(alpha)
     lower = np.exp(1j * np.angle(z) * np.arange(dim)) if z.imag else (-1.0 if z.real < 0 else 1.0) ** np.arange(dim)
     upper = (-1.0) ** np.arange(cols) * lower[:cols].conj()
     d = np.empty((dim, cols), dtype=complex)
@@ -270,39 +226,9 @@ def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np
     return d
 
 
-def displace_a(state: TwoModeState, alpha: complex) -> TwoModeState:
-    """Apply D(alpha) to the a mode only.
-
-    Only the columns of D(alpha) up to the highest occupied a level are
-    built.  Emits NormDriftWarning when the norm moves by more than 1e-8,
-    which means the a cutoff is too small for this displacement.
-    """
-    d = displacement_matrix(alpha, state.na, cols=_occupied_levels(state))
-    return _apply_displacement(d, state, alpha)
-
-
 def _occupied_levels(state: TwoModeState) -> int:
     """One past the highest occupied a level (1 for the zero state): the columns of D a product reads."""
     return int(np.flatnonzero(state.coeffs.any(axis=1)).max(initial=0)) + 1
-
-
-def _apply_displacement(d: np.ndarray, state: TwoModeState, alpha: complex) -> TwoModeState:
-    """d @ state on the a mode, audited for norm drift.
-
-    d holds at least the leading _occupied_levels(state) columns of D(alpha)
-    truncated; only those enter the product.  The warning is attributed to
-    the caller of the public function that called this one.
-    """
-    k = _occupied_levels(state)
-    out = TwoModeState(d[:, :k] @ state.coeffs[:k], state.sigma)
-    drift = abs(out.norm() - state.norm())
-    if drift > 1e-8:
-        warnings.warn(
-            f"displacement norm drift {drift:.3e} (cutoff Na={state.na} too small for |alpha|={abs(alpha):.3g})",
-            NormDriftWarning,
-            stacklevel=3,
-        )
-    return out
 
 
 def inner(u: TwoModeState, v: TwoModeState) -> complex:
@@ -354,8 +280,10 @@ def default_cutoff(gamma_max: float) -> int:
     A displaced one-photon state spreads over roughly (|alpha| + a few sigma)^2
     levels; 40 covers gamma_max <= 4 with headroom.  Past |alpha|^2 = 1400
     (gamma_max ~ 74.8) no cutoff can hold D(alpha) (see _laguerre_rows), so
-    this raises ValueError there instead of sizing one.
+    this raises ValueError there, and for a NaN, instead of sizing one.
     """
+    if math.isnan(gamma_max):
+        raise ValueError(f"gamma_max must be finite, got {gamma_max}")
     alpha_max = abs(gamma_max) / 2
     if alpha_max**2 > _UNDERFLOW_X:
         raise ValueError(

@@ -9,11 +9,12 @@ the unit-charge vortex mode, expanded over two Hermite-Gauss modes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import TwoModeState, _apply_displacement, _lower_a, _lower_b, _occupied_levels, displacement_matrix
+from .fock import NormDriftWarning, TwoModeState, _lower_a, _lower_b, _occupied_levels, displacement_matrix
 
 __all__ = [
     "PostselectionError",
@@ -88,9 +89,6 @@ class ExpectationSet:
     def field_names(cls):
         return tuple(f.name for f in fields(cls))
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.field_names()}
-
 
 @dataclass(frozen=True)
 class WeakValue:
@@ -104,6 +102,8 @@ def weak_value(alpha: float, delta: float = 0.0) -> WeakValue:
     """<H|sigma_x|pre> / <H|pre> = e^{i delta} tan(alpha/2), with ps = cos^2(alpha/2)."""
     if not (0 <= alpha < math.pi):
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     return WeakValue(
         value=np.exp(1j * delta) * math.tan(alpha / 2),
         ps=math.cos(alpha / 2) ** 2,
@@ -140,12 +140,25 @@ class JointState:
     amp_plus: complex
     amp_minus: complex
 
-    def total_norm(self) -> float:
-        """Norm of the full system (x) pointer state; 1 up to truncation loss."""
-        return math.sqrt(
-            abs(self.amp_plus) ** 2 * self.branch_plus.norm() ** 2
-            + abs(self.amp_minus) ** 2 * self.branch_minus.norm() ** 2
+
+def _apply_displacement(d: np.ndarray, state: TwoModeState, k: int, alpha: float) -> TwoModeState:
+    """d @ state on the a mode, audited for norm drift.
+
+    d holds the leading k columns of D(alpha) truncated, with k =
+    _occupied_levels(state): the columns the product reads.  Emits
+    NormDriftWarning when the norm moves by more than 1e-8, which means the a
+    cutoff is too small for this displacement; the warning names the line
+    that called evolve_joint.
+    """
+    out = TwoModeState(d @ state.coeffs[:k], state.sigma)
+    drift = abs(out.norm() - state.norm())
+    if drift > 1e-8:
+        warnings.warn(
+            f"displacement norm drift {drift:.3e} (cutoff Na={state.na} too small for |alpha|={abs(alpha):.3g})",
+            NormDriftWarning,
+            stacklevel=3,
         )
+    return out
 
 
 def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState:
@@ -153,16 +166,16 @@ def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState
 
     Only the columns of D(Gamma/2) up to the highest occupied a level are
     built.  Gamma is real, so the minus branch takes D(-Gamma/2) = P D(Gamma/2) P
-    with P = diag((-1)^n), exact sign flips of the same columns; both branches
-    get the same norm-drift audit displace_a performs.
+    with P = diag((-1)^n), exact sign flips of the same columns.  Each branch
+    is audited for norm drift (_apply_displacement).
     """
     s = params.Gamma / 2
     k = _occupied_levels(pointer)
     d = displacement_matrix(s, pointer.na, cols=k)
     parity = (-1.0) ** np.arange(pointer.na)
     # direct calls, so the norm-drift warning names the caller (a comprehension adds a frame)
-    plus = _apply_displacement(d, pointer, s)
-    minus = _apply_displacement(parity[:, None] * d * parity[:k], pointer, -s)
+    plus = _apply_displacement(d, pointer, k, s)
+    minus = _apply_displacement(parity[:, None] * d * parity[:k], pointer, k, -s)
     ca, sa = math.cos(params.alpha / 2), math.sin(params.alpha / 2)
     ph = np.exp(1j * params.delta)
     return JointState(

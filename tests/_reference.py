@@ -2,6 +2,15 @@
 import numpy as np
 from scipy.linalg import expm
 
+from oampointer.fock import TwoModeState
+
+
+def vacuum(na: int, nb: int = 2) -> TwoModeState:
+    """|0, 0> in an (na, nb)-truncated space."""
+    c = np.zeros((na, nb), dtype=complex)
+    c[0, 0] = 1.0
+    return TwoModeState(c)
+
 
 def expm_displacement(alpha: complex, dim: int, cols: int | None = None) -> np.ndarray:
     """The leading cols columns of expm(alpha a_dag - conj(alpha) a) on a dim-level truncation.

@@ -22,7 +22,7 @@ from oampointer.closedform import (
     squeezing_from_moments,
     wigner_field,
 )
-from oampointer.fock import GridSpec, TwoModeState, displace_a
+from oampointer.fock import GridSpec, TwoModeState, displacement_matrix
 from oampointer.measurement import MeasurementParams, initial_pointer, weak_value
 from oampointer.oracle import (
     compare,
@@ -172,11 +172,11 @@ def test_criterion_09_numerical_robustness():
     # displacement cross-check against the matrix exponential on contained states
     rng = np.random.default_rng(3)
     c = (rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))) * 3.0 ** -np.arange(64)[:, None]
-    st = TwoModeState(c).normalized()
+    st = TwoModeState(c / np.linalg.norm(c))
     for alpha in (0.5, 1.0, -0.8, 0.3 + 0.3j):
-        d1 = displace_a(st, alpha)
+        d1 = displacement_matrix(alpha, st.na) @ st.coeffs
         d2 = expm_displacement(alpha, st.na) @ st.coeffs
-        assert np.abs(d1.coeffs - d2).max() < 1e-10
+        assert np.abs(d1 - d2).max() < 1e-10
 
 
 def test_criterion_10_reproducibility(tmp_path):

@@ -1,5 +1,7 @@
 """CLI: sweeps, fields, figures, validation command, config handling."""
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -632,6 +634,23 @@ def test_library_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_export_resolves():
+    # each layer's __all__ names only what the layer defines, and the package
+    # imports only names that are some layer's __all__
+    import oampointer
+
+    for layer in ("fock", "measurement", "closedform", "oracle", "cli"):
+        mod = importlib.import_module(f"oampointer.{layer}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], layer
+    with open(oampointer.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        exported = importlib.import_module(f"oampointer.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in exported] == [], node.module
 
 
 # ---------------------------------------------------------------------------

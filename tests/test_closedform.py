@@ -12,7 +12,6 @@ from oampointer.closedform import (
     expectations,
     fidelity,
     g2_cross,
-    helper_terms,
     intensity_field,
     lambda_norm,
     projected_wavefunction,
@@ -22,9 +21,9 @@ from oampointer.closedform import (
     squeezing,
     wigner_field,
 )
-from oampointer.closedform import ExpectationSet, _lambda_from_bracket
+from oampointer.closedform import _i1, _lambda_from_bracket
 from oampointer.fock import GridSpec
-from oampointer.measurement import MeasurementParams, PostselectionError, weak_value
+from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
 from oampointer.oracle import (
     oracle_expectations,
     oracle_intensity,
@@ -50,26 +49,24 @@ GENERIC_POINTS = [
 # ---------------------------------------------------------------------------
 
 def test_helpers_at_zero_coupling():
-    h = helper_terms(MeasurementParams(Gamma=0.0, alpha=0.0, gamma=1.0, phi=math.pi / 2))
-    assert h.I1 == pytest.approx(1.0)
-    assert h.I2 == pytest.approx(1.0)
+    i1 = _i1(MeasurementParams(Gamma=0.0, alpha=0.0, gamma=1.0, phi=math.pi / 2))
+    assert i1 == pytest.approx(1.0)
+    assert np.conj(i1) == pytest.approx(1.0)
 
 
 def test_helpers_gaussian_reduction():
     p = MeasurementParams(Gamma=0.8, alpha=0.0, gamma=0.0)
-    h = helper_terms(p)
-    assert h.I1 == pytest.approx(math.exp(-0.32), abs=1e-15)
-    assert h.II == 0.0
+    assert _i1(p) == pytest.approx(math.exp(-0.32), abs=1e-15)
 
 
 def test_helper_i1_matches_oracle_overlap():
-    from oampointer.fock import displace_a, inner
+    from oampointer.fock import displacement_matrix
     from oampointer.measurement import initial_pointer
 
     for p in GENERIC_POINTS:
-        st = initial_pointer(p, 70)
-        i1_oracle = inner(st, displace_a(st, p.Gamma))
-        assert helper_terms(p).I1 == pytest.approx(i1_oracle, abs=1e-12)
+        c = initial_pointer(p, 70).coeffs
+        i1_oracle = np.vdot(c, displacement_matrix(p.Gamma, len(c)) @ c)
+        assert _i1(p) == pytest.approx(i1_oracle, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from _reference import expm_displacement
+from _reference import expm_displacement, vacuum
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
     ScalarField,
     TwoModeState,
     _laguerre_rows,
-    apply_ladder,
+    _lower_a,
+    _lower_b,
     coordinate_wavefunction,
     default_cutoff,
-    displace_a,
     displacement_matrix,
     hermite_functions,
     inner,
-    vacuum,
 )
+from oampointer.measurement import MeasurementParams, evolve_joint, initial_pointer
 
 
 def random_state(na=40, nb=2, seed=0, decay=3.0):
@@ -27,7 +27,7 @@ def random_state(na=40, nb=2, seed=0, decay=3.0):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb))
     c *= decay ** -np.arange(na)[:, None]
-    return TwoModeState(c, 1.0).normalized()
+    return TwoModeState(c / np.linalg.norm(c), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -35,21 +35,22 @@ def random_state(na=40, nb=2, seed=0, decay=3.0):
 # ---------------------------------------------------------------------------
 
 def test_vacuum_definition():
-    v = vacuum(4, 2, 1.0)
+    v = vacuum(4)
     assert v.coeffs[0, 0] == 1.0
     assert v.norm() == pytest.approx(1.0, abs=1e-15)
     assert np.count_nonzero(v.coeffs) == 1
 
 
 def test_vacuum_single_level_boundary():
-    v = vacuum(1, 2, 1.0)
+    v = vacuum(1)
     assert v.na == 1 and v.nb == 2
 
 
 @pytest.mark.parametrize("na,nb,sigma", [(0, 2, 1.0), (3, 1, 1.0), (3, 2, 0.0), (3, 2, -1.0)])
 def test_vacuum_rejects_bad_args(na, nb, sigma):
+    # TwoModeState refuses every (na, nb, sigma) that no vacuum can take
     with pytest.raises(ValueError):
-        vacuum(na, nb, sigma)
+        TwoModeState(np.zeros((na, nb)), sigma)
 
 
 def test_state_rejects_nonfinite():
@@ -60,7 +61,7 @@ def test_state_rejects_nonfinite():
 
 
 def test_state_is_immutable():
-    v = vacuum(3, 2)
+    v = vacuum(3)
     with pytest.raises(ValueError):
         v.coeffs[0, 0] = 2.0
 
@@ -75,43 +76,27 @@ def test_normalize_invariant():
 # ---------------------------------------------------------------------------
 
 def test_ladder_a_on_one_photon():
-    st = vacuum(4, 2)
-    one = apply_ladder(st, "a_dag")  # |1,0>
-    back = apply_ladder(one, "a")
-    assert back.coeffs[0, 0] == pytest.approx(1.0)
+    c = np.zeros((4, 2), dtype=complex)
+    c[1, 0] = 1.0  # |1,0>
+    back = _lower_a(c)
+    assert back[0, 0] == pytest.approx(1.0)
+    assert np.count_nonzero(back) == 1
 
 
 def test_ladder_a_annihilates_vacuum():
-    st = vacuum(4, 2)
-    assert apply_ladder(st, "a").norm() == 0.0
-    assert apply_ladder(st, "b").norm() == 0.0
+    c = vacuum(4).coeffs
+    assert not _lower_a(c).any()
+    assert not _lower_b(c).any()
 
 
 def test_number_operator_eigenvalue():
     c = np.zeros((5, 2), dtype=complex)
     c[3, 1] = 1.0  # |3,1>
-    st = TwoModeState(c)
-    na = apply_ladder(apply_ladder(st, "a"), "a_dag")
-    assert np.allclose(na.coeffs, 3 * st.coeffs)
-    nb = apply_ladder(apply_ladder(st, "b"), "b_dag")
-    assert np.allclose(nb.coeffs, 1 * st.coeffs)
-
-
-def test_ladder_commutator_on_contained_states():
-    # <[a, a_dag]> = 1 when the top level is empty
-    for seed in range(4):
-        st = random_state(seed=seed, decay=4.0)
-        assert st.top_level_occupation() < 1e-8
-        up = apply_ladder(st, "a_dag")
-        dn = apply_ladder(st, "a")
-        comm = inner(up, up) - inner(dn, dn)  # <a a_dag> - <a_dag a>
-        assert comm.real == pytest.approx(1.0, abs=1e-10)
-        assert abs(comm.imag) < 1e-12
-
-
-def test_ladder_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        apply_ladder(vacuum(3, 2), "c")
+    av, bv = _lower_a(c), _lower_b(c)
+    assert av[2, 1] == pytest.approx(math.sqrt(3)) and np.count_nonzero(av) == 1
+    assert bv[3, 0] == pytest.approx(1.0) and np.count_nonzero(bv) == 1
+    assert np.vdot(av, av).real == pytest.approx(3.0)  # <a†a>
+    assert np.vdot(bv, bv).real == pytest.approx(1.0)  # <b†b>
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +223,18 @@ def test_displacement_matrix_unitary_in_contained_block():
 # ---------------------------------------------------------------------------
 
 def test_displace_identity():
-    v = vacuum(10, 2)
-    out = displace_a(v, 0.0)
-    assert np.allclose(out.coeffs, v.coeffs)
+    v = vacuum(10)
+    out = displacement_matrix(0.0, v.na) @ v.coeffs
+    assert np.allclose(out, v.coeffs)
 
 
 def test_displace_vacuum_gives_coherent_moments():
-    v = vacuum(40, 2)
-    st = displace_a(v, 1.0)
-    av = apply_ladder(st, "a")
-    assert inner(st, av) == pytest.approx(1.0, abs=1e-12)        # <a> = 1
-    assert inner(av, av).real == pytest.approx(1.0, abs=1e-12)   # <a_dag a> = 1
-    assert st.coeffs[:, 1] == pytest.approx(0.0)                 # b stays empty
+    v = vacuum(40)
+    c = displacement_matrix(1.0, v.na) @ v.coeffs
+    av = _lower_a(c)
+    assert np.vdot(c, av) == pytest.approx(1.0, abs=1e-12)        # <a> = 1
+    assert np.vdot(av, av).real == pytest.approx(1.0, abs=1e-12)  # <a_dag a> = 1
+    assert c[:, 1] == pytest.approx(0.0)                           # b stays empty
 
 
 @pytest.mark.parametrize("alpha,na", [(0.5, 40), (-1.2, 40), (0.3 + 0.4j, 40), (2.0, 64)])
@@ -258,28 +243,29 @@ def test_displace_methods_agree(alpha, na):
     # never reaches the truncation edge where the two methods must differ
     for seed in range(3):
         st = random_state(na=na, seed=seed)
-        d1 = displace_a(st, alpha)
+        d1 = displacement_matrix(alpha, na) @ st.coeffs
         d2 = expm_displacement(alpha, na) @ st.coeffs
-        assert np.abs(d1.coeffs - d2).max() < 1e-10
+        assert np.abs(d1 - d2).max() < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.0, 1.0 + 1.0j])
 def test_displace_unitarity(alpha):
     st = random_state(na=48, seed=9)
-    out = displace_a(st, alpha)
-    assert abs(out.norm() - 1.0) <= 1e-8
+    out = displacement_matrix(alpha, st.na) @ st.coeffs
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-8
 
 
 def test_displace_composition_roundtrip():
     st = random_state(na=45, seed=5)
-    back = displace_a(displace_a(st, 0.8), -0.8)
-    assert np.abs(back.coeffs - st.coeffs).max() < 1e-9
+    back = displacement_matrix(-0.8, st.na) @ (displacement_matrix(0.8, st.na) @ st.coeffs)
+    assert np.abs(back - st.coeffs).max() < 1e-9
 
 
 def test_displace_warns_on_cutoff_too_small():
-    v = vacuum(4, 2)
+    # gamma = 0: the pointer is the vacuum, displaced by +-2.5 on four levels
+    p = MeasurementParams(Gamma=5.0, alpha=0.0, gamma=0.0)
     with pytest.warns(NormDriftWarning):
-        displace_a(v, 2.5)
+        evolve_joint(initial_pointer(p, 4), p)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +273,10 @@ def test_displace_warns_on_cutoff_too_small():
 # ---------------------------------------------------------------------------
 
 def test_inner_examples():
-    v = vacuum(4, 2)
-    one = apply_ladder(v, "a_dag")
+    v = vacuum(4)
+    c = np.zeros((4, 2), dtype=complex)
+    c[1, 0] = 1.0
+    one = TwoModeState(c)
     assert inner(v, v) == pytest.approx(1.0)
     assert inner(v, one) == 0.0
     st = random_state(seed=2)
@@ -303,9 +291,9 @@ def test_inner_conjugate_symmetry():
 
 def test_inner_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        inner(vacuum(4, 2), vacuum(5, 2))
+        inner(vacuum(4), vacuum(5))
     with pytest.raises(ValueError):
-        inner(vacuum(4, 2), vacuum(4, 2, sigma=2.0))
+        inner(vacuum(4), TwoModeState(vacuum(4).coeffs, sigma=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +302,7 @@ def test_inner_rejects_shape_mismatch():
 
 def test_vacuum_wavefunction_value():
     grid = GridSpec(-4, 4, -4, 4, 81, 81)
-    f = coordinate_wavefunction(vacuum(3, 2, 1.0), grid)
+    f = coordinate_wavefunction(vacuum(3), grid)
     i0 = 40  # x = 0
     assert f.values[i0, i0].real == pytest.approx(math.pi**-0.5, abs=1e-12)
     xs = grid.xs()

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from _reference import vacuum
 from oampointer import closedform as cf
-from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displace_a, vacuum
-from oampointer.measurement import MeasurementParams, weak_value
+from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displacement_matrix
+from oampointer.measurement import ExpectationSet, MeasurementParams, weak_value
 from oampointer.oracle import (
     SCALAR_QUANTITIES,
     ReportEntry,
@@ -32,13 +33,13 @@ NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi
 # ---------------------------------------------------------------------------
 
 def test_vacuum_moments_vanish():
-    m = oracle_expectations(vacuum(6, 2))
-    for name, val in m.as_dict().items():
-        assert val == 0.0, name
+    m = oracle_expectations(vacuum(6))
+    for name in ExpectationSet.field_names():
+        assert getattr(m, name) == 0.0, name
 
 
 def test_coherent_state_moments():
-    st = displace_a(vacuum(40, 2), 0.5)
+    st = TwoModeState(displacement_matrix(0.5, 40) @ vacuum(40).coeffs)
     m = oracle_expectations(st)
     assert m.a == pytest.approx(0.5, abs=1e-12)
     assert m.adag_a == pytest.approx(0.25, abs=1e-12)
@@ -70,7 +71,7 @@ def test_truncation_audit_warns():
 
 def test_wigner_vacuum_gaussian():
     grid = GridSpec(-3, 3, -3, 3, 41, 41)
-    w = oracle_wigner(vacuum(20, 2), grid)
+    w = oracle_wigner(vacuum(20), grid)
     xs, ps = grid.xs(), grid.ys()
     ref = (2 / math.pi) * np.exp(-2 * (xs[:, None] ** 2 + ps[None, :] ** 2))
     assert np.abs(w.values - ref).max() < 1e-12
@@ -86,7 +87,7 @@ def test_wigner_fock_one_negativity():
 
 def test_wigner_far_corner_is_clean_zero():
     # displaced-parity via D(2 alpha) matrix elements stays exact far out
-    w = oracle_wigner(vacuum(30, 2), GridSpec(5.0, 6.0, 5.0, 6.0, 5, 5))
+    w = oracle_wigner(vacuum(30), GridSpec(5.0, 6.0, 5.0, 6.0, 5, 5))
     assert np.abs(w.values).max() < 1e-40
 
 
@@ -167,7 +168,7 @@ def test_wigner_makes_radial_sums_once_per_distinct_radius(monkeypatch):
 
     monkeypatch.setattr(oracle, "_laguerre_rows", counting)
     grid = GridSpec(-6, 6, -6, 6, 241, 241)
-    oracle_wigner(vacuum(20, 2), grid)
+    oracle_wigner(vacuum(20), grid)
     assert sum(seen) == _distinct_radii(grid).size == 11_993
 
 
