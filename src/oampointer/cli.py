@@ -5,7 +5,8 @@ tools.  All floats are written with 17 significant digits so identical
 configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 usage/config error, a library limit (any ValueError)
-or an output that cannot be written (any OSError), 2 validation failure.
+or an output that cannot be written (any OSError), 2 validation failure, also
+a per-point truncation audit that trips in validate (its cutoff self-check).
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import closedform as cf
 from . import oracle as orc
-from .fock import GridSpec, default_cutoff
+from .fock import GridSpec, NormDriftWarning, TruncationWarning
 from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
@@ -215,27 +217,21 @@ def cmd_validate(ns) -> int:
     fh = open(ns.out, "w", newline="\n")  # an unwritable --out fails here, before any evaluation
     report = None
     try:
-        # cutoff-doubling self-check first, on the most demanding point: largest Gamma, then gamma, then alpha
-        worst = max(params_set, key=lambda p: (p.Gamma, p.gamma, p.alpha))
-        na0 = default_cutoff(worst.Gamma) if ns.cutoff is None else ns.cutoff
-        records = (orc.oracle_quantities(worst, na=na0), orc.oracle_quantities(worst, na=2 * na0))
-        drift = 0.0  # over the sweep quantities the oracle computes; undefined counts as 0
-        for name in SWEEP_QUANTITIES:
-            if name in records[0]:
-                v1, v2 = (0 if isinstance(r[name], tuple) else r[name] for r in records)
-                drift = max(drift, abs(v1 - v2))
-        if drift > 1e-9:
-            print(f"cutoff self-check FAILED: doubling Na moved results by {drift:.3e}", file=sys.stderr)
-            return 2
-        print(f"cutoff self-check ok (doubling drift {drift:.3e})")
-        report = orc.compare(
-            params_set,
-            abs_tol=ns.abs_tol,
-            rel_tol=ns.rel_tol,
-            na=ns.cutoff,
-            field_params=_field_check_points(),
-        )
+        # the cutoff check is the per-point truncation audits, raised here whatever a user's filters say
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NormDriftWarning)
+            warnings.simplefilter("error", TruncationWarning)
+            report = orc.compare(
+                params_set,
+                abs_tol=ns.abs_tol,
+                rel_tol=ns.rel_tol,
+                na=ns.cutoff,
+                field_params=_field_check_points(),
+            )
         print(report.to_json(), file=fh)
+    except (NormDriftWarning, TruncationWarning) as exc:
+        print(f"cutoff self-check FAILED: {exc}", file=sys.stderr)
+        return 2
     finally:
         fh.close()
         if report is None and os.path.isfile(ns.out):  # no empty report after a failure; /dev/null stays

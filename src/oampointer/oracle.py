@@ -70,7 +70,7 @@ def _audit_truncation(state: TwoModeState):
     occ = state.top_level_occupation()
     if occ > _TOP_OCC_TOL:
         warnings.warn(
-            f"top Fock level holds amplitude {occ:.3e}; increase the cutoff",
+            f"top Fock level holds amplitude {occ:.3e} at cutoff Na={state.na}; increase the cutoff",
             TruncationWarning,
             stacklevel=3,
         )
@@ -149,7 +149,9 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
 
 def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
     """|Psi(x, y)|^2 from the Fock coefficients, normalized to unit grid integral
-    (FieldConsistencyError where the grid misses the beam)."""
+    (FieldConsistencyError where the grid misses the beam); warns when the top
+    Fock level is occupied."""
+    _audit_truncation(state)
     return cf._unit_intensity(grid, np.abs(coordinate_wavefunction(state, grid).values) ** 2)
 
 

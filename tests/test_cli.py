@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -566,7 +567,7 @@ def test_library_limit_exits_one_with_message(args, limit, tmp_path, capsys):
     assert run(args + ["--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and limit in captured.err
-    assert "self-check ok" not in captured.out
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -591,8 +592,7 @@ def test_missing_required_options_exit_one(tmp_path):
 
 @pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
 def test_unwritable_output_exits_one(command, tmp_path, monkeypatch, capsys):
-    # validate fails at once, before its self-check and comparison
-    monkeypatch.setattr(cli.orc, "oracle_quantities", _never_called)
+    # validate fails at once, before any comparison
     monkeypatch.setattr(cli.orc, "compare", _never_called)
     missing = tmp_path / "nodir" / "out.csv"
     a_file = tmp_path / "a_file"
@@ -692,28 +692,32 @@ def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_
 
 @pytest.mark.parametrize("failure", ["self-check", "error"])
 def test_validate_failure_leaves_no_report(failure, tmp_path, monkeypatch, capsys):
-    if failure == "self-check":  # doubling the cutoff moves Q1 by na0
-        monkeypatch.setattr(cli.orc, "oracle_quantities", lambda params, na=None: {"Q1": float(na)})
-        monkeypatch.setattr(cli.orc, "compare", _never_called)
-    else:
-        def compare(*args, **kwargs):
+    def compare(*args, **kwargs):
+        if failure == "self-check":  # a per-point truncation audit trips
+            warnings.warn("top Fock level holds amplitude 1e-3 at cutoff Na=9; increase the cutoff",
+                          TruncationWarning)
+        else:
             raise ValueError("a library limit")
 
-        monkeypatch.setattr(cli.orc, "compare", compare)
+    monkeypatch.setattr(cli.orc, "compare", compare)
     out = tmp_path / "report.json"
     assert run(["validate", "--out", out]) == (2 if failure == "self-check" else 1)
     err = capsys.readouterr().err
-    assert ("cutoff self-check FAILED" if failure == "self-check" else "error: a library limit") in err
+    assert ("cutoff self-check FAILED: top Fock level" if failure == "self-check" else "error: a library limit") in err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_validate_cutoff_self_check_runs_on_the_strongest_point(tmp_path, monkeypatch, capsys):
-    # at (Gamma, gamma, alpha) = (2, 2, 0.95 pi) a cutoff of 14 truncates: doubling it moves the results
-    monkeypatch.setattr(cli.orc, "compare", _never_called)
+@pytest.mark.parametrize("na, user_filter", [(14, None), (16, None), (19, None), (19, "ignore")])
+def test_validate_cutoff_self_check_is_the_per_point_audit(na, user_filter, tmp_path, capsys):
+    # 14 truncates at once, 16 and 19 only at some lattice points: any tripped audit stops the run,
+    # also under a user's filter that ignores warnings
     out = tmp_path / "report.json"
-    with pytest.warns(TruncationWarning):
-        assert run(["validate", "--cutoff", 14, "--out", out]) == 2
-    assert "cutoff self-check FAILED" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        if user_filter:
+            warnings.simplefilter(user_filter)
+        assert run(["validate", "--cutoff", na, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "cutoff self-check FAILED" in err and f"Na={na}" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -56,13 +56,18 @@ def test_initial_superposition_cross_moment():
     assert m.adag_b == pytest.approx(0.25j, abs=1e-14)
 
 
-def test_truncation_audit_warns():
+@pytest.mark.parametrize("oracle_fn", [
+    oracle_expectations,
+    lambda state: oracle_intensity(state, GridSpec(-6, 6, -6, 6, 41, 41)),
+    lambda state: oracle_wigner(state, GridSpec(-6, 6, -6, 6, 41, 41)),
+], ids=["oracle_expectations", "oracle_intensity", "oracle_wigner"])
+def test_truncation_audit_warns(oracle_fn):
     from oampointer.fock import TruncationWarning
 
     c = np.zeros((4, 2), dtype=complex)
     c[3, 0] = 1.0
-    with pytest.warns(TruncationWarning):
-        oracle_expectations(TwoModeState(c))
+    with pytest.warns(TruncationWarning, match="at cutoff Na=4;"):
+        oracle_fn(TwoModeState(c))
 
 
 # ---------------------------------------------------------------------------
