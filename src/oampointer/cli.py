@@ -131,12 +131,8 @@ def _write_rows(path, rows, fmt):
 
 
 def cmd_sweep(ns) -> int:
-    if ns.quantity not in SWEEP_QUANTITIES:
-        raise ConfigError(f"quantity must be one of {SWEEP_QUANTITIES}, got {ns.quantity!r}")
-    if ns.axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {ns.axis!r}")
-    if ns.start is None or ns.stop is None or ns.steps is None:
-        raise ConfigError("sweep needs start, stop and steps (flags or config)")
+    if None in (ns.quantity, ns.axis, ns.start, ns.stop, ns.steps):
+        raise ConfigError("sweep needs quantity, axis, start, stop and steps (flags or config)")
     if ns.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {ns.steps}")
     base = _params_from(ns)
@@ -187,8 +183,8 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
 
 
 def cmd_field(ns) -> int:
-    if ns.kind not in ("intensity", "wigner"):
-        raise ConfigError(f"kind must be intensity or wigner, got {ns.kind!r}")
+    if ns.kind is None:
+        raise ConfigError("field needs kind (flag or config)")
     _write_field(ns.out, ns.kind, _params_from(ns), ns.grid, ns.engine, ns.cutoff, ns.format)
     print(f"wrote {ns.out} and {ns.out}.meta.json")
     return 0
@@ -302,8 +298,8 @@ FIGURES = tuple(_FIGURE_PRESETS)
 
 
 def cmd_figure(ns) -> int:
-    if ns.name not in _FIGURE_PRESETS:
-        raise ConfigError(f"unknown figure {ns.name!r}; valid names: {', '.join(FIGURES)}")
+    if ns.name is None:
+        raise ConfigError("figure needs name (flag or config)")
     preset = _FIGURE_PRESETS[ns.name]
     os.makedirs(ns.outdir, exist_ok=True)
     if len(preset) == 2:
@@ -367,8 +363,8 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="sweep one quantity along one parameter axis")
-    p.add_argument("--quantity", default=None)
-    p.add_argument("--axis", default=None)
+    p.add_argument("--quantity", default=None, choices=SWEEP_QUANTITIES)
+    p.add_argument("--axis", default=None, choices=SWEEP_AXES)
     p.add_argument("--start", type=float, default=None)
     p.add_argument("--stop", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -378,7 +374,7 @@ def _build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("field", help="export an intensity or Wigner field")
-    p.add_argument("--kind", default=None)
+    p.add_argument("--kind", default=None, choices=("intensity", "wigner"))
     _add_param_args(p)
     p.add_argument("--out", default="field.csv", help="output path")
     _add_shared(p, "format", "engine", "cutoff", "grid")
@@ -394,7 +390,7 @@ def _build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("figure", help="emit the data behind one preset figure")
-    p.add_argument("--name", default=None)
+    p.add_argument("--name", default=None, choices=FIGURES)
     p.add_argument("--outdir", default="figures")
     _add_shared(p, "engine", "cutoff", "grid")
     p.set_defaults(func=cmd_figure)

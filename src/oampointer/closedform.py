@@ -1,15 +1,16 @@
 """Analytic expressions for every quantity of the postselected pointer state.
 
 Each moment of |Psi> = (lam/2)[(1+w)D(s) + (1-w)D(-s)]|Psi_i>, s = Gamma/2,
-is assembled exactly from four pieces,
+is assembled exactly from one pair per branch v = ±1,
 
-    <O> = [ |1+w|^2 E+  +  |1-w|^2 E-  +  (1+w*)(1-w) C-  +  (1-w*)(1+w) C+ ] / S1
+    <O> = [ |1+w|^2 E(+1)  +  |1-w|^2 E(-1)  +  (1+w*)(1-w) C(-1)  +  (1-w*)(1+w) C(+1) ] / S1
 
-where E± are the displaced-branch expectations <O(a -> a ± s)> in the initial
-state, C± the D(±Gamma)-weighted cross terms, and S1 the same combination for
-O = 1 (so normalization cancels identically).  The E±/C± below were derived
-with computer algebra and verified against brute-force matrix-exponential
-state vectors to machine precision.
+where E(v) is the displaced-branch expectation <O(a -> a + v s)> in the
+initial state, C(v) the D(v Gamma)-weighted cross term, and S1 the same
+combination for O = 1 (so normalization cancels identically).  Each moment's
+E(v) and C(v) is written once, in H = v Gamma: the odd powers of H carry the
+branch sign.  They were derived with computer algebra and verified against
+brute-force matrix-exponential state vectors to machine precision.
 
 Every public function here gives the exact form.  Commonly quoted closed forms
 carry transcription defects (some give complex values for Hermitian
@@ -86,12 +87,6 @@ def _i1(params: MeasurementParams, coupling: float | None = None) -> complex:
     )
 
 
-def _w_terms(params: MeasurementParams):
-    w = weak_value(params.alpha, params.delta).value
-    wc = np.conj(w)
-    return w, abs(1 + w) ** 2, abs(1 - w) ** 2, (1 + wc) * (1 - w), (1 - wc) * (1 + w)
-
-
 def _lambda_from_bracket(bracket: float) -> float:
     if not bracket > 0:
         raise PostselectionError(f"normalization bracket {bracket:.3e} is not positive; postselection impossible")
@@ -120,53 +115,46 @@ def expectations(params: MeasurementParams) -> ExpectationSet:
     g = gam * np.exp(1j * phi)
     dg = np.conj(g) - g  # = -2i gamma sin(phi)
     E = math.exp(-(G**2) / 2)
-    s = G / 2
     q = g / (_RT2 * u)            # <a> of the initial pointer
     n = gam**2 / (2 * u)          # <a†a> = <b†b> of the initial pointer
-    w, tp2, tm2, cm, cp = _w_terms(params)
+    w = weak_value(params.alpha, params.delta).value
+    wc = np.conj(w)
+    tp2, tm2 = abs(1 + w) ** 2, abs(1 - w) ** 2
+    cm, cp = (1 + wc) * (1 - w), (1 - wc) * (1 + w)
     i1 = _i1(params)
     s1 = tp2 + tm2 + (cm * np.conj(i1) + cp * i1).real
+    # the even-in-Gamma parts of the cross terms, once for both branches: each is a leading
+    # (left-associated) partial sum or a whole factor there, so taking it out keeps the bits
+    a_even = 2 + 4 * gam**2 - G**2 * gam**2
+    a2_even = -(G**4) * gam**2 + 6 * G**2 * gam**2 + 2 * G**2
+    adag_a_even = G**4 * gam**2 - 6 * G**2 * gam**2 - 2 * G**2 + 4 * gam**2
+    adag_b_even = 2 * gam**2 - G**2 * gam**2
+    adag2a2_even = -(G**6) * gam**2 + 10 * G**4 * gam**2 + 2 * G**4 - 16 * G**2 * gam**2
 
-    def asm(ep, em, cpv, cmv):
-        return complex((tp2 * ep + tm2 * em + cm * cmv + cp * cpv) / s1)
+    def branch(v):
+        """(E, C) of each moment but b2 and bdag2b2, on the D(v Gamma/2) branch.
 
-    a = asm(
-        q + s, q - s,
-        E * (+G * (2 + 4 * gam**2 - G**2 * gam**2) + _RT2 * G**2 * dg + 2 * _RT2 * g) / (4 * u),
-        E * (-G * (2 + 4 * gam**2 - G**2 * gam**2) + _RT2 * G**2 * dg + 2 * _RT2 * g) / (4 * u),
-    )
-    b = asm(
-        1j * q, 1j * q,
-        1j * E * (_RT2 * g + G * gam**2) / (2 * u),
-        1j * E * (_RT2 * g - G * gam**2) / (2 * u),
-    )
-    a2 = asm(
-        s**2 + 2 * s * q, s**2 - 2 * s * q,
-        E * (-(G**4) * gam**2 + 6 * G**2 * gam**2 + 2 * G**2 + _RT2 * G**3 * dg + 4 * _RT2 * G * g) / (8 * u),
-        E * (-(G**4) * gam**2 + 6 * G**2 * gam**2 + 2 * G**2 - _RT2 * G**3 * dg - 4 * _RT2 * G * g) / (8 * u),
-    )
-    adag_a = asm(
-        s**2 + n + 2 * s * q.real, s**2 + n - 2 * s * q.real,
-        E * (G**4 * gam**2 - 6 * G**2 * gam**2 - 2 * G**2 + 4 * gam**2 - (_RT2 * G**3 - 2 * _RT2 * G) * dg) / (8 * u),
-        E * (G**4 * gam**2 - 6 * G**2 * gam**2 - 2 * G**2 + 4 * gam**2 + (_RT2 * G**3 - 2 * _RT2 * G) * dg) / (8 * u),
-    )
-    bdag_b = asm(n, n, E * n, E * n)
-    adag_b = asm(
-        1j * n + 1j * s * q, 1j * n - 1j * s * q,
-        1j * E * (2 * gam**2 - G**2 * gam**2 - _RT2 * G * g) / (4 * u),
-        1j * E * (2 * gam**2 - G**2 * gam**2 + _RT2 * G * g) / (4 * u),
-    )
-    ab = asm(
-        1j * s * q, -1j * s * q,
-        1j * E * (G**2 * gam**2 + _RT2 * G * g) / (4 * u),
-        1j * E * (G**2 * gam**2 - _RT2 * G * g) / (4 * u),
-    )
-    adaga_bdagb = asm(s**2 * n, s**2 * n, -E * s**2 * n, -E * s**2 * n)
-    adag2a2 = asm(
-        s**4 + 4 * s**2 * n + 2 * s**3 * (q + np.conj(q)),
-        s**4 + 4 * s**2 * n - 2 * s**3 * (q + np.conj(q)),
-        E * (-(G**6) * gam**2 + 10 * G**4 * gam**2 + 2 * G**4 - 16 * G**2 * gam**2 + (_RT2 * G**5 - 4 * _RT2 * G**3) * dg) / (32 * u),
-        E * (-(G**6) * gam**2 + 10 * G**4 * gam**2 + 2 * G**4 - 16 * G**2 * gam**2 - (_RT2 * G**5 - 4 * _RT2 * G**3) * dg) / (32 * u),
+        H = v Gamma stands where +-Gamma stood in hand-mirrored pairs; as (-G) X = -(G X) and
+        x - y = x + (-y) exactly, both branches keep those pairs' bits.
+        """
+        H = v * G
+        s = H / 2
+        return (
+            (q + s, E * (H * a_even + _RT2 * G**2 * dg + 2 * _RT2 * g) / (4 * u)),
+            (1j * q, 1j * E * (_RT2 * g + H * gam**2) / (2 * u)),
+            (s**2 + 2 * s * q, E * (a2_even + _RT2 * H**3 * dg + 4 * _RT2 * H * g) / (8 * u)),
+            (s**2 + n + 2 * s * q.real, E * (adag_a_even - (_RT2 * H**3 - 2 * _RT2 * H) * dg) / (8 * u)),
+            (n, E * n),
+            (1j * n + 1j * s * q, 1j * E * (adag_b_even - _RT2 * H * g) / (4 * u)),
+            (1j * s * q, 1j * E * (G**2 * gam**2 + _RT2 * H * g) / (4 * u)),
+            (s**2 * n, -E * s**2 * n),
+            (s**4 + 4 * s**2 * n + 2 * s**3 * (q + np.conj(q)),
+             E * (adag2a2_even + (_RT2 * H**5 - 4 * _RT2 * H**3) * dg) / (32 * u)),
+        )
+
+    a, b, a2, adag_a, bdag_b, adag_b, ab, adaga_bdagb, adag2a2 = (
+        complex((tp2 * ep + tm2 * em + cm * cmv + cp * cpv) / s1)
+        for (ep, cpv), (em, cmv) in zip(branch(1.0), branch(-1.0))
     )
     return ExpectationSet(
         a=a, b=b, a2=a2, b2=0j, adag_a=adag_a, bdag_b=bdag_b,

@@ -513,7 +513,7 @@ def test_flag_at_default_value_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["steps=many", "engine=abacus", "func=x", "default_out=x",
-                                  "command=field"])
+                                  "command=field", "quantity=Q9", "axis=sigma"])
 def test_bad_config_value_or_key_exits_one(line, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(f"quantity=lambda\naxis=Gamma\nstart=0\nstop=1\nsteps=3\n{line}\n")
@@ -534,6 +534,7 @@ def test_unknown_config_key(tmp_path):
     ["figure", "--name", "fig3b", "--format", "json"],
     ["sweep", "--quantity", "lambda", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 3,
      "--grid=-4,4,-4,4,21,21"],
+    ["field", "--kind", "heat", "--grid=-4,4,-4,4,21,21"],  # a value outside the option's choices
 ])
 def test_option_the_command_does_not_read_exits_one(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,10 +1,13 @@
 """Closed forms vs the state-vector oracle, plus the published-variant residuals."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from _reference import mirrored_expectations
 
+from oampointer.cli import _FIGURE_AXES, _FIGURE_PRESETS, _point
 from oampointer.closedform import (
     DegenerateShiftError,
     UndefinedCorrelationError,
@@ -30,6 +33,7 @@ from oampointer.oracle import (
     oracle_quantities,
     oracle_states,
     oracle_wigner,
+    validation_params,
 )
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
@@ -145,6 +149,42 @@ def test_hermiticity_residues():
         for name in ("adag_a", "bdag_b", "adaga_bdagb", "adag2a2"):
             assert abs(getattr(m, name).imag) < 1e-10
             assert getattr(m, name).real >= -1e-12
+
+
+def _figure_points():
+    """Every distinct point of the figure presets: the sweep series on their axes and the field points."""
+    points = set()
+    for preset in _FIGURE_PRESETS.values():
+        if len(preset) == 2:
+            points.update(preset[1].values())
+            continue
+        _, axis, series = preset
+        for G, al in series:
+            points.update(replace(_point(G, al, math.pi / 2), **{axis: float(v)})
+                          for v in np.linspace(*_FIGURE_AXES[axis]))
+    return list(points)
+
+
+def test_one_branch_function_is_the_mirrored_moments_bit_for_bit():
+    # expectations writes each moment's (E, C) once, in v Gamma; the hand-mirrored pairs it
+    # replaced must come back to the last bit.  The draw takes gamma = 0 at phi > pi, where g
+    # has a -0.0 imaginary part, and Gamma up to 74.8; alpha <= 0.95 pi keeps |w| <= 12.7
+    rng = np.random.default_rng(2411)
+    drawn = [
+        MeasurementParams(Gamma=G, alpha=al, delta=de, phi=ph, gamma=gam)
+        for G, al, de, ph, gam in zip(
+            np.concatenate([[0.0] * 50, rng.uniform(0, 2, 250), rng.uniform(0, 74.8, 300)]).tolist(),
+            rng.uniform(0, 0.95 * math.pi, 600).tolist(),
+            rng.uniform(0, 2 * math.pi, 600).tolist(),
+            np.where(np.arange(600) % 2, rng.uniform(math.pi, 2 * math.pi, 600), rng.uniform(0, 2 * math.pi, 600)).tolist(),
+            np.where(np.arange(600) % 3 == 0, 0.0, rng.uniform(0, 10, 600)).tolist(),
+        )
+    ]
+    assert any(p.gamma == 0 and p.phi > math.pi and p.Gamma > 0 for p in drawn)
+    points = validation_params() + _figure_points() + drawn
+    new = [repr(vars(expectations(p))) for p in points]
+    old = [repr(vars(mirrored_expectations(p))) for p in points]
+    assert new == old  # repr keeps every bit of all eleven moments, the sign of a zero too
 
 
 def test_published_moments_deviate_and_are_reported_upstream():
