@@ -34,6 +34,7 @@ from .measurement import (
 from .closedform import (
     DegenerateShiftError,
     FieldConsistencyError,
+    ParamSeries,
     UndefinedCorrelationError,
     VarianceCollapseError,
     expectations,

@@ -87,36 +87,38 @@ def _params_from(ns) -> MeasurementParams:
     )
 
 
-def _evaluate(quantity: str, params: MeasurementParams, engine: str, na=None):
-    """One scalar in the requested engine; (None, reason) when undefined."""
+SWEEP_HEADER = "axis_value,quantity,value,reason,engine,Gamma,alpha,delta,phi,gamma,sigma"
+_PARAM_COLUMNS = SWEEP_HEADER.split(",")[5:]
+
+
+def _sweep_values(quantity, points, engine, na=None):
+    """The quantity at each point, (None, reason) where it is undefined: the closed forms in one
+    evaluation over the series, the oracle one point at a time, as the rows are made."""
     if quantity == "weak_value":  # fixed by the preselection alone: no engine computes it
-        return weak_value(params.alpha, params.delta).value.real
+        return (weak_value(p.alpha, p.delta).value.real for p in points)
     if engine == "oracle":
-        return orc.oracle_quantities(params, na=na)[quantity]
-    return orc.closed_value(quantity, params)
+        return (orc.oracle_quantities(p, na=na)[quantity] for p in points)
+    return orc.closed_value(quantity, cf.ParamSeries.of(points))
 
 
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
     # every point first: an axis value outside the legal domain fails before any evaluation
-    points = [(v, replace(base, **{axis: float(v)})) for v in values]
-
-    def one(v, p):
-        res = _evaluate(quantity, p, engine, na=na)
+    points = [replace(base, **{axis: float(v)}) for v in values]
+    # the parameter cells, formatted once per series; the axis column repeats the axis value
+    cells = [_FMT % getattr(base, name) for name in _PARAM_COLUMNS]
+    at = _PARAM_COLUMNS.index(axis)
+    rows = []
+    for v, p, res in zip(values, points, _sweep_values(quantity, points, engine, na)):
         if isinstance(res, tuple):
             value, reason = "", res[1]
         elif not math.isfinite(res):
             raise ValueError(f"{quantity} is not finite ({res}) at {axis} = {v:g}, {p}")
         else:
             value, reason = _FMT % res, ""
-        return [
-            _FMT % v, quantity, value, reason, engine,
-            *(_FMT % x for x in (p.Gamma, p.alpha, p.delta, p.phi, p.gamma, p.sigma)),
-        ]
-
-    return [one(v, p) for v, p in points]
-
-
-SWEEP_HEADER = "axis_value,quantity,value,reason,engine,Gamma,alpha,delta,phi,gamma,sigma"
+        x = _FMT % v
+        cells[at] = x
+        rows.append([x, quantity, value, reason, engine, *cells])
+    return rows
 
 
 def _write_rows(path, rows, fmt):

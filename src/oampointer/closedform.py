@@ -12,6 +12,30 @@ E(v) and C(v) is written once, in H = v Gamma: the odd powers of H carry the
 branch sign.  They were derived with computer algebra and verified against
 brute-force matrix-exponential state vectors to machine precision.
 
+Every scalar closed form takes one point (MeasurementParams) or a whole
+series of points (ParamSeries, whose varying parameters are 1-D arrays)
+through the same expressions, and each element of a series has the bits of
+its one-point call.  That is a rounding recipe:
+
+- +, -, a complex times or over a real, sqrt and conj round alike on arrays
+  and scalars, so they run as array operations;
+- numpy's array loops round exp, sin, cos, tan, ``**`` and abs of a complex
+  differently from the scalar calls (their SIMD kernels), so ``_each`` and
+  ``_pow`` take those per element through Python, and only where the
+  operand varies;
+- the array loop for a product of two complex numbers may fuse its
+  multiply-adds, so ``_cmul`` writes it out, (ar br - ai bi, ar bi + ai br);
+- numpy divides a complex by a real through the reciprocal,
+  ((zr + zi 0) (1/d), ...), CPython's complex type by the real itself,
+  ((zr + zi 0) / d, ...): the moments keep numpy's rounding, ``_i1`` spells
+  out CPython's, as each was made one point at a time.
+
+Over a series, an element at which the one-point call raises
+UndefinedCorrelationError, DegenerateShiftError or VarianceCollapseError is
+(None, reason), and that result a list; the undefined elements are kept out
+of the arithmetic.  PostselectionError raises for the whole series, with the
+message of its first offending point.
+
 Every public function here gives the exact form.  Commonly quoted closed forms
 carry transcription defects (some give complex values for Hermitian
 observables); the last section keeps them verbatim for the validation report
@@ -25,10 +49,11 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import GridSpec, ScalarField
+from .fock import GridSpec, ScalarField, _grid_integral
 from .measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
 
 __all__ = [
@@ -36,6 +61,7 @@ __all__ = [
     "DegenerateShiftError",
     "VarianceCollapseError",
     "FieldConsistencyError",
+    "ParamSeries",
     "lambda_norm",
     "expectations",
     "squeezing",
@@ -74,33 +100,165 @@ MOMENT_NAMES = {f"moment:{name}": name for name in ExpectationSet.field_names()}
 
 
 # ---------------------------------------------------------------------------
+# one point or a series of points
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ParamSeries:
+    """The parameters of many points as columns, for one closed-form evaluation over all of them.
+
+    A parameter that varies is a 1-D float array; one with the same bits at
+    every point is that float, so what depends on it alone is worked out once.
+    """
+
+    Gamma: float | np.ndarray
+    alpha: float | np.ndarray
+    delta: float | np.ndarray
+    phi: float | np.ndarray
+    gamma: float | np.ndarray
+    sigma: float | np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, points) -> ParamSeries:
+        """The series of a nonempty sequence of MeasurementParams, in its order."""
+        points = list(points)
+        if not points:
+            raise ValueError("a parameter series needs at least one point")
+        cols = {}
+        for f in fields(MeasurementParams):
+            col = np.array([getattr(p, f.name) for p in points], dtype=float)
+            bits = col.view(np.uint64)
+            cols[f.name] = float(col[0]) if (bits == bits[0]).all() else col
+        return cls(**cols, size=len(points))
+
+
+_ARRAY = np.ndarray  # a series' varying parameters and everything made from them
+
+
+def _each(fn, x):
+    """fn(x) at one point; over a series, fn per element of x, through Python."""
+    if type(x) is not _ARRAY:
+        return fn(x)
+    return np.array([fn(t) for t in x.tolist()])
+
+
+def _pow(x, k):
+    """x ** k at one point; over a series, per element of x, through Python."""
+    if type(x) is not _ARRAY:
+        return x ** k
+    return np.array([t ** k for t in x.tolist()])
+
+
+def _complex(re, im):
+    """re + i im with every bit of both parts, a complex or a complex array."""
+    if not (type(re) is _ARRAY or type(im) is _ARRAY):
+        return complex(re, im)
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(x, y):
+    """x * y, rounded as the scalar product (ar br - ai bi, ar bi + ai br) also over arrays."""
+    if not (type(x) is _ARRAY or type(y) is _ARRAY):
+        return x * y
+    return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+
+
+def _scalar(kind, x):
+    """kind(x) at one point; a series' array as it is."""
+    return x if type(x) is _ARRAY else kind(x)
+
+
+def _undefined(bad, error, *values):
+    """Where bad holds: at one point, raise error(*values); over a series, {element: reason}."""
+    if type(bad) is not _ARRAY:
+        if bad:
+            raise error(*values)
+        return {}
+    return {i: str(error(*(v[i] if type(v) is _ARRAY else v for v in values)))
+            for i in np.flatnonzero(bad).tolist()}
+
+
+def _kept(x, bad):
+    """x with 1 at the bad elements of a series, so that no arithmetic runs on them."""
+    return np.where(bad, 1.0, x) if type(bad) is _ARRAY else x
+
+
+def _listed(values, undefined):
+    """A series' values as a list with (None, reason) at its undefined elements; one point's as a float."""
+    if type(values) is not _ARRAY:
+        return float(values)
+    out = values.tolist()
+    for i, reason in undefined.items():
+        out[i] = (None, reason)
+    return out
+
+
+def _gauss(x):
+    return math.exp(-(x**2) / 2)
+
+
+def _cis(x):
+    return np.exp(1j * x)
+
+
+def _abs2(z):
+    return abs(z) ** 2
+
+
+def _weak(params):
+    """The weak value e^{i delta} tan(alpha/2) of each point."""
+    alpha, delta = params.alpha, params.delta
+    if type(delta) is _ARRAY:
+        alphas = np.broadcast_to(alpha, delta.shape).tolist()
+        return np.array([weak_value(a, d).value for a, d in zip(alphas, delta.tolist())])
+    return _each(lambda a: weak_value(a, delta).value, alpha)
+
+
+# ---------------------------------------------------------------------------
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def _i1(params: MeasurementParams, coupling: float | None = None) -> complex:
-    """<Psi_i|D(coupling)|Psi_i> for real coupling (defaults to Gamma)."""
+def _i1(params: MeasurementParams | ParamSeries, coupling=None):
+    """<Psi_i|D(coupling)|Psi_i> for real coupling (defaults to Gamma).
+
+    e^{-x^2/2} [1 - (i rt2 x gamma sin(phi) + gamma^2 x^2 / 2) / (1 + gamma^2)],
+    each complex step in the real operations of CPython's complex type, which
+    made the one-point value: z r = (zr r - zi 0, zr 0 + zi r),
+    z + r = (zr + r, zi + 0), z / r = ((zr + zi 0) / r, (zi - zr 0) / r).
+    """
     x = params.Gamma if coupling is None else coupling
-    u = 1 + params.gamma**2
-    return complex(
-        math.exp(-(x**2) / 2)
-        * (1 - (1j * _RT2 * x * params.gamma * math.sin(params.phi) + params.gamma**2 * x**2 / 2) / u)
-    )
+    gam2 = _pow(params.gamma, 2)
+    re, im = 0.0, 1.0  # 1j, times rt2 x gamma sin(phi) one factor at a time
+    for r in (_RT2, x, params.gamma, _each(math.sin, params.phi)):
+        re, im = re * r - im * 0.0, re * 0.0 + im * r
+    re, im = re + gam2 * _pow(x, 2) / 2, im + 0.0
+    u = 1 + gam2
+    re, im = (re + im * 0.0) / u, (im - re * 0.0) / u
+    re, im = 1 - re, 0.0 - im
+    e = _each(_gauss, x)
+    return _complex(e * re - 0.0 * im, e * im + 0.0 * re)
 
 
-def _lambda_from_bracket(bracket: float) -> float:
-    if not bracket > 0:
+def _lambda_from_bracket(bracket):
+    if type(bracket) is _ARRAY:
+        for first in bracket[~(bracket > 0)][:1]:  # a series raises as its first offending point would
+            _lambda_from_bracket(first)
+    elif not bracket > 0:
         raise PostselectionError(f"normalization bracket {bracket:.3e} is not positive; postselection impossible")
-    return 1.0 / math.sqrt(bracket)
+    return 1.0 / _each(math.sqrt, bracket)
 
 
-def lambda_norm(params: MeasurementParams) -> float:
+def lambda_norm(params: MeasurementParams | ParamSeries):
     """Normalization constant of the postselected pointer state.
 
     The bracket is (1/2)[1 + |w|^2 + (1-|w|^2)Re(I1) - 2 Im(w) Im(I1)].
     """
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     i1 = _i1(params)
-    aw2 = abs(w) ** 2
+    aw2 = _each(_abs2, w)
     return _lambda_from_bracket(0.5 * (1 + aw2 + (1 - aw2) * i1.real) - w.imag * i1.imag)
 
 
@@ -108,28 +266,30 @@ def lambda_norm(params: MeasurementParams) -> float:
 # the eleven moments
 # ---------------------------------------------------------------------------
 
-def expectations(params: MeasurementParams) -> ExpectationSet:
-    """All eleven pointer moments of the postselected state."""
-    G, gam, phi = params.Gamma, params.gamma, params.phi
-    u = 1 + gam**2
-    g = gam * np.exp(1j * phi)
+def expectations(params: MeasurementParams | ParamSeries) -> ExpectationSet:
+    """All eleven pointer moments of the postselected state (b2 and bdag2b2 are 0j)."""
+    G = params.Gamma
+    gam2 = _pow(params.gamma, 2)
+    G2, G4, G6 = (_pow(G, k) for k in (2, 4, 6))
+    u = 1 + gam2
+    g = params.gamma * _each(_cis, params.phi)
     dg = np.conj(g) - g  # = -2i gamma sin(phi)
-    E = math.exp(-(G**2) / 2)
+    E = _each(_gauss, G)
     q = g / (_RT2 * u)            # <a> of the initial pointer
-    n = gam**2 / (2 * u)          # <a†a> = <b†b> of the initial pointer
-    w = weak_value(params.alpha, params.delta).value
+    n = gam2 / (2 * u)            # <a†a> = <b†b> of the initial pointer
+    w = _weak(params)
     wc = np.conj(w)
-    tp2, tm2 = abs(1 + w) ** 2, abs(1 - w) ** 2
-    cm, cp = (1 + wc) * (1 - w), (1 - wc) * (1 + w)
+    tp2, tm2 = _each(_abs2, 1 + w), _each(_abs2, 1 - w)
+    cm, cp = _cmul(1 + wc, 1 - w), _cmul(1 - wc, 1 + w)
     i1 = _i1(params)
-    s1 = tp2 + tm2 + (cm * np.conj(i1) + cp * i1).real
+    s1 = tp2 + tm2 + (_cmul(cm, np.conj(i1)) + _cmul(cp, i1)).real
     # the even-in-Gamma parts of the cross terms, once for both branches: each is a leading
     # (left-associated) partial sum or a whole factor there, so taking it out keeps the bits
-    a_even = 2 + 4 * gam**2 - G**2 * gam**2
-    a2_even = -(G**4) * gam**2 + 6 * G**2 * gam**2 + 2 * G**2
-    adag_a_even = G**4 * gam**2 - 6 * G**2 * gam**2 - 2 * G**2 + 4 * gam**2
-    adag_b_even = 2 * gam**2 - G**2 * gam**2
-    adag2a2_even = -(G**6) * gam**2 + 10 * G**4 * gam**2 + 2 * G**4 - 16 * G**2 * gam**2
+    a_even = 2 + 4 * gam2 - G2 * gam2
+    a2_even = -G4 * gam2 + 6 * G2 * gam2 + 2 * G2
+    adag_a_even = G4 * gam2 - 6 * G2 * gam2 - 2 * G2 + 4 * gam2
+    adag_b_even = 2 * gam2 - G2 * gam2
+    adag2a2_even = -G6 * gam2 + 10 * G4 * gam2 + 2 * G4 - 16 * G2 * gam2
 
     def branch(v):
         """(E, C) of each moment but b2 and bdag2b2, on the D(v Gamma/2) branch.
@@ -139,21 +299,23 @@ def expectations(params: MeasurementParams) -> ExpectationSet:
         """
         H = v * G
         s = H / 2
+        H3, H5 = _pow(H, 3), _pow(H, 5)
+        s2, s3, s4 = (_pow(s, k) for k in (2, 3, 4))
         return (
-            (q + s, E * (H * a_even + _RT2 * G**2 * dg + 2 * _RT2 * g) / (4 * u)),
-            (1j * q, 1j * E * (_RT2 * g + H * gam**2) / (2 * u)),
-            (s**2 + 2 * s * q, E * (a2_even + _RT2 * H**3 * dg + 4 * _RT2 * H * g) / (8 * u)),
-            (s**2 + n + 2 * s * q.real, E * (adag_a_even - (_RT2 * H**3 - 2 * _RT2 * H) * dg) / (8 * u)),
+            (q + s, E * (H * a_even + _RT2 * G2 * dg + 2 * _RT2 * g) / (4 * u)),
+            (_cmul(1j, q), _cmul(1j * E, _RT2 * g + H * gam2) / (2 * u)),
+            (s2 + 2 * s * q, E * (a2_even + _RT2 * H3 * dg + 4 * _RT2 * H * g) / (8 * u)),
+            (s2 + n + 2 * s * q.real, E * (adag_a_even - (_RT2 * H3 - 2 * _RT2 * H) * dg) / (8 * u)),
             (n, E * n),
-            (1j * n + 1j * s * q, 1j * E * (adag_b_even - _RT2 * H * g) / (4 * u)),
-            (1j * s * q, 1j * E * (G**2 * gam**2 + _RT2 * H * g) / (4 * u)),
-            (s**2 * n, -E * s**2 * n),
-            (s**4 + 4 * s**2 * n + 2 * s**3 * (q + np.conj(q)),
-             E * (adag2a2_even + (_RT2 * H**5 - 4 * _RT2 * H**3) * dg) / (32 * u)),
+            (1j * n + _cmul(1j * s, q), _cmul(1j * E, adag_b_even - _RT2 * H * g) / (4 * u)),
+            (_cmul(1j * s, q), _cmul(1j * E, G2 * gam2 + _RT2 * H * g) / (4 * u)),
+            (s2 * n, -E * s2 * n),
+            (s4 + 4 * s2 * n + 2 * s3 * (q + np.conj(q)),
+             E * (adag2a2_even + (_RT2 * H5 - 4 * _RT2 * H3) * dg) / (32 * u)),
         )
 
     a, b, a2, adag_a, bdag_b, adag_b, ab, adaga_bdagb, adag2a2 = (
-        complex((tp2 * ep + tm2 * em + cm * cmv + cp * cpv) / s1)
+        _scalar(complex, (tp2 * ep + tm2 * em + _cmul(cm, cmv) + _cmul(cp, cpv)) / s1)
         for (ep, cpv), (em, cmv) in zip(branch(1.0), branch(-1.0))
     )
     return ExpectationSet(
@@ -167,7 +329,7 @@ def expectations(params: MeasurementParams) -> ExpectationSet:
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def squeezing_from_moments(m: ExpectationSet) -> tuple[float, float]:
+def squeezing_from_moments(m: ExpectationSet):
     """Q1, Q2 from a moment record.
 
     Q_i = Var(F_i) - 1/4 with F1 = (A + A†)/2^{3/2}, F2 = (A - A†)/(2^{3/2} i),
@@ -176,12 +338,12 @@ def squeezing_from_moments(m: ExpectationSet) -> tuple[float, float]:
     mean_a = m.a + m.b
     mean_a2 = m.a2 + 2 * m.ab + m.b2
     mean_ada = m.adag_a.real + m.bdag_b.real + 2 * m.adag_b.real
-    q1 = 0.25 * (mean_ada + mean_a2.real) - 0.5 * mean_a.real**2
-    q2 = 0.25 * (mean_ada - mean_a2.real) - 0.5 * mean_a.imag**2
-    return float(q1), float(q2)
+    q1 = 0.25 * (mean_ada + mean_a2.real) - 0.5 * _pow(mean_a.real, 2)
+    q2 = 0.25 * (mean_ada - mean_a2.real) - 0.5 * _pow(mean_a.imag, 2)
+    return _scalar(float, q1), _scalar(float, q2)
 
 
-def squeezing(params: MeasurementParams) -> tuple[float, float]:
+def squeezing(params: MeasurementParams | ParamSeries):
     """Quadrature squeezing parameters (Q1, Q2) of the postselected state."""
     return squeezing_from_moments(expectations(params))
 
@@ -189,21 +351,23 @@ def squeezing(params: MeasurementParams) -> tuple[float, float]:
 _G2_EPS = 1e-12
 
 
-def g2_from_moments(m: ExpectationSet) -> float:
+def _no_correlation(na, nb):
+    return UndefinedCorrelationError(f"cross-correlation undefined: mean photon numbers ({na:.3e}, {nb:.3e})")
+
+
+def g2_from_moments(m: ExpectationSet):
     na, nb = m.adag_a.real, m.bdag_b.real
-    if na <= _G2_EPS or nb <= _G2_EPS:
-        raise UndefinedCorrelationError(
-            f"cross-correlation undefined: mean photon numbers ({na:.3e}, {nb:.3e})"
-        )
-    return float(m.adaga_bdagb.real / (na * nb))
+    empty = (na <= _G2_EPS) | (nb <= _G2_EPS)
+    undefined = _undefined(empty, _no_correlation, na, nb)
+    return _listed(m.adaga_bdagb.real / _kept(na * nb, empty), undefined)
 
 
-def g2_cross(params: MeasurementParams) -> float:
+def g2_cross(params: MeasurementParams | ParamSeries):
     """Second-order cross-correlation <a†a b†b> / (<a†a><b†b>) of |Psi>."""
     return g2_from_moments(expectations(params))
 
 
-def phi_moments(params: MeasurementParams):
+def phi_moments(params: MeasurementParams | ParamSeries):
     """<a>, <a†a>, <a^2> of the pointer without postselection (system traced out).
 
     With q = <a>_i and c = sin(alpha) cos(delta),
@@ -212,67 +376,79 @@ def phi_moments(params: MeasurementParams):
         <a^2> = Gamma^2/4 + Gamma c q
     """
     G, gam = params.Gamma, params.gamma
-    u = 1 + gam**2
-    q = gam * np.exp(1j * params.phi) / (_RT2 * u)
-    c = math.sin(params.alpha) * math.cos(params.delta)
+    gam2, G2 = _pow(gam, 2), _pow(G, 2)
+    u = 1 + gam2
+    q = gam * _each(_cis, params.phi) / (_RT2 * u)
+    c = _each(math.sin, params.alpha) * _each(math.cos, params.delta)
     a = q + (G / 2) * c
-    ada = gam**2 / (2 * u) + G**2 / 4 + G * c * q.real
-    a2 = G**2 / 4 + G * c * q
-    return complex(a), complex(ada), complex(a2)
+    ada = gam2 / (2 * u) + G2 / 4 + G * c * q.real
+    a2 = G2 / 4 + G * c * q
+    return _scalar(complex, a), _scalar(complex, ada), _scalar(complex, a2)
 
 
-def _x_moments(a: complex, ada: complex, a2: complex, sigma: float, x2_convention: str):
+def _x_moments(a, ada, a2, sigma, x2_convention: str):
     """<X> and <X^2> for X = sigma (a + a†) under the selected second-moment convention."""
     mean_x = 2 * sigma * a.real
     if x2_convention == "published":
-        x2 = sigma**2 / 2 * (ada.real + a2.real + 2)
+        x2 = _pow(sigma, 2) / 2 * (ada.real + a2.real + 2)
     elif x2_convention == "operator":
-        x2 = sigma**2 * (2 * ada.real + 2 * a2.real + 1)
+        x2 = _pow(sigma, 2) * (2 * ada.real + 2 * a2.real + 1)
     else:
         raise ValueError(f"x2_convention must be 'published' or 'operator', got {x2_convention!r}")
     return mean_x, x2
 
 
+def _no_shift():
+    return DegenerateShiftError("non-postselected shift vanished (needs Gamma > 0, alpha > 0, cos(delta) != 0)")
+
+
+def _collapse(x2_convention, var_psi, var_phi):
+    return VarianceCollapseError(
+        f"position variance non-positive under the {x2_convention!r} convention "
+        f"(postselected {var_psi:.3e}, non-postselected {var_phi:.3e})"
+    )
+
+
+def _ps(alpha):
+    return weak_value(alpha).ps
+
+
 def snr_from_moments(
     m_psi: ExpectationSet,
-    phi_m: tuple[complex, complex, complex],
-    params: MeasurementParams,
+    phi_m,
+    params: MeasurementParams | ParamSeries,
     n_total: int,
     x2_convention: str = "published",
-) -> tuple[float, float, float]:
+):
     """(chi, Rp, Rn) assembled from postselected and non-postselected moments."""
     if n_total < 1:
         raise ValueError("n_total must be a positive integer")
     sigma = params.sigma
-    q = params.gamma * np.exp(1j * params.phi) / (_RT2 * (1 + params.gamma**2))
+    q = params.gamma * _each(_cis, params.phi) / (_RT2 * (1 + _pow(params.gamma, 2)))
     x_initial = 2 * sigma * q.real
     x_psi, x2_psi = _x_moments(m_psi.a, m_psi.adag_a, m_psi.a2, sigma, x2_convention)
-    a_phi, ada_phi, a2_phi = phi_m
-    x_phi, x2_phi = _x_moments(a_phi, ada_phi, a2_phi, sigma, x2_convention)
+    x_phi, x2_phi = _x_moments(*phi_m, sigma, x2_convention)
     dx = x_psi - x_initial
     dxp = x_phi - x_initial
-    if abs(dxp) < 1e-14:
-        raise DegenerateShiftError(
-            "non-postselected shift vanished (needs Gamma > 0, alpha > 0, cos(delta) != 0)"
-        )
-    var_psi = x2_psi - x_psi**2
-    var_phi = x2_phi - x_phi**2
-    if var_psi <= 0 or var_phi <= 0:
-        raise VarianceCollapseError(
-            f"position variance non-positive under the {x2_convention!r} convention "
-            f"(postselected {var_psi:.3e}, non-postselected {var_phi:.3e})"
-        )
-    ps = weak_value(params.alpha, params.delta).ps
-    rp = math.sqrt(n_total * ps) * abs(dx) / math.sqrt(var_psi)
-    rn = math.sqrt(n_total) * abs(dxp) / math.sqrt(var_phi)
-    return rp / rn, rp, rn
+    degenerate = abs(dxp) < 1e-14
+    no_shift = _undefined(degenerate, _no_shift)
+    var_psi = x2_psi - _pow(x_psi, 2)
+    var_phi = x2_phi - _pow(x_phi, 2)
+    collapsed = (var_psi <= 0) | (var_phi <= 0)
+    # the shift is checked first: where both fail, its reason stands
+    undefined = {**_undefined(collapsed, _collapse, x2_convention, var_psi, var_phi), **no_shift}
+    bad = degenerate | collapsed
+    ps = _each(_ps, params.alpha)
+    rp = _each(math.sqrt, n_total * ps) * abs(dx) / _each(math.sqrt, _kept(var_psi, bad))
+    rn = math.sqrt(n_total) * abs(dxp) / _each(math.sqrt, _kept(var_phi, bad))
+    return _listed(rp / _kept(rn, bad), undefined), _listed(rp, undefined), _listed(rn, undefined)
 
 
 def snr_ratio(
-    params: MeasurementParams,
+    params: MeasurementParams | ParamSeries,
     n_total: int,
     x2_convention: str = "published",
-) -> tuple[float, float, float]:
+):
     """SNR ratio chi = Rp / Rn between postselected and plain measurements.
 
     Rp = sqrt(N Ps) |dx| / Dx on the postselected state, Rn the analogue on
@@ -282,13 +458,13 @@ def snr_ratio(
     return snr_from_moments(expectations(params), phi_moments(params), params, n_total, x2_convention)
 
 
-def _overlap_probability(params: MeasurementParams, lam: float, i1: complex) -> float:
+def _overlap_probability(params: MeasurementParams | ParamSeries, lam, i1):
     """|(lam/2)[(1+w) I + (1-w) I*]|^2 for the coupling integral I."""
-    w = weak_value(params.alpha, params.delta).value
-    return float(abs(lam / 2 * ((1 + w) * i1 + (1 - w) * np.conj(i1))) ** 2)
+    w = _weak(params)
+    return _scalar(float, _each(_abs2, lam / 2 * (_cmul(1 + w, i1) + _cmul(1 - w, np.conj(i1)))))
 
 
-def fidelity(params: MeasurementParams) -> float:
+def fidelity(params: MeasurementParams | ParamSeries):
     """|<Psi_i|Psi>|^2, from the half-coupling integrals <Psi_i|D(±Gamma/2)|Psi_i>."""
     return _overlap_probability(params, lambda_norm(params), _i1(params, coupling=params.Gamma / 2))
 
@@ -331,7 +507,7 @@ def projected_wavefunction(params: MeasurementParams, grid: GridSpec) -> ScalarF
 
 def _unit_intensity(grid: GridSpec, values: np.ndarray) -> ScalarField:
     """The intensity scaled to unit grid integral; FieldConsistencyError where that integral is <= 0."""
-    total = ScalarField(grid, values).integral()
+    total = _grid_integral(grid, values)
     if total <= 0:
         raise FieldConsistencyError(f"intensity integrated to {total:.3e} over the grid; the grid misses the beam")
     return ScalarField(grid, values / total)

@@ -133,7 +133,12 @@ class ScalarField:
 
     def integral(self) -> float:
         """Trapezoid integral of the (real part of the) field over the grid."""
-        return float(np.trapezoid(np.trapezoid(self.values.real, self.grid.ys(), axis=1), self.grid.xs()))
+        return _grid_integral(self.grid, self.values)
+
+
+def _grid_integral(grid: GridSpec, values: np.ndarray) -> float:
+    """Trapezoid integral of the real part of (nx, ny) samples over the grid."""
+    return float(np.trapezoid(np.trapezoid(values.real, grid.ys(), axis=1), grid.xs()))
 
 
 def _lower_a(c: np.ndarray) -> np.ndarray:

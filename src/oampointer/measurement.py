@@ -71,7 +71,8 @@ class MeasurementParams:
 @dataclass(frozen=True)
 class ExpectationSet:
     """The eleven pointer moments <a>, <b>, <a^2>, <b^2>, <a†a>, <b†b>, <a†b>,
-    <ab>, <a†a b†b>, <a†²a²>, <b†²b²> of one state, as complex values."""
+    <ab>, <a†a b†b>, <a†²a²>, <b†²b²> of one state, as complex values (complex
+    arrays where closedform.expectations takes a ParamSeries)."""
 
     a: complex
     b: complex

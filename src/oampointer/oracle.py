@@ -215,11 +215,11 @@ def _chi(convention):
     return lambda p, m: cf.snr_from_moments(m(), cf.phi_moments(p), p, 1, convention)[0]
 
 
-# name -> closed(params, moments), the exact closed form, where moments() returns
-# the point's ExpectationSet.  oracle_quantities returns the same names, and
-# compare reports them in this order; the published transcriptions are not in
-# the table: compare takes them from closedform.published_scalars, whose names
-# are table names.
+# name -> closed(params, moments), the exact closed form at one point or over a
+# closedform.ParamSeries, where moments() returns the ExpectationSet of params.
+# oracle_quantities returns the same names, and compare reports them in this
+# order; the published transcriptions are not in the table: compare takes them
+# from closedform.published_scalars, whose names are table names.
 SCALAR_QUANTITIES = {
     "lambda": lambda p, m: cf.lambda_norm(p),
     "I1": lambda p, m: cf._i1(p),
@@ -234,14 +234,20 @@ SCALAR_QUANTITIES = {
 }
 
 
-def closed_value(name: str, params: MeasurementParams, moments=None):
-    """The closed form of a table quantity, or (None, reason) where it is undefined.
+def closed_value(name: str, params, moments=None):
+    """The closed form of a table quantity at one point, or (None, reason) where it is undefined;
+    over a closedform.ParamSeries, the list of those, one per point, from one evaluation.
 
-    Without a moments function the moments are recomputed on every call.
+    moments() returns the ExpectationSet of params; without it the moments are computed for this call.
     """
     if moments is None:
         moments = functools.partial(cf.expectations, params)
-    return _value_or_reason(SCALAR_QUANTITIES[name], params, moments)
+    value = _value_or_reason(SCALAR_QUANTITIES[name], params, moments)
+    if not isinstance(params, cf.ParamSeries) or isinstance(value, list):
+        return value
+    if isinstance(value, tuple):  # undefined at every point
+        return [value] * params.size
+    return np.broadcast_to(value, params.size).tolist()  # b2 and bdag2b2 are one 0j for all
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +389,9 @@ def compare(
 
     Failures are recorded as data, never raised.  Each quantity of
     oracle_quantities is checked against closed_value under its table name,
-    so entries are ordered by (point index, table order); each point ends
+    the closed forms evaluated once over the whole set (the moments once, each
+    table quantity once) and the oracle point by point, so entries are ordered
+    by (point index, table order); each point ends
     with the residuals of the published transcriptions
     (closedform.published_scalars) against the oracle value of the same name,
     as "published:<name>".  Each point of field_params adds the Wigner and
@@ -395,11 +403,13 @@ def compare(
     if not params_set:
         raise ValueError("parameter set must be nonempty")
     report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
+    series = cf.ParamSeries.of(params_set)
+    moments = functools.cache(functools.partial(cf.expectations, series))
+    closed = {name: closed_value(name, series, moments) for name in SCALAR_QUANTITIES}
     for idx, p in enumerate(params_set):
-        moments = functools.cache(functools.partial(cf.expectations, p))
         rec = oracle_quantities(p, na=na)
         for name, value in rec.items():
-            report.entries.append(_entry(name, idx, p, closed_value(name, p, moments), value, abs_tol, rel_tol))
+            report.entries.append(_entry(name, idx, p, closed[name][idx], value, abs_tol, rel_tol))
         for name, value in cf.published_scalars(p).items():
             report.entries.append(_entry("published:" + name, idx, p, value, rec[name], abs_tol, rel_tol))
 

@@ -4,9 +4,16 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from oampointer.closedform import _i1
+from oampointer.closedform import (
+    MOMENT_NAMES,
+    DegenerateShiftError,
+    UndefinedCorrelationError,
+    VarianceCollapseError,
+)
 from oampointer.fock import TwoModeState
-from oampointer.measurement import ExpectationSet, MeasurementParams, weak_value
+from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
+
+RT2 = math.sqrt(2.0)
 
 
 def vacuum(na: int, nb: int = 2) -> TwoModeState:
@@ -46,7 +53,7 @@ def mirrored_expectations(params: MeasurementParams) -> ExpectationSet:
     w = weak_value(params.alpha, params.delta).value
     wc = np.conj(w)
     tp2, tm2, cm, cp = abs(1 + w) ** 2, abs(1 - w) ** 2, (1 + wc) * (1 - w), (1 - wc) * (1 + w)
-    i1 = _i1(params)
+    i1 = scalar_i1(params)
     s1 = tp2 + tm2 + (cm * np.conj(i1) + cp * i1).real
 
     def asm(ep, em, cpv, cmv):
@@ -95,3 +102,126 @@ def mirrored_expectations(params: MeasurementParams) -> ExpectationSet:
         adag_b=adag_b, ab=ab, adaga_bdagb=adaga_bdagb,
         adag2a2=adag2a2, bdag2b2=0j,
     )
+
+
+# ---------------------------------------------------------------------------
+# the closed-form quantity table one point at a time, as it was before the
+# closed forms took whole series: each function as it stood then, so the
+# series evaluation is pinned bit for bit
+# ---------------------------------------------------------------------------
+
+def scalar_i1(params: MeasurementParams, coupling: float | None = None) -> complex:
+    x = params.Gamma if coupling is None else coupling
+    u = 1 + params.gamma**2
+    return complex(
+        math.exp(-(x**2) / 2)
+        * (1 - (1j * RT2 * x * params.gamma * math.sin(params.phi) + params.gamma**2 * x**2 / 2) / u)
+    )
+
+
+def scalar_lambda(params: MeasurementParams) -> float:
+    w = weak_value(params.alpha, params.delta).value
+    i1 = scalar_i1(params)
+    aw2 = abs(w) ** 2
+    bracket = 0.5 * (1 + aw2 + (1 - aw2) * i1.real) - w.imag * i1.imag
+    if not bracket > 0:
+        raise PostselectionError(f"normalization bracket {bracket:.3e} is not positive; postselection impossible")
+    return 1.0 / math.sqrt(bracket)
+
+
+def scalar_squeezing(m: ExpectationSet) -> tuple[float, float]:
+    mean_a = m.a + m.b
+    mean_a2 = m.a2 + 2 * m.ab + m.b2
+    mean_ada = m.adag_a.real + m.bdag_b.real + 2 * m.adag_b.real
+    q1 = 0.25 * (mean_ada + mean_a2.real) - 0.5 * mean_a.real**2
+    q2 = 0.25 * (mean_ada - mean_a2.real) - 0.5 * mean_a.imag**2
+    return float(q1), float(q2)
+
+
+def scalar_g2(m: ExpectationSet) -> float:
+    na, nb = m.adag_a.real, m.bdag_b.real
+    if na <= 1e-12 or nb <= 1e-12:
+        raise UndefinedCorrelationError(
+            f"cross-correlation undefined: mean photon numbers ({na:.3e}, {nb:.3e})"
+        )
+    return float(m.adaga_bdagb.real / (na * nb))
+
+
+def scalar_phi_moments(params: MeasurementParams):
+    G, gam = params.Gamma, params.gamma
+    u = 1 + gam**2
+    q = gam * np.exp(1j * params.phi) / (RT2 * u)
+    c = math.sin(params.alpha) * math.cos(params.delta)
+    a = q + (G / 2) * c
+    ada = gam**2 / (2 * u) + G**2 / 4 + G * c * q.real
+    a2 = G**2 / 4 + G * c * q
+    return complex(a), complex(ada), complex(a2)
+
+
+def _x_moments(a, ada, a2, sigma, x2_convention):
+    mean_x = 2 * sigma * a.real
+    if x2_convention == "published":
+        x2 = sigma**2 / 2 * (ada.real + a2.real + 2)
+    else:
+        x2 = sigma**2 * (2 * ada.real + 2 * a2.real + 1)
+    return mean_x, x2
+
+
+def scalar_chi(m_psi: ExpectationSet, phi_m, params: MeasurementParams, x2_convention: str) -> float:
+    sigma = params.sigma
+    q = params.gamma * np.exp(1j * params.phi) / (RT2 * (1 + params.gamma**2))
+    x_initial = 2 * sigma * q.real
+    x_psi, x2_psi = _x_moments(m_psi.a, m_psi.adag_a, m_psi.a2, sigma, x2_convention)
+    x_phi, x2_phi = _x_moments(*phi_m, sigma, x2_convention)
+    dx = x_psi - x_initial
+    dxp = x_phi - x_initial
+    if abs(dxp) < 1e-14:
+        raise DegenerateShiftError(
+            "non-postselected shift vanished (needs Gamma > 0, alpha > 0, cos(delta) != 0)"
+        )
+    var_psi = x2_psi - x_psi**2
+    var_phi = x2_phi - x_phi**2
+    if var_psi <= 0 or var_phi <= 0:
+        raise VarianceCollapseError(
+            f"position variance non-positive under the {x2_convention!r} convention "
+            f"(postselected {var_psi:.3e}, non-postselected {var_phi:.3e})"
+        )
+    ps = weak_value(params.alpha, params.delta).ps
+    rp = math.sqrt(1 * ps) * abs(dx) / math.sqrt(var_psi)
+    rn = math.sqrt(1) * abs(dxp) / math.sqrt(var_phi)
+    return rp / rn
+
+
+def scalar_fidelity(params: MeasurementParams, lam: float) -> float:
+    w = weak_value(params.alpha, params.delta).value
+    i1 = scalar_i1(params, coupling=params.Gamma / 2)
+    return float(abs(lam / 2 * ((1 + w) * i1 + (1 - w) * np.conj(i1))) ** 2)
+
+
+def scalar_closed_values(params: MeasurementParams) -> dict:
+    """Every quantity-table name's closed form at one point as a Python float or complex,
+    (None, reason) where it is undefined."""
+    m = mirrored_expectations(params)
+    i1, lam, phi_m = scalar_i1(params), scalar_lambda(params), scalar_phi_moments(params)
+
+    def value_or_reason(fn, *args):
+        try:
+            return fn(*args)
+        except (UndefinedCorrelationError, DegenerateShiftError, VarianceCollapseError) as exc:
+            return None, str(exc)
+
+    q1, q2 = scalar_squeezing(m)
+    values = {
+        "lambda": lam,
+        "I1": i1,
+        "I2": np.conj(i1),
+        **{key: getattr(m, name) for key, name in MOMENT_NAMES.items()},
+        "Q1": q1,
+        "Q2": q2,
+        "fidelity": scalar_fidelity(params, lam),
+        "g2": value_or_reason(scalar_g2, m),
+        "chi": value_or_reason(scalar_chi, m, phi_m, params, "published"),
+        "chi[x2=operator]": value_or_reason(scalar_chi, m, phi_m, params, "operator"),
+    }
+    return {name: v if isinstance(v, tuple) else complex(v) if isinstance(v, complex) else float(v)
+            for name, v in values.items()}

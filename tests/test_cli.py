@@ -125,7 +125,7 @@ def test_sweep_rejects_bad_quantity(tmp_path):
 
 
 def test_sweep_rejects_out_of_domain_axis(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_evaluate", _never_called)  # the last point is refused before the first is evaluated
+    monkeypatch.setattr(cli, "_sweep_values", _never_called)  # the last point is refused before the first is evaluated
     rc = run(["sweep", "--quantity", "Q1", "--axis", "alpha",
               "--start", 0, "--stop", math.pi, "--steps", 3, "--out", tmp_path / "x.csv"])
     assert rc == 1  # alpha = pi is outside the open interval
@@ -341,13 +341,33 @@ def test_field_refuses_intensity_off_the_beam(engine, tmp_path, capsys):
 
 
 def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_evaluate", lambda *args, **kwargs: math.nan)
+    monkeypatch.setattr(cli, "_sweep_values", lambda quantity, points, *args, **kwargs: [math.nan] * len(points))
     out = tmp_path / "x.csv"
     rc = run(["sweep", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 2,
               "--out", out])
     assert rc == 1
     assert "Q1 is not finite (nan) at Gamma = 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeypatch):
+    # a closed-form sweep makes the moments of all its points in one call, and so does
+    # compare for the whole lattice; the oracle is stubbed out, as it stays per point
+    calls = []
+    expectations = cli.cf.expectations
+
+    def counting(params):
+        calls.append(params)
+        return expectations(params)
+
+    monkeypatch.setattr(cli.cf, "expectations", counting)
+    assert run(["sweep", "--quantity", "chi", "--axis", "Gamma", "--start", 0, "--stop", 2, "--steps", 201,
+                "--alpha", 2.0, "--out", tmp_path / "chi.csv"]) == 0
+    assert [p.size for p in calls] == [201]
+    calls.clear()
+    monkeypatch.setattr(cli.orc, "oracle_quantities", lambda p, na=None: dict.fromkeys(cli.orc.SCALAR_QUANTITIES, 0.0))
+    cli.orc.compare(cli.orc.validation_params())
+    assert [p.size for p in calls] == [300]
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +448,19 @@ def test_figure_byte_identical_reruns(tmp_path):
     assert (a / "fig7b.csv").read_bytes() == (b / "fig7b.csv").read_bytes()
 
 
-def test_figure_presets_match_reference_digests(tmp_path):
-    # the byte contract: every preset's files on the default grid, as the benchmark's reference records them
+@pytest.mark.parametrize("kind", ["sweep", "field"])
+def test_figure_presets_match_reference_digests(kind, tmp_path):
+    # the byte contract: every preset's files on the default grid, as the benchmark's reference
+    # records them.  CI reruns the sweep presets with numpy's AVX2 and AVX-512 kernels switched
+    # off, where their bytes hold; the field presets' np.exp over a grid rounds with the kernels
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "reference.json")) as fh:
         digests = json.load(fh)["figures"]
-    for name in FIGURES:
+    names = [name for name in FIGURES if (len(cli._FIGURE_PRESETS[name]) == 3) == (kind == "sweep")]
+    for name in names:
         assert run(["figure", "--name", name, "--outdir", tmp_path]) == 0
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == digests
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == {
+        fname: digest for fname, digest in digests.items() if fname.split("_")[0].split(".")[0] in names}
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a",

@@ -1,15 +1,17 @@
 """Closed forms vs the state-vector oracle, plus the published-variant residuals."""
+import functools
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from _reference import mirrored_expectations
+from _reference import scalar_closed_values
 
 from oampointer.cli import _FIGURE_AXES, _FIGURE_PRESETS, _point
 from oampointer.closedform import (
     DegenerateShiftError,
+    ParamSeries,
     UndefinedCorrelationError,
     VarianceCollapseError,
     expectations,
@@ -33,6 +35,8 @@ from oampointer.oracle import (
     oracle_quantities,
     oracle_states,
     oracle_wigner,
+    SCALAR_QUANTITIES,
+    closed_value,
     validation_params,
 )
 
@@ -114,6 +118,10 @@ def test_lambda_bracket_guard():
         _lambda_from_bracket(0.0)
     with pytest.raises(PostselectionError):
         _lambda_from_bracket(-0.2)
+    # a series raises as its first offending point does alone
+    with pytest.raises(PostselectionError, match=r"^normalization bracket -2\.000e-01 is not positive"):
+        _lambda_from_bracket(np.array([1.0, -0.2, 0.0]))
+    assert _lambda_from_bracket(np.array([1.0, 4.0])).tolist() == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -151,40 +159,54 @@ def test_hermiticity_residues():
             assert getattr(m, name).real >= -1e-12
 
 
-def _figure_points():
-    """Every distinct point of the figure presets: the sweep series on their axes and the field points."""
-    points = set()
-    for preset in _FIGURE_PRESETS.values():
-        if len(preset) == 2:
-            points.update(preset[1].values())
-            continue
-        _, axis, series = preset
-        for G, al in series:
-            points.update(replace(_point(G, al, math.pi / 2), **{axis: float(v)})
-                          for v in np.linspace(*_FIGURE_AXES[axis]))
-    return list(points)
+def _figure_series():
+    """The distinct sweep series of the figure presets, each as the figure command evaluates it."""
+    keys = {(axis, G, al) for preset in _FIGURE_PRESETS.values() if len(preset) == 3
+            for axis in preset[1:2] for G, al in preset[2]}
+    return [[replace(_point(G, al, math.pi / 2), **{axis: v}) for v in np.linspace(*_FIGURE_AXES[axis]).tolist()]
+            for axis, G, al in sorted(keys)]
 
 
-def test_one_branch_function_is_the_mirrored_moments_bit_for_bit():
-    # expectations writes each moment's (E, C) once, in v Gamma; the hand-mirrored pairs it
-    # replaced must come back to the last bit.  The draw takes gamma = 0 at phi > pi, where g
-    # has a -0.0 imaginary part, and Gamma up to 74.8; alpha <= 0.95 pi keeps |w| <= 12.7
+def _bits(values):
+    """A table column as the bit patterns of its numbers (a zero's sign too) and its (None, reason) entries."""
+    numbers = np.array([0j if isinstance(v, tuple) else v for v in values], dtype=complex)
+    return numbers.view(np.uint64).tolist(), {i: v for i, v in enumerate(values) if isinstance(v, tuple)}
+
+
+def test_closed_forms_over_a_series_keep_the_one_point_bits():
+    # every table quantity, over a series and at one point, against the per-point closed forms
+    # kept in tests/_reference.py.  The draw takes gamma = 0 at phi > pi, where g has a -0.0
+    # imaginary part, Gamma = 0, alpha = 0, delta = pi/2 and Gamma up to 74.8; alpha <= 0.95 pi
+    # keeps |w| <= 12.7.  The figure series keep their fixed parameters as scalars.
     rng = np.random.default_rng(2411)
+    k = np.arange(600)
     drawn = [
         MeasurementParams(Gamma=G, alpha=al, delta=de, phi=ph, gamma=gam)
         for G, al, de, ph, gam in zip(
             np.concatenate([[0.0] * 50, rng.uniform(0, 2, 250), rng.uniform(0, 74.8, 300)]).tolist(),
-            rng.uniform(0, 0.95 * math.pi, 600).tolist(),
-            rng.uniform(0, 2 * math.pi, 600).tolist(),
-            np.where(np.arange(600) % 2, rng.uniform(math.pi, 2 * math.pi, 600), rng.uniform(0, 2 * math.pi, 600)).tolist(),
-            np.where(np.arange(600) % 3 == 0, 0.0, rng.uniform(0, 10, 600)).tolist(),
+            np.where(k % 7 == 0, 0.0, rng.uniform(0, 0.95 * math.pi, 600)).tolist(),
+            np.where(k % 4 == 1, math.pi / 2, rng.uniform(0, 2 * math.pi, 600)).tolist(),
+            np.where(k % 2, rng.uniform(math.pi, 2 * math.pi, 600), rng.uniform(0, 2 * math.pi, 600)).tolist(),
+            np.where(k % 3 == 0, 0.0, rng.uniform(0, 10, 600)).tolist(),
         )
     ]
     assert any(p.gamma == 0 and p.phi > math.pi and p.Gamma > 0 for p in drawn)
-    points = validation_params() + _figure_points() + drawn
-    new = [repr(vars(expectations(p))) for p in points]
-    old = [repr(vars(mirrored_expectations(p))) for p in points]
-    assert new == old  # repr keeps every bit of all eleven moments, the sign of a zero too
+    field_points = [p for preset in _FIGURE_PRESETS.values() if len(preset) == 2 for p in preset[1].values()]
+    undefined = set()
+    # each set of points, with the stride at which its points are also checked one at a time
+    sets = [(validation_params(), 1), (drawn, 4), (field_points, 1), *((s, 0) for s in _figure_series())]
+    for points, stride in sets:
+        want = [scalar_closed_values(p) for p in points]  # Python floats and complexes
+        series = ParamSeries.of(points)
+        moments = functools.cache(functools.partial(expectations, series))
+        for name in SCALAR_QUANTITIES:
+            got = closed_value(name, series, moments)
+            assert _bits(got) == _bits([w[name] for w in want]), name
+            undefined.update(v[1].split(" ")[0] for v in got if isinstance(v, tuple))
+        for p, w in list(zip(points, want))[::stride] if stride else ():
+            moments = functools.cache(functools.partial(expectations, p))
+            assert _bits([closed_value(name, p, moments) for name in w]) == _bits(list(w.values())), p
+    assert undefined == {"cross-correlation", "non-postselected", "position"}  # all three reasons met
 
 
 def test_published_moments_deviate_and_are_reported_upstream():
