@@ -210,7 +210,8 @@ def _field_check_points():
 
 def cmd_validate(ns) -> int:
     # the default only where the option is absent: an empty --whitelist allows no failure
-    whitelist = DEFAULT_WHITELIST if ns.whitelist is None else tuple(w for w in ns.whitelist.split(",") if w)
+    whitelist = (DEFAULT_WHITELIST if ns.whitelist is None
+                 else tuple(filter(None, (w.strip() for w in ns.whitelist.split(",")))))
     params_set = orc.validation_params()
     fh = open(ns.out, "w", newline="\n")  # an unwritable --out fails here, before any evaluation
     report = None
@@ -386,7 +387,7 @@ def _build_parser():
     p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=1e-10)
     p.add_argument("--rel-tol", dest="rel_tol", type=_tolerance, default=1e-8)
     p.add_argument("--whitelist", default=None,
-                   help="comma-separated quantity names (or prefix*) allowed to fail")
+                   help="comma-separated quantity names (or prefix*) allowed to fail; spaces are ignored")
     p.add_argument("--out", default="validation_report.json", help="output path")
     _add_shared(p, "cutoff")
     p.set_defaults(func=cmd_validate)
@@ -399,33 +400,29 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _apply_config(parser, commands, argv, ns):
-    """Parse again with the config file's values as the subcommand's defaults.
+def _config_argv(commands, argv, ns):
+    """argv again with the config file's lines as flags right after the command.
 
-    argparse converts string defaults through each option's type, and a flag
-    on the command line wins over the file even when it repeats the default.
+    Each key=value becomes --option=value, so argparse converts and checks the
+    file's values as it does typed flags, and a flag on the command line wins
+    because it is parsed later.
     """
     conf = _read_config(ns.config)
-    sub = commands[ns.command]
-    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+    options = {a.dest: a.option_strings[0] for a in commands[ns.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key in conf:
         if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
-    sub.set_defaults(**conf)
-    ns = parser.parse_args(argv)
-    for key in conf:  # argparse checks choices on the command line only
-        choices = options[key].choices
-        if choices is not None and getattr(ns, key) not in choices:
-            raise ConfigError(f"bad value for {key!r}: {getattr(ns, key)!r} is not one of {choices}")
-    return ns
+    return [ns.command, *(f"{options[k]}={v}" for k, v in conf.items()), *argv[argv.index(ns.command) + 1:]]
 
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         ns = parser.parse_args(argv)
         if ns.config:
-            ns = _apply_config(parser, commands, argv, ns)
+            ns = parser.parse_args(_config_argv(commands, argv, ns))
         if ns.cutoff is not None:
             if getattr(ns, "engine", None) == "closedform":
                 raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")

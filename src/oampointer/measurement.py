@@ -4,7 +4,10 @@ A polarization qubit preselected in cos(alpha/2)|H> + e^{i delta} sin(alpha/2)|V
 couples to the a mode of the pointer through sigma_x, which displaces the two
 sigma_x eigenbranches by ±Gamma/2, and is then postselected onto |H>.  The
 pointer starts in a normalized superposition of the fundamental Gaussian and
-the unit-charge vortex mode, expanded over two Hermite-Gauss modes.
+the unit-charge vortex mode, expanded over two Hermite-Gauss modes.  Of the
+pointer moments this module makes only the three of the un-postselected
+pointer that the SNR ratio reads; all eleven of one state are the oracle's
+(oracle.oracle_expectations).
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import NormDriftWarning, TwoModeState, _lower_a, _lower_b, _occupied_levels, displacement_matrix
+from .fock import NormDriftWarning, TwoModeState, _lower_a, _occupied_levels, displacement_matrix
 
 __all__ = [
     "PostselectionError",
@@ -206,32 +209,18 @@ def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeSta
     return state, nrm**2
 
 
-def _lowering_moments(st: TwoModeState):
-    """All eleven moments of one state by lowering-operator application and inner products.
-
-    Only lowering operators are applied (raising is rewritten away), so the
-    result is exact to the stored truncation and the two-level b cutoff stays
-    exact.  Each moment is np.vdot over its named pair of lowered grids, raw
-    arrays of the state's shape.  Returns an ExpectationSet.
-    """
-    c = st.coeffs
-    av, bv = _lower_a(c), _lower_b(c)
-    aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
-
-    pairs = dict(a=(c, av), b=(c, bv), a2=(c, aav), b2=(c, bbv), adag_a=(av, av), bdag_b=(bv, bv), adag_b=(av, bv),
-                 ab=(c, abv), adaga_bdagb=(abv, abv), adag2a2=(aav, aav), bdag2b2=(bbv, bbv))
-    return ExpectationSet(**{name: complex(np.vdot(u, v)) for name, (u, v) in pairs.items()})
-
-
 def nonpostselected_moments(joint: JointState):
-    """Pointer moments of the un-postselected joint state (system traced out).
+    """<a>, <a†a>, <a^2> of the un-postselected joint state (system traced out),
+    the tuple closedform.phi_moments returns.
 
-    Every moment is the preselection-weighted mixture of the two branch
-    expectations.  Returns an ExpectationSet.
+    Each is the preselection-weighted mixture of the two branch values, made
+    by lowering the a mode only, so it is exact to the stored truncation.
     """
+    def branch(st: TwoModeState):
+        c = st.coeffs
+        av = _lower_a(c)
+        return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
+
     wp = abs(joint.amp_plus) ** 2
     wm = abs(joint.amp_minus) ** 2
-    plus, minus = _lowering_moments(joint.branch_plus), _lowering_moments(joint.branch_minus)
-    return ExpectationSet(
-        **{name: wp * getattr(plus, name) + wm * getattr(minus, name) for name in ExpectationSet.field_names()}
-    )
+    return tuple(wp * p + wm * m for p, m in zip(branch(joint.branch_plus), branch(joint.branch_minus)))

@@ -32,6 +32,8 @@ from .fock import (
     TruncationWarning,
     TwoModeState,
     _laguerre_rows,
+    _lower_a,
+    _lower_b,
     _occupied_levels,
     coordinate_wavefunction,
     default_cutoff,
@@ -41,7 +43,6 @@ from .fock import (
 from .measurement import (
     ExpectationSet,
     MeasurementParams,
-    _lowering_moments,
     evolve_joint,
     initial_pointer,
     nonpostselected_moments,
@@ -77,11 +78,21 @@ def _audit_truncation(state: TwoModeState):
 
 
 def oracle_expectations(state: TwoModeState) -> ExpectationSet:
-    """All eleven moments by lowering-operator application and inner products,
-    exact to the stored truncation; warns when the top Fock level is occupied.
+    """All eleven moments of one state; warns when the top Fock level is occupied.
+
+    Only lowering operators are applied (raising is rewritten away), so the
+    result is exact to the stored truncation and the two-level b cutoff stays
+    exact.  Each moment is np.vdot over its named pair of lowered grids, raw
+    arrays of the state's shape.
     """
     _audit_truncation(state)
-    return _lowering_moments(state)
+    c = state.coeffs
+    av, bv = _lower_a(c), _lower_b(c)
+    aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
+
+    pairs = dict(a=(c, av), b=(c, bv), a2=(c, aav), b2=(c, bbv), adag_a=(av, av), bdag_b=(bv, bv), adag_b=(av, bv),
+                 ab=(c, abv), adaga_bdagb=(abv, abv), adag2a2=(aav, aav), bdag2b2=(bbv, bbv))
+    return ExpectationSet(**{name: complex(np.vdot(u, v)) for name, (u, v) in pairs.items()})
 
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
@@ -187,8 +198,7 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
     c = psi_i.coeffs[: _occupied_levels(psi_i)]
     i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
-    phi_full = nonpostselected_moments(joint)
-    phi = (phi_full.a, phi_full.adag_a, phi_full.a2)
+    phi = nonpostselected_moments(joint)
 
     def chi(convention):
         return cf.snr_from_moments(m, phi, params, 1, convention)[0]

@@ -538,7 +538,7 @@ def test_flag_at_default_value_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["steps=many", "engine=abacus", "func=x", "default_out=x",
-                                  "command=field", "quantity=Q9", "axis=sigma"])
+                                  "command=field", "quantity=Q9", "axis=sigma", "config=x"])
 def test_bad_config_value_or_key_exits_one(line, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(f"quantity=lambda\naxis=Gamma\nstart=0\nstop=1\nsteps=3\n{line}\n")
@@ -747,10 +747,11 @@ def test_validate_cutoff_self_check_is_the_per_point_audit(na, user_filter, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_validate_empty_whitelist_allows_no_failure(tmp_path):
-    # the published residuals fail, and only the default whitelist lets them
+@pytest.mark.parametrize("whitelist,rc", [("", 2), ("chi[x2=operator], published:*", 0)], ids=["empty", "spaced"])
+def test_validate_empty_whitelist_allows_no_failure(whitelist, rc, tmp_path):
+    # the published residuals fail, and only a whitelist naming them lets them; spaces around items are ignored
     out = tmp_path / "report.json"
-    assert run(["validate", "--out", out, "--whitelist", ""]) == 2
+    assert run(["validate", "--out", out, "--whitelist", whitelist]) == rc
     assert json.loads(out.read_text())["summary"]["published:moment:adag2a2"]["fail"] > 0
 
 

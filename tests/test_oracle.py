@@ -9,7 +9,7 @@ import pytest
 from _reference import vacuum
 from oampointer import closedform as cf
 from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displacement_matrix
-from oampointer.measurement import ExpectationSet, MeasurementParams, weak_value
+from oampointer.measurement import ExpectationSet, MeasurementParams, nonpostselected_moments, weak_value
 from oampointer.oracle import (
     SCALAR_QUANTITIES,
     ReportEntry,
@@ -54,6 +54,21 @@ def test_initial_superposition_cross_moment():
     p = MeasurementParams(Gamma=0.0, alpha=0.0, gamma=1.0, phi=0.0)
     m = oracle_expectations(initial_pointer(p, 6))
     assert m.adag_b == pytest.approx(0.25j, abs=1e-14)
+
+
+_SWEEP_GAMMA_AXIS = [MeasurementParams(Gamma=float(G), alpha=2.2, delta=0.6, phi=0.9, gamma=1.3)
+                     for G in np.linspace(0.0, 30.0, 121)]
+
+
+@pytest.mark.parametrize("points", [validation_params(), _SWEEP_GAMMA_AXIS], ids=["lattice", "sweep_Gamma_0_30"])
+def test_nonpostselected_moments_are_the_branch_mixture_bit_for_bit(points):
+    # the three moments chi reads, mixed from the eleven of each branch in the same operand order
+    for p in points:
+        joint = oracle_states(p)[1]
+        plus, minus = oracle_expectations(joint.branch_plus), oracle_expectations(joint.branch_minus)
+        wp, wm = abs(joint.amp_plus) ** 2, abs(joint.amp_minus) ** 2
+        expected = tuple(wp * getattr(plus, n) + wm * getattr(minus, n) for n in ("a", "adag_a", "a2"))
+        assert nonpostselected_moments(joint) == expected, p
 
 
 @pytest.mark.parametrize("oracle_fn", [
