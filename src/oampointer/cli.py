@@ -384,8 +384,8 @@ def _build_parser():
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("validate", help="closed-form vs oracle validation run")
-    p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=1e-10)
-    p.add_argument("--rel-tol", dest="rel_tol", type=_tolerance, default=1e-8)
+    p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=orc.ABS_TOL)
+    p.add_argument("--rel-tol", dest="rel_tol", type=_tolerance, default=orc.REL_TOL)
     p.add_argument("--whitelist", default=None,
                    help="comma-separated quantity names (or prefix*) allowed to fail; spaces are ignored")
     p.add_argument("--out", default="validation_report.json", help="output path")

@@ -40,10 +40,10 @@ Every public function here gives the exact form.  Commonly quoted closed forms
 carry transcription defects (some give complex values for Hermitian
 observables); the last section keeps them verbatim for the validation report
 alone, through ``published_scalars`` and ``published_intensity``.
-``published_scalars`` keys its values by quantity-table name, so this module
-spells the ``moment:<name>`` keys (``MOMENT_NAMES``) and the ``lambda``, ``Q2``
-and ``fidelity`` keys that ``oracle.SCALAR_QUANTITIES``,
-``oracle.oracle_quantities`` and ``compare`` share.
+``published_scalars`` keys its values by quantity-table name: the one table,
+``oracle.SCALAR_QUANTITIES``, derives each quantity from an engine's five
+primitives, and here the closed forms' are ``lambda_norm``, ``_i1``,
+``fidelity``, ``expectations`` and ``phi_moments``.
 """
 from __future__ import annotations
 
@@ -387,7 +387,8 @@ def phi_moments(params: MeasurementParams | ParamSeries):
 
 
 def _x_moments(a, ada, a2, sigma, x2_convention: str):
-    """<X> and <X^2> for X = sigma (a + a†) under the selected second-moment convention."""
+    """<X> and <X^2> for X = sigma (a + a†): "operator" takes <X^2> of that operator; "published",
+    sigma^2/2 (<a†a> + Re<a^2> + 2), is the quoted convention on moments, not an operator's square."""
     mean_x = 2 * sigma * a.real
     if x2_convention == "published":
         x2 = _pow(sigma, 2) / 2 * (ada.real + a2.real + 2)

@@ -1,12 +1,15 @@
 """State-vector ground truth and closed-form-vs-oracle validation.
 
-Everything here is computed from truncated Fock-space state vectors with
-ladder operators and inner products; no closed-form shortcut enters.  The
-displaced-Fock elements of fock._laguerre_rows are exact on any truncation,
-so they are only made where they are needed: the displaced-parity Wigner
-function contracts the a-mode density matrix with them between the stored
-levels, once per distinct |beta|^2 on the grid and in blocks of radii, then
-sums each point's angular series by Horner in e^{i theta}; and
+The oracle's primitives and fields come from truncated Fock-space state vectors,
+ladder operators and inner products; from closedform it takes the table's
+derivations (squeezing_from_moments, g2_from_moments, snr_from_moments with
+chi's initial mean 2 sigma Re q and Ps) and the intensity's _unit_intensity.
+
+The displaced-Fock elements of fock._laguerre_rows are exact on any
+truncation, so they are only made where they are needed: the displaced-parity
+Wigner function contracts the a-mode density matrix with them between the
+stored levels, once per distinct |beta|^2 on the grid and in blocks of radii,
+then sums each point's angular series by Horner in e^{i theta}; and
 I1 = <Psi_i|D(Gamma)|Psi_i> takes the block over the a levels Psi_i occupies.
 """
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -182,82 +186,75 @@ def _value_or_reason(fn, *args):
 
 
 def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
-    """Every scalar of the quantity table from state vectors only.
+    """Every scalar of the quantity table, derived from the five primitives made from state vectors.
 
-    Keyed by table name in table order, with (None, reason) where a quantity
-    is undefined.  chi is assembled under both second-moment conventions from
-    the same numeric moments (chi: commonly quoted convention;
-    chi[x2=operator]: the operator square of X = sigma (a + a†)).
+    Keyed by table name in table order, with (None, reason) where a quantity is undefined.
     """
     psi_i, joint, psi, _ = oracle_states(params, na)
-    m = oracle_expectations(psi)
-    q1, q2 = cf.squeezing_from_moments(m)
     # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
     w = weak_value(params.alpha, params.delta).value
     un = (1 + w) * joint.branch_plus.coeffs + (1 - w) * joint.branch_minus.coeffs
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
     c = psi_i.coeffs[: _occupied_levels(psi_i)]
-    i1 = complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
-    phi = nonpostselected_moments(joint)
-
-    def chi(convention):
-        return cf.snr_from_moments(m, phi, params, 1, convention)[0]
-
-    return {
-        "lambda": 2.0 / float(np.linalg.norm(un)),
-        "I1": i1,
-        "I2": np.conj(i1),
-        **{key: getattr(m, name) for key, name in cf.MOMENT_NAMES.items()},
-        "Q1": q1,
-        "Q2": q2,
-        "fidelity": float(abs(inner(psi_i, psi)) ** 2),
-        "g2": _value_or_reason(cf.g2_from_moments, m),
-        "chi": _value_or_reason(chi, "published"),
-        "chi[x2=operator]": _value_or_reason(chi, "operator"),
-    }
+    e = SimpleNamespace(  # a plain record: every primitive is made here
+        moments=oracle_expectations(psi),
+        lam=2.0 / float(np.linalg.norm(un)),
+        i1=complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c)),
+        fidelity=float(abs(inner(psi_i, psi)) ** 2),
+        phi=nonpostselected_moments(joint),
+    )
+    return {name: _value_or_reason(fn, params, e) for name, fn in SCALAR_QUANTITIES.items()}
 
 
 # ---------------------------------------------------------------------------
 # the one table of scalar quantities (compare, the CLI sweeps and validate)
 # ---------------------------------------------------------------------------
 
-def _chi(convention):
-    return lambda p, m: cf.snr_from_moments(m(), cf.phi_moments(p), p, 1, convention)[0]
+@dataclass
+class _ClosedPrimitives:
+    """The closed forms' primitives at one point or over a closedform.ParamSeries, each made on
+    first use, so a quantity costs only what it reads; each function is looked up on closedform then."""
+
+    params: MeasurementParams | cf.ParamSeries
+    lam = functools.cached_property(lambda self: cf.lambda_norm(self.params))
+    i1 = functools.cached_property(lambda self: cf._i1(self.params))
+    fidelity = functools.cached_property(lambda self: cf.fidelity(self.params))
+    moments = functools.cached_property(lambda self: cf.expectations(self.params))
+    phi = functools.cached_property(lambda self: cf.phi_moments(self.params))
+
+    def value(self, name: str):
+        """A table quantity, or (None, reason) where it is undefined; over a series, the list of those."""
+        value = _value_or_reason(SCALAR_QUANTITIES[name], self.params, self)
+        if not isinstance(self.params, cf.ParamSeries) or isinstance(value, list):
+            return value
+        if isinstance(value, tuple):  # undefined at every point
+            return [value] * self.params.size
+        return np.broadcast_to(value, self.params.size).tolist()  # b2 and bdag2b2 are one 0j for all
 
 
-# name -> closed(params, moments), the exact closed form at one point or over a
-# closedform.ParamSeries, where moments() returns the ExpectationSet of params.
-# oracle_quantities returns the same names, and compare reports them in this
-# order; the published transcriptions are not in the table: compare takes them
-# from closedform.published_scalars, whose names are table names.
+# name -> value(params, e), at one point or over a closedform.ParamSeries, from an engine's five
+# primitives e: the normalization lam, I1 (i1), the fidelity, the ExpectationSet of moments and the
+# non-postselected (<a>, <a†a>, <a^2>) (phi).  oracle_quantities and closed_value read it alike, and
+# compare reports the names in this order; the published transcriptions are not in the table:
+# compare takes them from closedform.published_scalars, whose names are table names.
 SCALAR_QUANTITIES = {
-    "lambda": lambda p, m: cf.lambda_norm(p),
-    "I1": lambda p, m: cf._i1(p),
-    "I2": lambda p, m: np.conj(cf._i1(p)),
-    **{key: (lambda p, m, name=name: getattr(m(), name)) for key, name in cf.MOMENT_NAMES.items()},
-    "Q1": lambda p, m: cf.squeezing_from_moments(m())[0],
-    "Q2": lambda p, m: cf.squeezing_from_moments(m())[1],
-    "fidelity": lambda p, m: cf.fidelity(p),
-    "g2": lambda p, m: cf.g2_from_moments(m()),
-    "chi": _chi("published"),
-    "chi[x2=operator]": _chi("operator"),
+    "lambda": lambda p, e: e.lam,
+    "I1": lambda p, e: e.i1,
+    "I2": lambda p, e: np.conj(e.i1),
+    **{key: (lambda p, e, name=name: getattr(e.moments, name)) for key, name in cf.MOMENT_NAMES.items()},
+    "Q1": lambda p, e: cf.squeezing_from_moments(e.moments)[0],
+    "Q2": lambda p, e: cf.squeezing_from_moments(e.moments)[1],
+    "fidelity": lambda p, e: e.fidelity,
+    "g2": lambda p, e: cf.g2_from_moments(e.moments),
+    "chi": lambda p, e: cf.snr_from_moments(e.moments, e.phi, p, 1, "published")[0],
+    "chi[x2=operator]": lambda p, e: cf.snr_from_moments(e.moments, e.phi, p, 1, "operator")[0],
 }
 
 
-def closed_value(name: str, params, moments=None):
+def closed_value(name: str, params):
     """The closed form of a table quantity at one point, or (None, reason) where it is undefined;
-    over a closedform.ParamSeries, the list of those, one per point, from one evaluation.
-
-    moments() returns the ExpectationSet of params; without it the moments are computed for this call.
-    """
-    if moments is None:
-        moments = functools.partial(cf.expectations, params)
-    value = _value_or_reason(SCALAR_QUANTITIES[name], params, moments)
-    if not isinstance(params, cf.ParamSeries) or isinstance(value, list):
-        return value
-    if isinstance(value, tuple):  # undefined at every point
-        return [value] * params.size
-    return np.broadcast_to(value, params.size).tolist()  # b2 and bdag2b2 are one 0j for all
+    over a closedform.ParamSeries, the list of those, one per point, from one evaluation."""
+    return _ClosedPrimitives(params).value(name)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +378,7 @@ def _entry(quantity, idx, params, closed, oracle, abs_tol, rel_tol):
 # the field cross-check: one grid and one max-deviation tolerance
 _FIELD_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)
 _FIELD_TOL = 1e-6
+ABS_TOL, REL_TOL = 1e-10, 1e-8  # compare's default scalar tolerances, and validate's
 
 
 def _field_maxdev(quantity, idx, params, closed, oracle):
@@ -390,32 +388,31 @@ def _field_maxdev(quantity, idx, params, closed, oracle):
 
 def compare(
     params_set,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-8,
+    abs_tol: float = ABS_TOL,
+    rel_tol: float = REL_TOL,
     na: int | None = None,
     field_params=None,
 ) -> ValidationReport:
     """Evaluate closed forms and the oracle over a parameter set and report deltas.
 
     Failures are recorded as data, never raised.  Each quantity of
-    oracle_quantities is checked against closed_value under its table name,
-    the closed forms evaluated once over the whole set (the moments once, each
-    table quantity once) and the oracle point by point, so entries are ordered
-    by (point index, table order); each point ends
-    with the residuals of the published transcriptions
-    (closedform.published_scalars) against the oracle value of the same name,
-    as "published:<name>".  Each point of field_params adds the Wigner and
-    intensity field checks, the published intensity last, always on the fixed
-    61 x 61 grid over [-6, 6]^2 with the fixed max-deviation tolerance 1e-6
-    (the *:field_maxdev entries).
+    SCALAR_QUANTITIES is derived once from each engine's primitives: from the
+    closed forms' over the whole set, each primitive made once, and from the
+    oracle's (oracle_quantities) point by point, so entries are ordered by
+    (point index, table order); each point ends with the residuals of the
+    published transcriptions (closedform.published_scalars) against the oracle
+    value of the same name, as "published:<name>".  Each point of field_params
+    adds the Wigner and intensity field checks, the published intensity last,
+    always on the fixed 61 x 61 grid over [-6, 6]^2 with the fixed
+    max-deviation tolerance 1e-6 (the *:field_maxdev entries).
     """
     params_set = list(params_set)
     if not params_set:
         raise ValueError("parameter set must be nonempty")
     report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
     series = cf.ParamSeries.of(params_set)
-    moments = functools.cache(functools.partial(cf.expectations, series))
-    closed = {name: closed_value(name, series, moments) for name in SCALAR_QUANTITIES}
+    e = _ClosedPrimitives(series)
+    closed = {name: e.value(name) for name in SCALAR_QUANTITIES}
     for idx, p in enumerate(params_set):
         rec = oracle_quantities(p, na=na)
         for name, value in rec.items():

@@ -12,6 +12,7 @@ from oampointer.closedform import (
 )
 from oampointer.fock import TwoModeState
 from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
+from oampointer.oracle import oracle_states
 
 RT2 = math.sqrt(2.0)
 
@@ -225,3 +226,83 @@ def scalar_closed_values(params: MeasurementParams) -> dict:
     }
     return {name: v if isinstance(v, tuple) else complex(v) if isinstance(v, complex) else float(v)
             for name, v in values.items()}
+
+
+# ---------------------------------------------------------------------------
+# the table's derivations from operators on the oracle's state vectors: Q1, Q2,
+# g2 and chi are taken from ladder matrices applied to the states, not from the
+# moment formulas of closedform that both engines share
+# ---------------------------------------------------------------------------
+
+def _lowering(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def operator_quantities(params: MeasurementParams) -> dict:
+    """Q1, Q2, g2, chi and chi[x2=operator] of oracle_states(params), (None, reason) where undefined.
+
+    Each state's coefficients get two empty levels in both modes, so a raising
+    operator keeps every amplitude: the b mode is stored with two levels, where
+    b† would drop |1>_b -> |2>_b.  With A = a + b, F1 = (A + A†)/2^{3/2},
+    F2 = (A - A†)/(2^{3/2} i) and X = sigma (a + a†) on normalized states:
+    - Q_i = ||F_i psi||^2 - <F_i>^2 - 1/4;
+    - g2 = ||a b psi||^2 / (||a psi||^2 ||b psi||^2);
+    - chi = sqrt(Ps) |dx| / Dx over |dx'| / Dx', with dx the shift of <X> from
+      its value on the initial pointer, primes on the branch mixture
+      wp |D(s)psi_i><...| + wm |D(-s)psi_i><...|, and Ps = |<H|pre>|^2.  <X^2>
+      is ||X psi||^2 for chi[x2=operator] and, for chi, the stated convention
+      on moments sigma^2/2 (<a†a> + Re<a^2> + 2).
+    """
+    psi_i, joint, psi, _ = oracle_states(params)
+    c, c_i, c_plus, c_minus = (np.pad(st.coeffs, ((0, 2), (0, 2)))
+                               for st in (psi, psi_i, joint.branch_plus, joint.branch_minus))
+    la, lb = _lowering(c.shape[0]), _lowering(c.shape[1])
+
+    def a(v):
+        return la @ v
+
+    def b(v):
+        return v @ lb.T
+
+    def raised(v):  # (a† + b†) v
+        return la.T @ v + v @ lb
+
+    def norm2(v):
+        return np.vdot(v, v).real
+
+    out = {}
+    lowered, up = a(c) + b(c), raised(c)
+    for name, f in (("Q1", (lowered + up) / 2**1.5), ("Q2", (lowered - up) / (2**1.5 * 1j))):
+        out[name] = norm2(f) - np.vdot(c, f).real ** 2 - 0.25
+    n_a, n_b = norm2(a(c)), norm2(b(c))
+    out["g2"] = ((None, "no photons in a mode") if n_a <= 1e-12 or n_b <= 1e-12
+                 else norm2(a(b(c))) / (n_a * n_b))
+
+    sigma = params.sigma
+    pre = np.array([math.cos(params.alpha / 2), np.exp(1j * params.delta) * math.sin(params.alpha / 2)])
+    ps = abs(np.vdot([1.0, 0.0], pre)) ** 2
+    wp, wm = abs(joint.amp_plus) ** 2, abs(joint.amp_minus) ** 2
+
+    def x_moments(v, name):
+        av = a(v)
+        xv = sigma * (av + la.T @ v)
+        if name == "chi":
+            x2 = sigma**2 / 2 * (norm2(av) + np.vdot(v, a(av)).real + 2)
+        else:
+            x2 = norm2(xv)
+        return np.vdot(v, xv).real, x2
+
+    x_initial = x_moments(c_i, "chi")[0]
+    for name in ("chi", "chi[x2=operator]"):
+        x_psi, x2_psi = x_moments(c, name)
+        (x_p, x2_p), (x_m, x2_m) = x_moments(c_plus, name), x_moments(c_minus, name)
+        x_phi, x2_phi = wp * x_p + wm * x_m, wp * x2_p + wm * x2_m
+        var_psi, var_phi = x2_psi - x_psi**2, x2_phi - x_phi**2
+        if abs(x_phi - x_initial) < 1e-14:
+            out[name] = (None, "no shift without postselection")
+        elif var_psi <= 0 or var_phi <= 0:
+            out[name] = (None, "non-positive position variance")
+        else:
+            rp = math.sqrt(ps) * abs(x_psi - x_initial) / math.sqrt(var_psi)
+            out[name] = rp / (abs(x_phi - x_initial) / math.sqrt(var_phi))
+    return out

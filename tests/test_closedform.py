@@ -1,5 +1,4 @@
 """Closed forms vs the state-vector oracle, plus the published-variant residuals."""
-import functools
 import math
 import sys
 from dataclasses import replace
@@ -36,7 +35,7 @@ from oampointer.oracle import (
     oracle_states,
     oracle_wigner,
     SCALAR_QUANTITIES,
-    closed_value,
+    _ClosedPrimitives,
     validation_params,
 )
 
@@ -197,15 +196,14 @@ def test_closed_forms_over_a_series_keep_the_one_point_bits():
     sets = [(validation_params(), 1), (drawn, 4), (field_points, 1), *((s, 0) for s in _figure_series())]
     for points, stride in sets:
         want = [scalar_closed_values(p) for p in points]  # Python floats and complexes
-        series = ParamSeries.of(points)
-        moments = functools.cache(functools.partial(expectations, series))
+        table = _ClosedPrimitives(ParamSeries.of(points))  # closed_value's primitives, shared by the names
         for name in SCALAR_QUANTITIES:
-            got = closed_value(name, series, moments)
+            got = table.value(name)
             assert _bits(got) == _bits([w[name] for w in want]), name
             undefined.update(v[1].split(" ")[0] for v in got if isinstance(v, tuple))
         for p, w in list(zip(points, want))[::stride] if stride else ():
-            moments = functools.cache(functools.partial(expectations, p))
-            assert _bits([closed_value(name, p, moments) for name in w]) == _bits(list(w.values())), p
+            table = _ClosedPrimitives(p)
+            assert _bits([table.value(name) for name in w]) == _bits(list(w.values())), p
     assert undefined == {"cross-correlation", "non-postselected", "position"}  # all three reasons met
 
 

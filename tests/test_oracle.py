@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _reference import vacuum
+from _reference import operator_quantities, vacuum
 from oampointer import closedform as cf
 from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displacement_matrix
 from oampointer.measurement import ExpectationSet, MeasurementParams, nonpostselected_moments, weak_value
@@ -274,6 +274,45 @@ def test_cutoff_doubling_self_consistency():
 def test_oracle_quantities_keep_table_order():
     # compare reports each point's entries in this order
     assert list(oracle_quantities(NAMED_POINT)) == list(SCALAR_QUANTITIES)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a closed-form primitive was made")
+
+
+def test_oracle_takes_no_closed_form_primitive(monkeypatch):
+    # the oracle makes its five primitives from state vectors: with each closed-form one
+    # refusing, the table still comes out whole, with the values of an unpatched call
+    want = oracle_quantities(NAMED_POINT)
+    for name in ("lambda_norm", "_i1", "fidelity", "expectations", "phi_moments"):
+        monkeypatch.setattr(cf, name, _refuse)
+    got = oracle_quantities(NAMED_POINT)
+    assert list(got) == list(SCALAR_QUANTITIES)
+    assert not any(isinstance(v, tuple) for v in got.values())
+    assert got == want
+
+
+@pytest.mark.parametrize("quantity,unread", [("Q1", ("lambda_norm", "fidelity", "phi_moments")),
+                                             ("chi", ("lambda_norm", "fidelity")),
+                                             ("lambda", ("fidelity", "expectations", "phi_moments"))])
+def test_closed_value_makes_only_the_primitives_it_reads(monkeypatch, quantity, unread):
+    # a closed-form sweep pays for its own quantity only
+    series = cf.ParamSeries.of(_SWEEP_GAMMA_AXIS)
+    want = closed_value(quantity, series)
+    for name in unread:
+        monkeypatch.setattr(cf, name, _refuse)
+    assert closed_value(quantity, series) == want
+
+
+def test_table_derivations_match_operators_on_the_oracle_states():
+    # Q1, Q2, g2 and both chi from ladder matrices on the oracle's state vectors
+    # (tests/_reference.py), so a defect in the moment formulas both engines share shows
+    for p in validation_params():
+        rec = oracle_quantities(p)
+        for name, want in operator_quantities(p).items():
+            got = rec[name]
+            assert isinstance(got, tuple) == isinstance(want, tuple), (name, p, got, want)
+            assert isinstance(want, tuple) or abs(got - want) <= 1e-12, (name, p, got, want)
 
 
 def test_reduced_density_trace():
