@@ -27,7 +27,8 @@ from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
 
-_FMT = "%.17g"  # every float written; a field's values fill one per-grid template of it in one % call
+_FMT = "%.17g"  # every float written; a field's values fill one per-grid row template of it, one % per row
+_WRITE_BUFFER = 1 << 20  # bytes per write of a streamed file (field rows, report entries)
 
 SWEEP_QUANTITIES = ("Q1", "Q2", "g2", "chi", "fidelity", "lambda", "weak_value")
 SWEEP_AXES = ("Gamma", "alpha", "gamma", "phi", "delta")
@@ -154,7 +155,11 @@ _FIELD_LAYOUT = {
 
 
 def _write_field(path, kind, params, grid, engine, na, fmt):
-    """Compute one intensity or Wigner field; write its rows and the .meta.json sidecar."""
+    """Compute one intensity or Wigner field; write its rows and the .meta.json sidecar.
+
+    The rows are streamed: one % per x-row fills a template of the y cells formatted once per
+    grid, so no more than one row's text is held, and the writes go out in _WRITE_BUFFER blocks.
+    """
     if engine == "closedform":
         fld = (cf.intensity_field if kind == "intensity" else cf.wigner_field)(params, grid)
     else:
@@ -164,12 +169,14 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
         raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
                          f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
-    # x-major rows: a template of the formatted coordinates, filled by one % and dropped before the write
+    # x-major rows: a template of one row's formatted y cells, given its x and filled by one % per row
     head, row, sep, tail = _FIELD_LAYOUT[fmt]
     line = sep.join(row.replace("\1", _FMT % y) for y in grid.ys().tolist())
-    body = sep.join(line.replace("\0", _FMT % x) for x in grid.xs().tolist()) % tuple(fld.values.ravel().tolist())
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines((head, body, tail))
+    with open(path, "w", newline="\n", buffering=_WRITE_BUFFER) as fh:
+        for i, (x, values) in enumerate(zip(grid.xs().tolist(), fld.values)):
+            fh.write(sep if i else head)
+            fh.write(line.replace("\0", _FMT % x) % tuple(values.tolist()))
+        fh.write(tail)
     sidecar = {
         "kind": kind,
         "engine": engine,
@@ -213,29 +220,32 @@ def cmd_validate(ns) -> int:
     whitelist = (DEFAULT_WHITELIST if ns.whitelist is None
                  else tuple(filter(None, (w.strip() for w in ns.whitelist.split(",")))))
     params_set = orc.validation_params()
-    fh = open(ns.out, "w", newline="\n")  # an unwritable --out fails here, before any evaluation
-    report = None
+    # an unwritable --out fails here, before any evaluation
+    fh = open(ns.out, "w", newline="\n", buffering=_WRITE_BUFFER)
+    written = False
     try:
-        # the cutoff check is the per-point truncation audits, raised here whatever a user's filters say
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NormDriftWarning)
-            warnings.simplefilter("error", TruncationWarning)
-            report = orc.compare(
-                params_set,
-                abs_tol=ns.abs_tol,
-                rel_tol=ns.rel_tol,
-                na=ns.cutoff,
-                field_params=_field_check_points(),
-            )
-        print(report.to_json(), file=fh)
+        with fh:
+            # the cutoff check is the per-point truncation audits, raised here whatever a user's filters say
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NormDriftWarning)
+                warnings.simplefilter("error", TruncationWarning)
+                report = orc.compare(
+                    params_set,
+                    abs_tol=ns.abs_tol,
+                    rel_tol=ns.rel_tol,
+                    na=ns.cutoff,
+                    field_params=_field_check_points(),
+                )
+            summary = report.summary()
+            fh.writelines(report.json_chunks(summary))  # entry by entry: the report text is never held whole
+            fh.write("\n")
+        written = True
     except (NormDriftWarning, TruncationWarning) as exc:
         print(f"cutoff self-check FAILED: {exc}", file=sys.stderr)
         return 2
     finally:
-        fh.close()
-        if report is None and os.path.isfile(ns.out):  # no empty report after a failure; /dev/null stays
+        if not written and os.path.isfile(ns.out):  # no empty or partial report after a failure; /dev/null stays
             os.remove(ns.out)
-    summary = report.summary()
     for q, s in sorted(summary.items()):
         print(f"  {q:38s} pass={s['pass']:4d} fail={s['fail']:4d} undefined={s['undefined']:4d} "
               f"max|d|={s['max_abs_delta']:.3e}")

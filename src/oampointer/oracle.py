@@ -312,14 +312,15 @@ class ValidationReport:
 
         return [e for e in self.entries if e.status == "fail" and not whitelisted(e.quantity)]
 
-    def to_json(self) -> str:
-        """json.dumps(report, indent=2, sort_keys=True) by template, in one join: nothing is copied."""
-        chunks, sep, params, block = [], '{\n  "entries": [\n', None, ""
+    def json_chunks(self, summary):
+        """json.dumps(report, indent=2, sort_keys=True) by template, one chunk per entry, then the
+        tail holding `summary` (that of self.summary()); the caller streams or joins them."""
+        sep, params, block = '{\n  "entries": [\n', None, ""
         for e in self.entries:
             if e.params is not params:  # one params block per point
                 params = e.params
                 block = json.dumps(vars(params), indent=2, sort_keys=True).replace("\n", "\n      ")
-            chunks.append(
+            yield (
                 f'{sep}    {{\n      "abs_delta": {_json_value(e.abs_delta)},\n'
                 f'      "closed": {_json_value(e.closed_value)},\n'
                 f'      "oracle": {_json_value(e.oracle_value)},\n'
@@ -330,10 +331,12 @@ class ValidationReport:
                 f'      "status": {encode_basestring_ascii(e.status)}\n    }}'
             )
             sep = ",\n"
-        tail = json.dumps({"summary": self.summary(), "tolerances": {"abs": self.abs_tol, "rel": self.rel_tol}},
+        tail = json.dumps({"summary": summary, "tolerances": {"abs": self.abs_tol, "rel": self.rel_tol}},
                           indent=2, sort_keys=True)
-        chunks.append(("\n  ],\n" if chunks else '{\n  "entries": [],\n') + tail[2:])
-        return "".join(chunks)
+        yield ("\n  ],\n" if self.entries else '{\n  "entries": [],\n') + tail[2:]
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks(self.summary()))
 
 
 def validation_params() -> list[MeasurementParams]:

@@ -2,12 +2,15 @@
 import ast
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,27 +308,57 @@ _ODD_GRID = GridSpec(-1.3, 2.7, -0.9, 0.35, 7, 5)
 _SPECIALS = (-0.0, 5e-324, -1e-300, 1.7976931348623157e308)
 
 
+def _grid_arg(g):
+    return f"--grid={g.x_min!r},{g.x_max!r},{g.y_min!r},{g.y_max!r},{g.nx},{g.ny}"
+
+
 @pytest.mark.parametrize("specials", [False, True])
 def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypatch):
-    # x-major rows of "{:.17g}" cells on an odd non-square grid, in csv and in json
+    # x-major rows of "{:.17g}" cells on an odd non-square grid, in csv and in json; the two-row
+    # grid has only a first and a last row, so every row separator of the streamed writer shows
     p = MeasurementParams(Gamma=0.7, alpha=2.0, phi=0.3, gamma=1.2)
-    values = wigner_field(p, _ODD_GRID).values.copy()
-    if specials:
-        values.flat[[0, 6, 17, 34]] = _SPECIALS
-        monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values))
-    cells = [
-        ("{:.17g}".format(x), "{:.17g}".format(y), "{:.17g}".format(v))
-        for x, line in zip(_ODD_GRID.xs().tolist(), values.tolist())
-        for y, v in zip(_ODD_GRID.ys().tolist(), line)
-    ]
-    args = ["field", "--kind", "wigner", "--Gamma", 0.7, "--alpha", 2.0, "--phi", 0.3, "--gamma", 1.2,
-            "--grid=-1.3,2.7,-0.9,0.35,7,5"]
-    assert run(args + ["--out", tmp_path / "f.csv"]) == 0
-    csv = "x,y_or_p,value\n" + "".join(f"{x},{y},{v}\n" for x, y, v in cells)
-    assert (tmp_path / "f.csv").read_bytes() == csv.encode()
-    assert run(args + ["--format", "json", "--out", tmp_path / "f.json"]) == 0
-    rows = [{"x": x, "y_or_p": y, "value": v} for x, y, v in cells]
-    assert (tmp_path / "f.json").read_bytes() == (json.dumps(rows, indent=0, sort_keys=True) + "\n").encode()
+    for grid in (_ODD_GRID, replace(_ODD_GRID, nx=2)):
+        values = wigner_field(p, grid).values.copy()
+        if specials:
+            values.flat[[i % values.size for i in (0, 6, 17, 34)]] = _SPECIALS
+            monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values))
+        cells = [
+            ("{:.17g}".format(x), "{:.17g}".format(y), "{:.17g}".format(v))
+            for x, line in zip(grid.xs().tolist(), values.tolist())
+            for y, v in zip(grid.ys().tolist(), line)
+        ]
+        args = ["field", "--kind", "wigner", "--Gamma", 0.7, "--alpha", 2.0, "--phi", 0.3, "--gamma", 1.2,
+                _grid_arg(grid)]
+        assert run(args + ["--out", tmp_path / "f.csv"]) == 0
+        csv = "x,y_or_p,value\n" + "".join(f"{x},{y},{v}\n" for x, y, v in cells)
+        assert (tmp_path / "f.csv").read_bytes() == csv.encode()
+        assert run(args + ["--format", "json", "--out", tmp_path / "f.json"]) == 0
+        rows = [{"x": x, "y_or_p": y, "value": v} for x, y, v in cells]
+        assert (tmp_path / "f.json").read_bytes() == (json.dumps(rows, indent=0, sort_keys=True) + "\n").encode()
+
+
+def _traced_peak(args):
+    """main(args)'s exit code and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        rc = run(args)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_write_memory_is_bounded_by_a_row(fmt, tmp_path, monkeypatch):
+    # the 401^2 file is 9.1 MiB (csv) or 14.8 MiB (json): formatted whole it peaked at 21.9 or 32.5 MiB
+    grid = GridSpec(-6.0, 6.0, -6.0, 6.0, 401, 401)
+    fld = wigner_field(MeasurementParams(Gamma=1.0, alpha=2.8, gamma=1.0), grid)
+    monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: fld)
+    out = tmp_path / f"w.{fmt}"
+    rc, peak = _traced_peak(["field", "--kind", "wigner", "--format", fmt, _grid_arg(grid), "--out", out])
+    assert rc == 0
+    assert out.stat().st_size > 9 * 2**20
+    # what remains is the sidecar's trapezoid temporaries, two field-sized arrays of 1.2 MiB
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
@@ -683,6 +716,12 @@ def test_every_export_resolves():
 # validate
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def default_report():
+    """The report of a default validate run, built once for the tests that patch compare to return it."""
+    return cli.orc.compare(cli.orc.validation_params(), field_params=cli._field_check_points())
+
+
 def test_validate_default_passes(tmp_path):
     out = tmp_path / "report.json"
     rc = run(["validate", "--out", out])
@@ -759,3 +798,40 @@ def test_validate_impossible_tolerance_exits_two(tmp_path):
     out = tmp_path / "report.json"
     rc = run(["validate", "--out", out, "--abs-tol", 0, "--rel-tol", 0])
     assert rc == 2
+
+
+@pytest.mark.parametrize("which", ["default", "empty"])
+def test_validate_report_file_is_to_json(which, default_report, tmp_path, monkeypatch):
+    # the streamed report holds the bytes of the joined one
+    rep = default_report if which == "default" else cli.orc.ValidationReport(abs_tol=0.0, rel_tol=1.0)
+    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: rep)
+    out = tmp_path / "report.json"
+    assert run(["validate", "--out", out]) == 0
+    assert out.read_bytes() == (rep.to_json() + "\n").encode()
+
+
+def test_validate_write_memory_is_bounded_by_an_entry(default_report, tmp_path, monkeypatch, capsys):
+    # the 4.7 MiB report joined whole, then encoded, peaked at 10.2 MiB; streamed, what the run holds
+    # besides the fixed write buffer (which tracemalloc also counts) is about 0.23 MiB
+    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
+    out = tmp_path / "report.json"
+    rc, peak = _traced_peak(["validate", "--out", out])
+    assert rc == 0
+    assert out.stat().st_size > 4 * 2**20
+    assert peak - cli._WRITE_BUFFER < 2**20
+
+
+def test_validate_failure_while_writing_leaves_no_report(default_report, tmp_path, monkeypatch, capsys):
+    # a write that fails part way removes what it wrote: here after 3000 entries, about 1.4 MiB,
+    # so the first full write buffer is already on disk
+    chunks = cli.orc.ValidationReport.json_chunks
+
+    def failing(self, summary):
+        yield from itertools.islice(chunks(self, summary), 3000)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
+    monkeypatch.setattr(cli.orc.ValidationReport, "json_chunks", failing)
+    assert run(["validate", "--out", tmp_path / "report.json"]) == 1
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
