@@ -136,9 +136,18 @@ class ScalarField:
         return _grid_integral(self.grid, self.values)
 
 
+_INTEGRAL_CELLS = 1 << 16  # cells per block of rows in _grid_integral: bounds its temporaries
+
+
 def _grid_integral(grid: GridSpec, values: np.ndarray) -> float:
-    """Trapezoid integral of the real part of (nx, ny) samples over the grid."""
-    return float(np.trapezoid(np.trapezoid(values.real, grid.ys(), axis=1), grid.xs()))
+    """Trapezoid integral of the real part of (nx, ny) samples over the grid.
+
+    Each row is integrated along y in blocks of rows, so no temporary is field-sized;
+    a row's sum is the same in a block as over the whole field.
+    """
+    ys, step = grid.ys(), max(1, _INTEGRAL_CELLS // grid.ny)
+    rows = [np.trapezoid(values[i:i + step].real, ys, axis=1) for i in range(0, grid.nx, step)]
+    return float(np.trapezoid(np.concatenate(rows), grid.xs()))
 
 
 def _lower_a(c: np.ndarray) -> np.ndarray:

@@ -54,9 +54,9 @@ class MeasurementParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name, value in vars(self).items():  # the fields, in order
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.Gamma < 0:
             raise ValueError(f"Gamma must be >= 0, got {self.Gamma}")
         if not (0 <= self.alpha < math.pi):
@@ -145,6 +145,13 @@ class JointState:
     amp_minus: complex
 
 
+def _preselection_amplitudes(alpha: float, delta: float) -> tuple[complex, complex]:
+    """<D|pre>, <A|pre>: the weights of the branches D(±Gamma/2)|pointer>, the only place alpha and delta enter."""
+    ca, sa = math.cos(alpha / 2), math.sin(alpha / 2)
+    ph = np.exp(1j * delta)
+    return complex((ca + ph * sa) / math.sqrt(2)), complex((ca - ph * sa) / math.sqrt(2))
+
+
 def _apply_displacement(d: np.ndarray, state: TwoModeState, k: int, alpha: float) -> TwoModeState:
     """d @ state on the a mode, audited for norm drift.
 
@@ -180,14 +187,7 @@ def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState
     # direct calls, so the norm-drift warning names the caller (a comprehension adds a frame)
     plus = _apply_displacement(d, pointer, k, s)
     minus = _apply_displacement(parity[:, None] * d * parity[:k], pointer, k, -s)
-    ca, sa = math.cos(params.alpha / 2), math.sin(params.alpha / 2)
-    ph = np.exp(1j * params.delta)
-    return JointState(
-        branch_plus=plus,
-        branch_minus=minus,
-        amp_plus=complex((ca + ph * sa) / math.sqrt(2)),
-        amp_minus=complex((ca - ph * sa) / math.sqrt(2)),
-    )
+    return JointState(plus, minus, *_preselection_amplitudes(params.alpha, params.delta))
 
 
 def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeState, float]:
@@ -209,18 +209,22 @@ def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeSta
     return state, nrm**2
 
 
-def nonpostselected_moments(joint: JointState):
+def _branch_moments(state: TwoModeState):
+    """<a>, <a†a>, <a^2> of one branch, by lowering the a mode only, so exact to the stored truncation."""
+    c = state.coeffs
+    av = _lower_a(c)
+    return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
+
+
+def nonpostselected_moments(joint: JointState, branches=None):
     """<a>, <a†a>, <a^2> of the un-postselected joint state (system traced out),
     the tuple closedform.phi_moments returns.
 
-    Each is the preselection-weighted mixture of the two branch values, made
-    by lowering the a mode only, so it is exact to the stored truncation.
+    Each is the preselection-weighted mixture of the two branch values; branches is
+    the pair of _branch_moments of (branch_plus, branch_minus) where they are already
+    made (the oracle makes them once per pointer), and they are made here otherwise.
     """
-    def branch(st: TwoModeState):
-        c = st.coeffs
-        av = _lower_a(c)
-        return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
-
+    plus, minus = branches or (_branch_moments(joint.branch_plus), _branch_moments(joint.branch_minus))
     wp = abs(joint.amp_plus) ** 2
     wm = abs(joint.amp_minus) ** 2
-    return tuple(wp * p + wm * m for p, m in zip(branch(joint.branch_plus), branch(joint.branch_minus)))
+    return tuple(wp * p + wm * m for p, m in zip(plus, minus))

@@ -5,6 +5,12 @@ ladder operators and inner products; from closedform it takes the table's
 derivations (squeezing_from_moments, g2_from_moments, snr_from_moments with
 chi's initial mean 2 sigma Re q and Ps) and the intensity's _unit_intensity.
 
+The coupling displaces the branches D(±Gamma/2)|Psi_i> whatever the preselected
+state is; alpha and delta enter only at postselection, as the weights of those
+two branches (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988)).  So the oracle
+evolves and audits each pointer (Gamma, gamma, phi, sigma) once per run (one
+compare call, one sweep: _OracleRun) and every point postselects from it.
+
 The displaced-Fock elements of fock._laguerre_rows are exact on any
 truncation, so they are only made where they are needed: the displaced-parity
 Wigner function contracts the a-mode density matrix with them between the
@@ -14,6 +20,7 @@ I1 = <Psi_i|D(Gamma)|Psi_i> takes the block over the a levels Psi_i occupies.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -32,6 +39,7 @@ from .closedform import (
 )
 from .fock import (
     GridSpec,
+    NormDriftWarning,
     ScalarField,
     TruncationWarning,
     TwoModeState,
@@ -46,7 +54,10 @@ from .fock import (
 )
 from .measurement import (
     ExpectationSet,
+    JointState,
     MeasurementParams,
+    _branch_moments,
+    _preselection_amplitudes,
     evolve_joint,
     initial_pointer,
     nonpostselected_moments,
@@ -101,12 +112,8 @@ def oracle_expectations(state: TwoModeState) -> ExpectationSet:
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
     """Build (initial pointer, joint state, postselected pointer, success prob)."""
-    if na is None:
-        na = default_cutoff(params.Gamma)
-    psi_i = initial_pointer(params, na)
-    joint = evolve_joint(psi_i, params)
-    psi, prob = postselect(joint, params)
-    return psi_i, joint, psi, prob
+    ptr, joint, psi, prob = _OracleRun(na).states(params)
+    return ptr.psi_i, joint, psi, prob
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,7 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
     x = np.abs(2 * (xs[:, None] + 1j * ys[None, :])).ravel() ** 2
     order = np.argsort(x)  # points by radius
     x = x[order]
-    radii = np.unique(x)
+    radii = x[np.concatenate(([True], x[1:] != x[:-1]))]  # np.unique(x) without its numpy.ma import
     v = state.coeffs
     K = v.shape[0]
     rho = ((-1.0) ** np.arange(K))[:, None] * (v @ v.conj().T)
@@ -190,20 +197,78 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
 
     Keyed by table name in table order, with (None, reason) where a quantity is undefined.
     """
-    psi_i, joint, psi, _ = oracle_states(params, na)
-    # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
-    w = weak_value(params.alpha, params.delta).value
-    un = (1 + w) * joint.branch_plus.coeffs + (1 - w) * joint.branch_minus.coeffs
+    return _OracleRun(na).quantities(params)
+
+
+_POINTERS = 8  # distinct pointers one run holds: the lattice alternates two, a Gamma sweep never repeats one
+
+
+def _evolve_pointer(params: MeasurementParams, na: int | None):
+    """All of a point that alpha and delta do not enter: the initial pointer, its two displaced branches
+    (evolve_joint, audited for norm drift), I1 and the branches' (<a>, <a†a>, <a^2>)."""
+    if na is None:
+        na = default_cutoff(params.Gamma)
+    psi_i = initial_pointer(params, na)
+    joint = evolve_joint(psi_i, params)
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
     c = psi_i.coeffs[: _occupied_levels(psi_i)]
-    e = SimpleNamespace(  # a plain record: every primitive is made here
-        moments=oracle_expectations(psi),
-        lam=2.0 / float(np.linalg.norm(un)),
+    plus, minus = joint.branch_plus, joint.branch_minus
+    return SimpleNamespace(
+        psi_i=psi_i,
+        plus=plus,
+        minus=minus,
         i1=complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c)),
-        fidelity=float(abs(inner(psi_i, psi)) ** 2),
-        phi=nonpostselected_moments(joint),
+        moments=(_branch_moments(plus), _branch_moments(minus)),
     )
-    return {name: _value_or_reason(fn, params, e) for name, fn in SCALAR_QUANTITIES.items()}
+
+
+@contextlib.contextmanager
+def _at_point(params: MeasurementParams):
+    """Name the point in a truncation audit raised as an error (compare under validate's cutoff check)."""
+    try:
+        yield
+    except (NormDriftWarning, TruncationWarning) as exc:
+        raise type(exc)(f"{exc}; at {params}") from None
+
+
+class _OracleRun:
+    """The oracle over one run (a compare call, a sweep, one point): each distinct pointer is
+    evolved once (_evolve_pointer) and each point postselects its own preselection from it.
+
+    The memo is an lru_cache of _POINTERS pointers that lives as long as the run.  Its key is
+    (Gamma, gamma, phi, sigma) with the signs of the first three, as a tuple key takes -0.0
+    and 0.0 for one.
+    """
+
+    def __init__(self, na: int | None = None):
+        @functools.lru_cache(maxsize=_POINTERS)
+        def pointer(Gamma, gamma, phi, sigma, signs):
+            return _evolve_pointer(MeasurementParams(Gamma=Gamma, alpha=0.0, phi=phi, gamma=gamma, sigma=sigma), na)
+
+        self._pointer = pointer
+
+    def states(self, p: MeasurementParams):
+        """(pointer record of _evolve_pointer, joint state, postselected pointer, success prob) of one point."""
+        ptr = self._pointer(p.Gamma, p.gamma, p.phi, p.sigma,
+                            tuple(map(math.copysign, (1.0, 1.0, 1.0), (p.Gamma, p.gamma, p.phi))))
+        joint = JointState(ptr.plus, ptr.minus, *_preselection_amplitudes(p.alpha, p.delta))
+        psi, prob = postselect(joint, p)
+        return ptr, joint, psi, prob
+
+    def quantities(self, p: MeasurementParams) -> dict:
+        """oracle_quantities of one point."""
+        ptr, joint, psi, _ = self.states(p)
+        # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
+        w = weak_value(p.alpha, p.delta).value
+        un = (1 + w) * joint.branch_plus.coeffs + (1 - w) * joint.branch_minus.coeffs
+        e = SimpleNamespace(  # a plain record: every primitive is made here or with the pointer
+            moments=oracle_expectations(psi),
+            lam=2.0 / float(np.linalg.norm(un)),
+            i1=ptr.i1,
+            fidelity=float(abs(inner(ptr.psi_i, psi)) ** 2),
+            phi=nonpostselected_moments(joint, ptr.moments),
+        )
+        return {name: _value_or_reason(fn, p, e) for name, fn in SCALAR_QUANTITIES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +481,22 @@ def compare(
     series = cf.ParamSeries.of(params_set)
     e = _ClosedPrimitives(series)
     closed = {name: e.value(name) for name in SCALAR_QUANTITIES}
+    run = _OracleRun(na)  # one run for the lattice and the field checks
     for idx, p in enumerate(params_set):
-        rec = oracle_quantities(p, na=na)
+        with _at_point(p):
+            rec = run.quantities(p)
         for name, value in rec.items():
             report.entries.append(_entry(name, idx, p, closed[name][idx], value, abs_tol, rel_tol))
         for name, value in cf.published_scalars(p).items():
             report.entries.append(_entry("published:" + name, idx, p, value, rec[name], abs_tol, rel_tol))
 
     for idx, p in enumerate(field_params or (), 10_000):
-        psi = oracle_states(p, na)[2]
+        with _at_point(p):
+            psi = run.states(p)[2]
+            i_orc, w_orc = oracle_intensity(psi, _FIELD_GRID), oracle_wigner(psi, _FIELD_GRID)
         w_closed = cf.wigner_field(p, _FIELD_GRID)
-        i_orc = oracle_intensity(psi, _FIELD_GRID)
         report.entries += [
-            _field_maxdev("wigner:field_maxdev", idx, p, w_closed, oracle_wigner(psi, _FIELD_GRID)),
+            _field_maxdev("wigner:field_maxdev", idx, p, w_closed, w_orc),
             _entry("wigner:integral", idx, p, w_closed.integral(), 1.0, 1e-6, 1e-6),
             _field_maxdev("intensity:field_maxdev", idx, p, cf.intensity_field(p, _FIELD_GRID), i_orc),
             _field_maxdev("published:intensity:field_maxdev", idx, p,

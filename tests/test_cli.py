@@ -18,7 +18,7 @@ import pytest
 from oampointer import cli
 from oampointer.cli import FIGURES, main
 from oampointer.closedform import wigner_field
-from oampointer.fock import GridSpec, ScalarField, TruncationWarning
+from oampointer.fock import GridSpec, NormDriftWarning, ScalarField, TruncationWarning
 from oampointer.measurement import MeasurementParams
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -75,7 +75,7 @@ def test_oracle_weak_value_sweep_builds_no_state(tmp_path, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("weak_value taken from the oracle")
 
-    monkeypatch.setattr(cli.orc, "oracle_quantities", evaluated)
+    monkeypatch.setattr(cli.orc, "_OracleRun", evaluated)
     cells = {}
     for engine in ("closedform", "oracle"):
         out = tmp_path / f"{engine}.csv"
@@ -357,8 +357,8 @@ def test_field_write_memory_is_bounded_by_a_row(fmt, tmp_path, monkeypatch):
     rc, peak = _traced_peak(["field", "--kind", "wigner", "--format", fmt, _grid_arg(grid), "--out", out])
     assert rc == 0
     assert out.stat().st_size > 9 * 2**20
-    # what remains is the sidecar's trapezoid temporaries, two field-sized arrays of 1.2 MiB
-    assert peak < 4 * 2**20
+    # what remains is mostly the 1 MiB write buffer: the sidecar's integral takes blocks of rows
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
@@ -383,9 +383,25 @@ def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("axis,evolved", [("alpha", 1), ("delta", 1), ("Gamma", 61)])
+def test_oracle_sweep_evolves_each_pointer_once(axis, evolved, tmp_path, monkeypatch):
+    # alpha and delta enter only at postselection: one pointer serves their whole axis
+    calls = []
+    evolve_joint = cli.orc.evolve_joint
+
+    def counting(pointer, params):
+        calls.append(params)
+        return evolve_joint(pointer, params)
+
+    monkeypatch.setattr(cli.orc, "evolve_joint", counting)
+    assert run(["sweep", "--engine", "oracle", "--quantity", "chi", "--axis", axis, "--start", 0, "--stop", 2,
+                "--steps", 61, "--alpha", 2.0, "--Gamma", 1.1, "--out", tmp_path / "chi.csv"]) == 0
+    assert len(calls) == evolved
+
+
 def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeypatch):
     # a closed-form sweep makes the moments of all its points in one call, and so does
-    # compare for the whole lattice; the oracle is stubbed out, as it stays per point
+    # compare for the whole lattice; the oracle's per-point work is stubbed out
     calls = []
     expectations = cli.cf.expectations
 
@@ -398,7 +414,7 @@ def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeyp
                 "--alpha", 2.0, "--out", tmp_path / "chi.csv"]) == 0
     assert [p.size for p in calls] == [201]
     calls.clear()
-    monkeypatch.setattr(cli.orc, "oracle_quantities", lambda p, na=None: dict.fromkeys(cli.orc.SCALAR_QUANTITIES, 0.0))
+    monkeypatch.setattr(cli.orc._OracleRun, "quantities", lambda self, p: dict.fromkeys(cli.orc.SCALAR_QUANTITIES, 0.0))
     cli.orc.compare(cli.orc.validation_params())
     assert [p.size for p in calls] == [300]
 
@@ -695,6 +711,19 @@ def test_library_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_oracle_wigner_field_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use: 15 ms and 0.5 MB that the Wigner kernel does not need
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\nfrom oampointer.cli import main\n"
+            "assert main(['field', '--kind', 'wigner', '--engine', 'oracle', '--Gamma', '1', '--alpha', '2.8',"
+            f" '--grid=-4,4,-4,4,21,21', '--out', {str(tmp_path / 'w.csv')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_every_export_resolves():
     # each layer's __all__ names only what the layer defines, and the package
     # imports only names that are some layer's __all__
@@ -740,7 +769,7 @@ def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_
     def evaluated(*args, **kwargs):
         raise AssertionError("evaluated before the tolerance was checked")
 
-    monkeypatch.setattr(cli.orc, "oracle_quantities", evaluated)
+    monkeypatch.setattr(cli.orc, "_OracleRun", evaluated)
     out = tmp_path / "report.json"
     flag = "--" + option.replace("_", "-")
     if via == "flag":
@@ -784,6 +813,21 @@ def test_validate_cutoff_self_check_is_the_per_point_audit(na, user_filter, tmp_
     err = capsys.readouterr().err
     assert "cutoff self-check FAILED" in err and f"Na={na}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_cutoff_self_check_names_the_point(tmp_path, capsys):
+    # the message names the first lattice point whose audit trips, as well as the cutoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NormDriftWarning)
+        warnings.simplefilter("error", TruncationWarning)
+        for p in cli.orc.validation_params():
+            try:
+                cli.orc.oracle_quantities(p, na=14)
+            except (NormDriftWarning, TruncationWarning):
+                break
+    assert run(["validate", "--cutoff", 14, "--out", tmp_path / "report.json"]) == 2
+    err = capsys.readouterr().err
+    assert "cutoff self-check FAILED" in err and "Na=14" in err and f"at {p}\n" in err
 
 
 @pytest.mark.parametrize("whitelist,rc", [("", 2), ("chi[x2=operator], published:*", 0)], ids=["empty", "spaced"])

@@ -1,5 +1,6 @@
 """Fock-core: states, ladder algebra, displacement, coordinate projection."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,29 @@ def test_grid_validation():
         GridSpec(1, -1, 0, 1, 5, 5)
     with pytest.raises(ValueError):
         GridSpec(-1, 1, 0, 1, 1, 5)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 1001), (1001, 1001), (241, 241), (23_000, 3), (3, 70_001)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_field_integral_is_the_whole_field_trapezoid_bit_for_bit(nx, ny, dtype):
+    # integrated in blocks of rows: each row's sum is the one of np.trapezoid over the whole field
+    rng = np.random.default_rng(nx * ny)
+    values = rng.standard_normal((nx, ny)) + (1j * rng.standard_normal((nx, ny)) if dtype is complex else 0)
+    grid = GridSpec(-3.0, 4.0, -2.0, 5.0, nx, ny)
+    want = float(np.trapezoid(np.trapezoid(values.real, grid.ys(), axis=1), grid.xs()))
+    assert ScalarField(grid, values).integral() == want
+
+
+def test_field_integral_memory_is_bounded_by_a_block():
+    # two temporaries of the whole field would take 15.3 MiB here
+    field = ScalarField(GridSpec(-6.0, 6.0, -6.0, 6.0, 1001, 1001), np.ones((1001, 1001)))
+    tracemalloc.start()
+    try:
+        field.integral()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

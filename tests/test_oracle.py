@@ -2,14 +2,31 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _reference import operator_quantities, vacuum
 from oampointer import closedform as cf
-from oampointer.fock import GridSpec, NormDriftWarning, TwoModeState, displacement_matrix
-from oampointer.measurement import ExpectationSet, MeasurementParams, nonpostselected_moments, weak_value
+from oampointer import oracle
+from oampointer.fock import (
+    GridSpec,
+    NormDriftWarning,
+    TruncationWarning,
+    TwoModeState,
+    default_cutoff,
+    displacement_matrix,
+)
+from oampointer.measurement import (
+    ExpectationSet,
+    MeasurementParams,
+    evolve_joint,
+    initial_pointer,
+    nonpostselected_moments,
+    postselect,
+    weak_value,
+)
 from oampointer.oracle import (
     SCALAR_QUANTITIES,
     ReportEntry,
@@ -338,6 +355,84 @@ def test_gaussian_pointer_snr_limit():
         rec = oracle_quantities(p)
         assert not isinstance(rec["chi"], tuple) and math.isfinite(rec["chi"])
         assert snr_ratio(p, 5)[0] == pytest.approx(rec["chi"], rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# one run: each distinct pointer is evolved once
+# ---------------------------------------------------------------------------
+
+def _counting_evolve_joint(monkeypatch):
+    calls = []
+    evolve_joint = oracle.evolve_joint
+
+    def counting(pointer, params):
+        calls.append(params)
+        return evolve_joint(pointer, params)
+
+    monkeypatch.setattr(oracle, "evolve_joint", counting)
+    return calls
+
+
+def _state_bytes(psi_i, joint, psi):
+    return [s.coeffs.tobytes() for s in (psi_i, joint.branch_plus, joint.branch_minus, psi)]
+
+
+def _fresh_state_bytes(p):
+    # the pipeline of one point, written out from the measurement layer
+    psi_i = initial_pointer(p, default_cutoff(p.Gamma))
+    joint = evolve_joint(psi_i, p)
+    return _state_bytes(psi_i, joint, postselect(joint, p)[0])
+
+
+def test_compare_keeps_the_bits_of_points_evaluated_afresh(monkeypatch):
+    # with a memo of size 0 every point starts empty, as oracle_quantities does alone
+    from oampointer.cli import _field_check_points
+
+    points = validation_params() + _field_check_points()
+    run = oracle._OracleRun()
+    assert [_state_bytes(ptr.psi_i, joint, psi) for ptr, joint, psi, _ in map(run.states, points)] \
+        == list(map(_fresh_state_bytes, points))
+
+    def entries():
+        return [repr(e) for e in compare(validation_params(), field_params=_field_check_points()).entries]
+
+    memo = entries()
+    monkeypatch.setattr(oracle, "_POINTERS", 0)
+    calls = _counting_evolve_joint(monkeypatch)
+    assert entries() == memo
+    assert len(calls) == 310
+
+
+def test_compare_evolves_each_lattice_pointer_once(monkeypatch):
+    # 300 points, 30 pointers (Gamma, gamma, phi): alpha and delta enter only at postselection
+    calls = _counting_evolve_joint(monkeypatch)
+    compare(validation_params())
+    assert len(calls) == 30
+    assert len({(p.Gamma, p.gamma, p.phi) for p in calls}) == 30
+
+
+@pytest.mark.parametrize("axis", ["Gamma", "phi", "gamma"])
+def test_signed_zero_neighbours_keep_their_uncached_bits(monkeypatch, axis):
+    # a tuple key takes -0.0 and 0.0 for one; the run tells them apart
+    base = MeasurementParams(Gamma=1.1, alpha=2.0, delta=0.6, phi=0.9, gamma=1.3)
+    points = [replace(base, **{axis: z}) for z in (0.0, -0.0, 0.0, -0.0)]
+    fresh = [repr(oracle_quantities(p)) for p in points]
+    calls = _counting_evolve_joint(monkeypatch)
+    run = oracle._OracleRun()
+    assert [repr(run.quantities(p)) for p in points] == fresh
+    assert [_state_bytes(ptr.psi_i, joint, psi) for ptr, joint, psi, _ in map(run.states, points)] \
+        == list(map(_fresh_state_bytes, points))
+    assert [math.copysign(1.0, getattr(p, axis)) for p in calls] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("checks", ["scalars", "fields"])
+def test_compare_names_the_point_a_truncation_audit_trips_at(checks):
+    p = MeasurementParams(Gamma=1.5, alpha=0.7, delta=0.0, phi=0.0, gamma=0.0)
+    points = dict(params_set=[p]) if checks == "scalars" else dict(params_set=[NAMED_POINT], field_params=[p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning, match=r"Na=14; .*; at MeasurementParams\(Gamma=1.5, alpha=0.7,"):
+            compare(na=14, **points)
 
 
 # ---------------------------------------------------------------------------
