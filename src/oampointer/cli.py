@@ -95,12 +95,12 @@ _PARAM_COLUMNS = SWEEP_HEADER.split(",")[5:]
 def _sweep_values(quantity, points, engine, na=None):
     """The quantity at each point, (None, reason) where it is undefined: the closed forms in one
     evaluation over the series, the oracle one point at a time as the rows are made, in one run
-    that evolves each distinct pointer once."""
+    that evolves each distinct pointer once and derives only this quantity."""
     if quantity == "weak_value":  # fixed by the preselection alone: no engine computes it
         return (weak_value(p.alpha, p.delta).value.real for p in points)
     if engine == "oracle":
         run = orc._OracleRun(na)
-        return (run.quantities(p)[quantity] for p in points)
+        return (run.quantities(p, (quantity,))[quantity] for p in points)
     return orc.closed_value(quantity, cf.ParamSeries.of(points))
 
 

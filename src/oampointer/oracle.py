@@ -255,8 +255,8 @@ class _OracleRun:
         psi, prob = postselect(joint, p)
         return ptr, joint, psi, prob
 
-    def quantities(self, p: MeasurementParams) -> dict:
-        """oracle_quantities of one point."""
+    def quantities(self, p: MeasurementParams, names=None) -> dict:
+        """oracle_quantities of one point, or of the table quantities named (a sweep writes one)."""
         ptr, joint, psi, _ = self.states(p)
         # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
         w = weak_value(p.alpha, p.delta).value
@@ -268,7 +268,7 @@ class _OracleRun:
             fidelity=float(abs(inner(ptr.psi_i, psi)) ** 2),
             phi=nonpostselected_moments(joint, ptr.moments),
         )
-        return {name: _value_or_reason(fn, p, e) for name, fn in SCALAR_QUANTITIES.items()}
+        return {name: _value_or_reason(SCALAR_QUANTITIES[name], p, e) for name in names or SCALAR_QUANTITIES}
 
 
 # ---------------------------------------------------------------------------

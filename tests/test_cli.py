@@ -399,6 +399,20 @@ def test_oracle_sweep_evolves_each_pointer_once(axis, evolved, tmp_path, monkeyp
     assert len(calls) == evolved
 
 
+def test_oracle_sweep_derives_only_its_quantity(tmp_path, monkeypatch):
+    # a sweep writes one quantity, so no other entry of the table is derived at its points
+    def derived(p, e):
+        raise AssertionError("a quantity the sweep does not write was derived")
+
+    table = {name: derived for name in cli.orc.SCALAR_QUANTITIES}
+    table["Q1"] = cli.orc.SCALAR_QUANTITIES["Q1"]
+    monkeypatch.setattr(cli.orc, "SCALAR_QUANTITIES", table)
+    out = tmp_path / "q1.csv"
+    assert run(["sweep", "--engine", "oracle", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 2,
+                "--steps", 5, "--alpha", 2.0, "--out", out]) == 0
+    assert all(row[2] for row in read_csv(out)[1])
+
+
 def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeypatch):
     # a closed-form sweep makes the moments of all its points in one call, and so does
     # compare for the whole lattice; the oracle's per-point work is stubbed out
