@@ -4,9 +4,10 @@ Output is data only (CSV plus JSON sidecars); plotting is left to external
 tools.  All floats are written with 17 significant digits so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 usage/config error, a library limit (any ValueError)
-or an output that cannot be written (any OSError), 2 validation failure, also
-a per-point truncation audit that trips in validate (its cutoff self-check).
+Exit codes: 0 success, 1 usage/config error, a library limit (any ValueError),
+an allocation the machine refuses (MemoryError) or an output that cannot be
+written (any OSError), 2 validation failure, also a per-point truncation audit
+that trips in validate (its cutoff self-check).
 """
 from __future__ import annotations
 
@@ -440,8 +441,9 @@ def main(argv=None) -> int:
                 raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
             _require_two_levels(ns.cutoff)  # before any evaluation, also of closed-form-only quantities
         return ns.func(ns)
-    # ValueError: a library limit, e.g. the Gamma ceiling; OSError: an output that cannot be written
-    except (ConfigError, ValueError, OSError) as exc:
+    # ValueError: a library limit, e.g. the Gamma ceiling; MemoryError: an array the machine refuses,
+    # e.g. of a huge grid or step count; OSError: an output that cannot be written
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

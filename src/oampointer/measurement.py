@@ -4,13 +4,18 @@ A polarization qubit preselected in cos(alpha/2)|H> + e^{i delta} sin(alpha/2)|V
 couples to the a mode of the pointer through sigma_x, which displaces the two
 sigma_x eigenbranches by ±Gamma/2, and is then postselected onto |H>.  The
 pointer starts in a normalized superposition of the fundamental Gaussian and
-the unit-charge vortex mode, expanded over two Hermite-Gauss modes.  Of the
-pointer moments this module makes only the three of the un-postselected
-pointer that the SNR ratio reads; all eleven of one state are the oracle's
+the unit-charge vortex mode, expanded over two Hermite-Gauss modes.
+
+The pipeline splits at postselection: the coupling (evolve_joint) makes the
+branches D(±Gamma/2)|pointer> whatever the preselection is, and alpha and delta
+weigh them only in postselect and nonpostselected_moments.  Of the pointer
+moments this module makes only the three of the un-postselected pointer that
+the SNR ratio reads; all eleven of one state are the oracle's
 (oracle.oracle_expectations).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -133,16 +138,25 @@ def initial_pointer(params: MeasurementParams, na: int) -> TwoModeState:
 
 @dataclass(frozen=True)
 class JointState:
-    """Pointer branches paired with the sigma_x eigenstates |D>, |A>.
+    """The pointer branches paired with the sigma_x eigenstates |D>, |A>.
 
-    branch_plus = D(Gamma/2)|pointer>, branch_minus = D(-Gamma/2)|pointer>;
-    amp_plus/minus are the preselection amplitudes <D|pre>, <A|pre>.
+    branch_plus = D(Gamma/2)|pointer>, branch_minus = D(-Gamma/2)|pointer>,
+    whatever the preselection: postselect and nonpostselected_moments weigh
+    them by <D|pre>, <A|pre> of their params.
     """
 
     branch_plus: TwoModeState
     branch_minus: TwoModeState
-    amp_plus: complex
-    amp_minus: complex
+
+    @functools.cached_property
+    def _branch_moments(self):
+        """(<a>, <a†a>, <a^2>) of branch_plus and of branch_minus, made on first use, by lowering the
+        a mode only, so exact to the stored truncation."""
+        def moments(c):
+            av = _lower_a(c)
+            return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
+
+        return moments(self.branch_plus.coeffs), moments(self.branch_minus.coeffs)
 
 
 def _preselection_amplitudes(alpha: float, delta: float) -> tuple[complex, complex]:
@@ -175,6 +189,7 @@ def _apply_displacement(d: np.ndarray, state: TwoModeState, k: int, alpha: float
 def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState:
     """Couple system and pointer: each sigma_x branch is displaced by ±Gamma/2.
 
+    Of params only Gamma is read; the preselection weighs the branches later.
     Only the columns of D(Gamma/2) up to the highest occupied a level are
     built.  Gamma is real, so the minus branch takes D(-Gamma/2) = P D(Gamma/2) P
     with P = diag((-1)^n), exact sign flips of the same columns.  Each branch
@@ -187,18 +202,20 @@ def evolve_joint(pointer: TwoModeState, params: MeasurementParams) -> JointState
     # direct calls, so the norm-drift warning names the caller (a comprehension adds a frame)
     plus = _apply_displacement(d, pointer, k, s)
     minus = _apply_displacement(parity[:, None] * d * parity[:k], pointer, k, -s)
-    return JointState(plus, minus, *_preselection_amplitudes(params.alpha, params.delta))
+    return JointState(plus, minus)
 
 
 def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeState, float]:
     """Project the system onto |H> and renormalize the pointer.
 
+    The branches are weighed by the preselection amplitudes of params.
     Returns (normalized pointer state, exact success probability).  The
     success probability is the squared norm of the raw projection, i.e.
     cos^2(alpha/2) times the squared half-bracket norm of the branch sum.
     """
+    amp_plus, amp_minus = _preselection_amplitudes(params.alpha, params.delta)
     # <H|D> = <H|A> = 1/sqrt2
-    raw = (joint.amp_plus * joint.branch_plus.coeffs + joint.amp_minus * joint.branch_minus.coeffs) / math.sqrt(2)
+    raw = (amp_plus * joint.branch_plus.coeffs + amp_minus * joint.branch_minus.coeffs) / math.sqrt(2)
     nrm = float(np.linalg.norm(raw))
     if nrm**2 < 1e-14:
         raise PostselectionError(
@@ -209,22 +226,13 @@ def postselect(joint: JointState, params: MeasurementParams) -> tuple[TwoModeSta
     return state, nrm**2
 
 
-def _branch_moments(state: TwoModeState):
-    """<a>, <a†a>, <a^2> of one branch, by lowering the a mode only, so exact to the stored truncation."""
-    c = state.coeffs
-    av = _lower_a(c)
-    return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
-
-
-def nonpostselected_moments(joint: JointState, branches=None):
+def nonpostselected_moments(joint: JointState, params: MeasurementParams):
     """<a>, <a†a>, <a^2> of the un-postselected joint state (system traced out),
     the tuple closedform.phi_moments returns.
 
-    Each is the preselection-weighted mixture of the two branch values; branches is
-    the pair of _branch_moments of (branch_plus, branch_minus) where they are already
-    made (the oracle makes them once per pointer), and they are made here otherwise.
+    Each is the mixture of the two branch values, made once per JointState,
+    weighed by |<D|pre>|^2 and |<A|pre>|^2 of params.
     """
-    plus, minus = branches or (_branch_moments(joint.branch_plus), _branch_moments(joint.branch_minus))
-    wp = abs(joint.amp_plus) ** 2
-    wm = abs(joint.amp_minus) ** 2
+    wp, wm = (abs(amp) ** 2 for amp in _preselection_amplitudes(params.alpha, params.delta))
+    plus, minus = joint._branch_moments
     return tuple(wp * p + wm * m for p, m in zip(plus, minus))

@@ -8,8 +8,9 @@ chi's initial mean 2 sigma Re q and Ps) and the intensity's _unit_intensity.
 The coupling displaces the branches D(±Gamma/2)|Psi_i> whatever the preselected
 state is; alpha and delta enter only at postselection, as the weights of those
 two branches (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988)).  So the oracle
-evolves and audits each pointer (Gamma, gamma, phi, sigma) once per run (one
-compare call, one sweep: _OracleRun) and every point postselects from it.
+runs measurement's pipeline split there: it evolves and audits each pointer
+(Gamma, gamma, phi, sigma) once per run (one compare call, one sweep:
+_OracleRun) and every point postselects from its joint state.
 
 The displaced-Fock elements of fock._laguerre_rows are exact on any
 truncation, so they are only made where they are needed: the displaced-parity
@@ -25,7 +26,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -54,10 +55,7 @@ from .fock import (
 )
 from .measurement import (
     ExpectationSet,
-    JointState,
     MeasurementParams,
-    _branch_moments,
-    _preselection_amplitudes,
     evolve_joint,
     initial_pointer,
     nonpostselected_moments,
@@ -112,8 +110,7 @@ def oracle_expectations(state: TwoModeState) -> ExpectationSet:
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
     """Build (initial pointer, joint state, postselected pointer, success prob)."""
-    ptr, joint, psi, prob = _OracleRun(na).states(params)
-    return ptr.psi_i, joint, psi, prob
+    return _OracleRun(na).states(params)
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +201,14 @@ _POINTERS = 8  # distinct pointers one run holds: the lattice alternates two, a 
 
 
 def _evolve_pointer(params: MeasurementParams, na: int | None):
-    """All of a point that alpha and delta do not enter: the initial pointer, its two displaced branches
-    (evolve_joint, audited for norm drift), I1 and the branches' (<a>, <a†a>, <a^2>)."""
+    """All of a point that alpha and delta do not enter: (initial pointer, its joint state, I1).
+    evolve_joint makes the two displaced branches and audits them for norm drift."""
     if na is None:
         na = default_cutoff(params.Gamma)
     psi_i = initial_pointer(params, na)
-    joint = evolve_joint(psi_i, params)
     # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
     c = psi_i.coeffs[: _occupied_levels(psi_i)]
-    plus, minus = joint.branch_plus, joint.branch_minus
-    return SimpleNamespace(
-        psi_i=psi_i,
-        plus=plus,
-        minus=minus,
-        i1=complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c)),
-        moments=(_branch_moments(plus), _branch_moments(minus)),
-    )
+    return psi_i, evolve_joint(psi_i, params), complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
 
 
 @contextlib.contextmanager
@@ -235,38 +224,37 @@ class _OracleRun:
     """The oracle over one run (a compare call, a sweep, one point): each distinct pointer is
     evolved once (_evolve_pointer) and each point postselects its own preselection from it.
 
-    The memo is an lru_cache of _POINTERS pointers that lives as long as the run.  Its key is
-    (Gamma, gamma, phi, sigma) with the signs of the first three, as a tuple key takes -0.0
-    and 0.0 for one.
+    The memo is an lru_cache of _POINTERS pointers that lives as long as the run.  Its key is the
+    point's params with alpha = delta = 0, plus the signs of Gamma, gamma and phi, as a dataclass
+    key takes -0.0 and 0.0 for one.
     """
 
     def __init__(self, na: int | None = None):
-        @functools.lru_cache(maxsize=_POINTERS)
-        def pointer(Gamma, gamma, phi, sigma, signs):
-            return _evolve_pointer(MeasurementParams(Gamma=Gamma, alpha=0.0, phi=phi, gamma=gamma, sigma=sigma), na)
+        self._evolved = functools.lru_cache(maxsize=_POINTERS)(lambda p, signs: _evolve_pointer(p, na))
 
-        self._pointer = pointer
+    def _pointer(self, p: MeasurementParams):
+        """(initial pointer, joint state, I1) of the point's pointer, from the memo."""
+        signs = tuple(math.copysign(1.0, v) for v in (p.Gamma, p.gamma, p.phi))
+        return self._evolved(replace(p, alpha=0.0, delta=0.0), signs)
 
     def states(self, p: MeasurementParams):
-        """(pointer record of _evolve_pointer, joint state, postselected pointer, success prob) of one point."""
-        ptr = self._pointer(p.Gamma, p.gamma, p.phi, p.sigma,
-                            tuple(map(math.copysign, (1.0, 1.0, 1.0), (p.Gamma, p.gamma, p.phi))))
-        joint = JointState(ptr.plus, ptr.minus, *_preselection_amplitudes(p.alpha, p.delta))
-        psi, prob = postselect(joint, p)
-        return ptr, joint, psi, prob
+        """oracle_states of one point: (initial pointer, joint state, postselected pointer, success prob)."""
+        psi_i, joint, _ = self._pointer(p)
+        return (psi_i, joint, *postselect(joint, p))
 
     def quantities(self, p: MeasurementParams, names=None) -> dict:
         """oracle_quantities of one point, or of the table quantities named (a sweep writes one)."""
-        ptr, joint, psi, _ = self.states(p)
+        psi_i, joint, i1 = self._pointer(p)
+        psi, _ = postselect(joint, p)
         # lambda of |Psi> = (lambda/2) [ (1+w) D(s) + (1-w) D(-s) ] |Psi_i>
         w = weak_value(p.alpha, p.delta).value
         un = (1 + w) * joint.branch_plus.coeffs + (1 - w) * joint.branch_minus.coeffs
         e = SimpleNamespace(  # a plain record: every primitive is made here or with the pointer
             moments=oracle_expectations(psi),
             lam=2.0 / float(np.linalg.norm(un)),
-            i1=ptr.i1,
-            fidelity=float(abs(inner(ptr.psi_i, psi)) ** 2),
-            phi=nonpostselected_moments(joint, ptr.moments),
+            i1=i1,
+            fidelity=float(abs(inner(psi_i, psi)) ** 2),
+            phi=nonpostselected_moments(joint, p),
         )
         return {name: _value_or_reason(SCALAR_QUANTITIES[name], p, e) for name in names or SCALAR_QUANTITIES}
 

@@ -281,7 +281,8 @@ def operator_quantities(params: MeasurementParams) -> dict:
     sigma = params.sigma
     pre = np.array([math.cos(params.alpha / 2), np.exp(1j * params.delta) * math.sin(params.alpha / 2)])
     ps = abs(np.vdot([1.0, 0.0], pre)) ** 2
-    wp, wm = abs(joint.amp_plus) ** 2, abs(joint.amp_minus) ** 2
+    # the branch weights |<D|pre>|^2, |<A|pre>|^2, with |D>, |A> = (|H> ± |V>)/sqrt2
+    wp, wm = abs(np.vdot([1.0, 1.0], pre)) ** 2 / 2, abs(np.vdot([1.0, -1.0], pre)) ** 2 / 2
 
     def x_moments(v, name):
         av = a(v)

@@ -294,6 +294,24 @@ def test_field_refuses_non_finite_values(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+_REFUSED = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+
+def _refused_allocation(*args, **kwargs):
+    raise MemoryError(_REFUSED)  # numpy's error where the machine refuses an array
+
+
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_field_refused_allocation_exits_one(engine, tmp_path, monkeypatch, capsys):
+    # a grid too large for the machine is a stated limit, not a traceback
+    monkeypatch.setattr(cli.cf, "wigner_field", _refused_allocation)
+    monkeypatch.setattr(cli.orc, "oracle_wigner", _refused_allocation)
+    out = tmp_path / "x.csv"
+    assert run(["field", "--kind", "wigner", "--engine", engine, "--grid=-1,1,-1,1,5,5", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {_REFUSED}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_field_wigner_past_cross_term_underflow(tmp_path):
     # the grid on which the closed-form cross term once overflowed to nan
     out = tmp_path / "w.csv"
@@ -715,6 +733,15 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_quick_start_runs():
+    # the README's library example, split API included, is code that runs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        code = fh.read().split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "nonpostselected_moments(joint, p)" in code
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_library_import_loads_no_scipy():
     # scipy is a test-only reference; importing it would add about 0.3 s to every command
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -892,4 +919,23 @@ def test_validate_failure_while_writing_leaves_no_report(default_report, tmp_pat
     monkeypatch.setattr(cli.orc.ValidationReport, "json_chunks", failing)
     assert run(["validate", "--out", tmp_path / "report.json"]) == 1
     assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["compare", "write"])
+def test_validate_refused_allocation_leaves_no_report(stage, default_report, tmp_path, monkeypatch, capsys):
+    # refused while comparing, or part way through writing (after about 1.4 MiB are on disk): exit 1, no report
+    chunks = cli.orc.ValidationReport.json_chunks
+
+    def failing(self, summary):
+        yield from itertools.islice(chunks(self, summary), 3000)
+        raise MemoryError(_REFUSED)
+
+    if stage == "compare":
+        monkeypatch.setattr(cli.orc, "compare", _refused_allocation)
+    else:
+        monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
+        monkeypatch.setattr(cli.orc.ValidationReport, "json_chunks", failing)
+    assert run(["validate", "--out", tmp_path / "report.json"]) == 1
+    assert capsys.readouterr().err == f"error: {_REFUSED}\n"
     assert list(tmp_path.iterdir()) == []

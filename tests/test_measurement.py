@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ from oampointer.measurement import (
 )
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
+
+
+def _branch_amplitudes(p):
+    """<D|pre>, <A|pre> from the preselected qubit (cos(alpha/2), e^{i delta} sin(alpha/2)) in |H>, |V>."""
+    pre = np.array([math.cos(p.alpha / 2), np.exp(1j * p.delta) * math.sin(p.alpha / 2)])
+    return np.vdot([1, 1], pre) / math.sqrt(2), np.vdot([1, -1], pre) / math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +177,22 @@ def test_evolve_total_norm():
     p = MeasurementParams(Gamma=2.0, alpha=2.2, delta=0.9, phi=1.1, gamma=1.4)
     st = initial_pointer(p, 60)
     joint = evolve_joint(st, p)
+    amp_plus, amp_minus = _branch_amplitudes(p)
     # the norm of the full system (x) pointer state, 1 up to truncation loss
-    total = abs(joint.amp_plus) ** 2 * joint.branch_plus.norm() ** 2 \
-        + abs(joint.amp_minus) ** 2 * joint.branch_minus.norm() ** 2
+    total = abs(amp_plus) ** 2 * joint.branch_plus.norm() ** 2 + abs(amp_minus) ** 2 * joint.branch_minus.norm() ** 2
     assert math.sqrt(total) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_evolve_reads_no_preselection():
+    # the coupling makes the branches whatever the preselection is; alpha and delta weigh them at postselection
+    p = MeasurementParams(Gamma=1.3, alpha=0.4, delta=0.2, phi=1.1, gamma=1.4)
+    q = replace(p, alpha=2.9, delta=5.0)
+    st = initial_pointer(p, 50)
+    joints = evolve_joint(st, p), evolve_joint(st, q)
+    assert [f.name for f in fields(JointState)] == ["branch_plus", "branch_minus"]
+    for name in ("branch_plus", "branch_minus"):
+        assert getattr(joints[0], name).coeffs.tobytes() == getattr(joints[1], name).coeffs.tobytes()
+    assert np.abs(postselect(joints[0], p)[0].coeffs - postselect(joints[0], q)[0].coeffs).max() > 0.1
 
 
 @pytest.mark.parametrize("Gamma", [0.0, 1.3, 30.0])
@@ -247,20 +266,18 @@ def test_postselect_normalization_and_probability_bilinearity():
     psi, prob = postselect(joint, p)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
     # unnormalized projection moments = prob * normalized moments
-    raw = (joint.amp_plus * joint.branch_plus.coeffs + joint.amp_minus * joint.branch_minus.coeffs) / math.sqrt(2)
+    amp_plus, amp_minus = _branch_amplitudes(p)
+    raw = (amp_plus * joint.branch_plus.coeffs + amp_minus * joint.branch_minus.coeffs) / math.sqrt(2)
     av_psi = _lower_a(psi.coeffs)
     assert np.vdot(raw, _lower_a(raw)) == pytest.approx(prob * np.vdot(psi.coeffs, av_psi), abs=1e-12)
 
 
 def test_postselect_destructive_interference_guard():
+    # alpha = 0 weighs both branches by 1/sqrt2, so opposite branches cancel
     p = MeasurementParams(Gamma=0.0, alpha=0.0, gamma=0.0)
     st = initial_pointer(p, 4)
-    dead = JointState(
-        branch_plus=st,
-        branch_minus=TwoModeState(-st.coeffs, st.sigma),
-        amp_plus=complex(1 / math.sqrt(2)),
-        amp_minus=complex(1 / math.sqrt(2)),
-    )
+    assert _branch_amplitudes(p) == (1 / math.sqrt(2), 1 / math.sqrt(2))
+    dead = JointState(branch_plus=st, branch_minus=TwoModeState(-st.coeffs, st.sigma))
     with pytest.raises(PostselectionError):
         postselect(dead, p)
 
@@ -311,14 +328,14 @@ def test_lambda_consistency_with_closed_form():
 def test_phi_moment_printed_value_at_zero_coupling():
     p = MeasurementParams(Gamma=0.0, alpha=0.0, gamma=1.0, phi=0.0)
     joint = evolve_joint(initial_pointer(p, 8), p)
-    a, _, _ = nonpostselected_moments(joint)
+    a, _, _ = nonpostselected_moments(joint, p)
     assert a == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-14)
 
 
 def test_phi_moment_mean_photon_number():
     p = MeasurementParams(Gamma=0.4, alpha=math.pi / 2, delta=0.0, gamma=1.0, phi=math.pi / 2)
     joint = evolve_joint(initial_pointer(p, 40), p)
-    _, ada, _ = nonpostselected_moments(joint)
+    _, ada, _ = nonpostselected_moments(joint, p)
     assert ada.real == pytest.approx(0.29, abs=1e-12)  # Gamma^2/4 + 1/4
 
 
@@ -331,7 +348,7 @@ def test_phi_moments_match_closed_forms_anywhere():
         NAMED_POINT,
     ):
         joint = evolve_joint(initial_pointer(p, 60), p)
-        m_a, m_ada, m_a2 = nonpostselected_moments(joint)
+        m_a, m_ada, m_a2 = nonpostselected_moments(joint, p)
         a, ada, a2 = phi_moments(p)
         assert m_a == pytest.approx(a, abs=1e-12)
         assert m_ada == pytest.approx(ada, abs=1e-12)
@@ -346,7 +363,7 @@ def test_measurement_needs_no_closedform():
         f"sys.modules['oampointer'] = types.ModuleType('oampointer'); sys.modules['oampointer'].__path__ = [{pkg!r}]\n"
         "from oampointer.measurement import MeasurementParams, evolve_joint, initial_pointer, nonpostselected_moments\n"
         "p = MeasurementParams(Gamma=0.3, alpha=2.0)\n"
-        "nonpostselected_moments(evolve_joint(initial_pointer(p, 40), p))\n"
+        "nonpostselected_moments(evolve_joint(initial_pointer(p, 40), p), p)\n"
         "print(sorted(m for m in sys.modules if m.startswith('oampointer')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
