@@ -6,9 +6,13 @@ cutoff is exact as long as moments are assembled from normal-ordered
 (lowering-only) operator applications.  All values are immutable.
 
 Displaced-Fock amplitudes <k|D(beta)|n> come from one generator,
-_laguerre_rows, which walks the normalized Laguerre recurrence row by row;
-displacement_matrix and the oracle's Wigner kernel both read it; the tests
-check it against the matrix exponential, so the library needs numpy only.
+_laguerre_rows, which walks the normalized Laguerre recurrence up each
+a-chain (a = |k - n| fixed, m = min(k, n) ascending), a group of chains at a
+time over all points of a call, in tiles of _TILE elements written into
+buffers it reuses; displacement_matrix reads one point, whose one group steps
+every chain in lockstep, and the oracle's Wigner kernel reads blocks of
+radii; the tests check it against the matrix exponential, so the library
+needs numpy only.
 Past |beta|^2 = 1400, where e^{-|beta|^2/2} underflows, the generator raises
 ValueError unless the cutoff stays below |beta|^2/8; default_cutoff states the
 same ceiling (Gamma ~ 74.8) before anything is allocated.
@@ -169,24 +173,43 @@ _UNDERFLOW_X = 1400.0  # |beta|^2 beyond which e^{-|beta|^2/2} leaves the normal
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
-def _laguerre_rows(x: np.ndarray, K: int):
-    """Yield, for m = 0..K-1, the (K - m, len(x)) array of displaced-Fock magnitudes
+_TILE = 1 << 14  # elements per tile of _laguerre_rows: chains per group times points per call
 
-        l_m^a(x) = sqrt(m!/(m+a)!) x^{a/2} e^{-x/2} L_m^(a)(x),  a = 0..K-1-m,
+
+def _laguerre_rows(x: np.ndarray, K: int):
+    """Walk the displaced-Fock magnitudes
+
+        l_m^a(x) = sqrt(m!/(m+a)!) x^{a/2} e^{-x/2} L_m^(a)(x),  m + a < K,
 
     at the points x = |beta|^2 (a flat float array), so that
     <m+a|D(beta)|m> = e^{ia theta} l_m^a and <m|D(beta)|m+a> = (-e^{-i theta})^a l_m^a
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Row 0 is built in log
-    space, the later rows by the Laguerre recurrence in its normalized form
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Each a-chain is walked
+    up in m, in groups of G = clamp(_TILE // len(x), 1, K) consecutive a, the
+    groups top down: [K-G, K), [K-2G, K-G), ..., the lowest one shorter when G
+    does not divide K.  So a tile is a few long rows, and one point takes one
+    group of every chain, stepped in lockstep.  This yields (a0, a1, tiles)
+    per group, and tiles yields, for m = 0..K-1-a0, the
+    (min(a1, K - m) - a0, len(x)) tile of l_m^a, a = a0 upward.  A chain's
+    m = 0 element is built in log space, the later ones by the Laguerre
+    recurrence in its normalized form
 
         l_{m+1} = [(2m+1+a-x) l_m - sqrt(m(m+a)) l_{m-1}] / sqrt((m+1)(m+1+a)),
 
-    which neither overflows nor builds factorials.  Each row's coefficients
-    are made as the row is, so a consumer that stops after c rows does
-    O(K c) work, not O(K^2).  Where e^{-x/2} underflows (x > 1400) row 0 is
-    zero in floating point, so the rows are only right while K <= x/8 keeps
-    every element they reach negligible; beyond that this raises ValueError
-    instead of returning wrong amplitudes.
+    which neither overflows nor builds factorials.  The coefficients of a step
+    are made once, when a group first reaches it, so a consumer that stops
+    after c tiles of the one group does O(K c) work, not O(K^2).  Every element
+    takes the same operations in the same order however the chains are
+    grouped, so the values do not depend on G.
+
+    Buffer contract: a tile is a view of buffers the walk reuses, valid until
+    the walk advances, so a consumer that keeps one copies it; a group's tiles
+    are consumed before the next group is asked for.  The first group is the
+    tallest, so a consumer sizes its own per-group buffers from it.
+
+    Where e^{-x/2} underflows (x > 1400) the m = 0 elements are zero in
+    floating point, so the tiles are only right while K <= x/8 keeps every
+    element they reach negligible; beyond that this raises ValueError instead
+    of returning wrong amplitudes.
     """
     bad = (x > _UNDERFLOW_X) & (K > x / 8)
     if bad.any():
@@ -194,31 +217,58 @@ def _laguerre_rows(x: np.ndarray, K: int):
             f"displaced-Fock amplitudes at |beta|^2 = {x[bad].max():.6g} need a cutoff "
             f"K <= |beta|^2/8 (got K = {K}): e^(-|beta|^2/2) underflows beyond |beta|^2 = {_UNDERFLOW_X:g}"
         )
+    G = min(max(_TILE // x.size, 1), K)
     a = np.arange(K, dtype=float)[:, None]
     pos = x > 0
     logx = np.log(np.where(pos, x, 1.0))
-    lgam = np.cumsum(np.log(np.maximum(a, 1.0)), axis=0)  # log a!
-    row = np.where(pos, np.exp(a * logx / 2 - x / 2 - lgam / 2), a == 0)
-    a_minus_x = a - x
-    prev = np.zeros_like(row)
-    yield row
-    for m in range(K - 1):
-        n = K - 1 - m
-        nxt = (a_minus_x[:n] + (2 * m + 1)) * row[:n]
-        nxt -= np.sqrt(m * (m + a[:n])) * prev[:n]
-        nxt *= 1.0 / np.sqrt((m + 1) * (m + 1 + a[:n]))
-        prev, row = row, nxt
+    half_x = x / 2
+    half_lgam = np.cumsum(np.log(np.maximum(a, 1.0)), axis=0) / 2  # log(a!) / 2
+    # roots[m] = (sqrt((m+1)(m+1+a)), its inverse) for a = 0..K-2-m: step m multiplies by the
+    # inverse, step m + 1 multiplies l_m by the root; made when a group first reaches step m
+    roots = []
+    bufs = np.empty((4, G, x.size))
+
+    def tiles(a0, a1):
+        ag = a[a0:a1]
+        amx, prev, row, nxt = bufs[:, : a1 - a0]
+        np.subtract(ag, x, out=amx)
+        np.multiply(ag, logx, out=row)
+        row /= 2
+        row -= half_x
+        row -= half_lgam[a0:a1]
+        np.exp(row, out=row)
+        if not pos.all():
+            row[:, ~pos] = ag == 0
         yield row
+        for m in range(K - 1 - a0):
+            if m == len(roots):
+                r = np.sqrt((m + 1) * (m + 1 + a[: K - 1 - m]))
+                roots.append((r, 1.0 / r))
+            g = min(a1, K - 1 - m) - a0
+            u, l, p = nxt[:g], row[:g], prev[:g]
+            np.add(amx[:g], 2 * m + 1, out=u)
+            u *= l
+            if m:  # l_{-1} = 0
+                p *= roots[m - 1][0][a0:a0 + g]
+                u -= p
+            u *= roots[m][1][a0:a0 + g]
+            prev, row, nxt = row, nxt, prev
+            yield u
+
+    for a1 in range(K, 0, -G):
+        a0 = max(a1 - G, 0)
+        yield a0, a1, tiles(a0, a1)
 
 
 def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np.ndarray:
     """The leading (dim, cols) columns of D(alpha) on a dim-level truncation.
 
-    cols=None gives the whole dim x dim matrix.  Row m of _laguerre_rows
-    (m < cols) goes on the diagonals through (m, m): e^{ia theta} l_m^a at
-    (m+a, m) and (-e^{-i theta})^a l_m^a at (m, m+a), with alpha = |alpha|
-    e^{i theta}, so it makes O(dim * cols) elements; it raises ValueError for
-    a non-finite alpha and past the underflow limit stated there.  A real alpha takes exact signs, not a
+    cols=None gives the whole dim x dim matrix.  Tile m (m < cols) of the one
+    group _laguerre_rows walks for one point goes on the diagonals through
+    (m, m): e^{ia theta} l_m^a at (m+a, m) and (-e^{-i theta})^a l_m^a at
+    (m, m+a), with alpha = |alpha| e^{i theta}, so it makes O(dim * cols)
+    elements; it raises ValueError for a non-finite alpha and past the
+    underflow limit stated there.  A real alpha takes exact signs, not a
     rounded e^{i pi n}, so D(-s) = P D(s) P with P = diag((-1)^n) exactly.
     The matrix exponential that checks these elements lives in the tests.
     """
@@ -234,7 +284,8 @@ def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np
     lower = np.exp(1j * np.angle(z) * np.arange(dim)) if z.imag else (-1.0 if z.real < 0 else 1.0) ** np.arange(dim)
     upper = (-1.0) ** np.arange(cols) * lower[:cols].conj()
     d = np.empty((dim, cols), dtype=complex)
-    for m, row in zip(range(cols), _laguerre_rows(np.array([abs(z) ** 2]), dim)):
+    (_, _, rows), = _laguerre_rows(np.array([abs(z) ** 2]), dim)  # one point: one group, a row per m
+    for m, row in zip(range(cols), rows):
         d[m:, m] = lower[: dim - m] * row[:, 0]
         d[m, m:] = upper[: cols - m] * row[: cols - m, 0]
     return d

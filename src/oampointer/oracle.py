@@ -15,9 +15,10 @@ _OracleRun) and every point postselects from its joint state.
 The displaced-Fock elements of fock._laguerre_rows are exact on any
 truncation, so they are only made where they are needed: the displaced-parity
 Wigner function contracts the a-mode density matrix with them between the
-stored levels, once per distinct |beta|^2 on the grid and in blocks of radii,
-then sums each point's angular series by Horner in e^{i theta}; and
-I1 = <Psi_i|D(Gamma)|Psi_i> takes the block over the a levels Psi_i occupies.
+stored levels, once per distinct |beta|^2 on the grid, in blocks of radii and
+groups of a-chains, and takes each point's Horner steps in e^{i theta} as each
+group is done; and I1 = <Psi_i|D(Gamma)|Psi_i> takes the block over the a
+levels Psi_i occupies.
 """
 from __future__ import annotations
 
@@ -117,25 +118,34 @@ def oracle_states(params: MeasurementParams, na: int | None = None):
 # phase-space and coordinate-space fields
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1024  # distinct radii per block: fixes the kernel's working memory
+_BLOCK = 1024  # distinct radii per block: with fock._TILE, fixes the kernel's working memory
+_UFUNC_BUFFER = 16  # numpy's ufunc buffer (elements) while oracle_wigner walks a block
 
 
 def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
     """a-mode Wigner function by displaced parity, W = (2/pi) Tr[rho_a D(2 alpha) P].
 
     rho_a = v v† (the b mode traced out) and P = (-1)^{a† a}.  With
-    2 alpha = |beta| e^{i theta} and the rows l_m^a of fock._laguerre_rows,
+    2 alpha = |beta| e^{i theta} and the magnitudes l_m^a of fock._laguerre_rows,
     the trace folds onto the diagonals of rho_a:
     S_a = sum_m (-1)^m rho_a[m, m+a] l_m^a gives
     W = (2/pi) [S_0 + 2 Re sum_{a>=1} e^{ia theta} S_a].  S_a depends on the
     point only through x = |beta|^2, so it is made once per distinct x on the
     grid (exact float equality: equal x give bit-identical rows), walking the
-    sorted radii in blocks of _BLOCK and accumulating as each row is made; each
-    point of a block then sums its angular series by Horner in e^{i theta}.
-    The elements are made between the stored levels only, which keeps the
-    value exact for any grid extent inside the underflow limit of
-    fock._laguerre_rows.  Memory is K * _BLOCK for the sums plus a few index
-    arrays per grid point; no array holds K values for every point.
+    sorted radii in blocks of _BLOCK.  A block is walked by groups of a-chains
+    in descending a: each tile is added to its group's S_a, real and imaginary
+    parts apart, as it is made (so S_a sums in ascending m), and once a group is
+    done every point of the block takes the Horner steps in e^{i theta} of its a
+    (h += S_a; h *= e^{i theta}).  The elements are made between the stored
+    levels only, which keeps the value exact for any grid extent inside the
+    underflow limit of fock._laguerre_rows.  Memory is a few tiles of
+    fock._TILE elements plus a few arrays per point of a block; no array holds
+    a value per level for every radius or every point.
+
+    numpy buffers a tile times a per-chain column of rho_a, three times slower,
+    whenever a row is shorter than its ufunc buffer (8192 elements), so a block
+    is walked with that buffer at _UFUNC_BUFFER elements; elementwise results
+    do not depend on it.
     """
     _audit_truncation(state)
     xs, ys = grid.xs(), grid.ys()
@@ -146,24 +156,42 @@ def oracle_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
     v = state.coeffs
     K = v.shape[0]
     rho = ((-1.0) ** np.arange(K))[:, None] * (v @ v.conj().T)
+    rho_ri = rho.view(float).reshape(K, K, 2)  # (m, m + a) -> (Re, Im)
     w = np.empty(x.size)
     p0 = 0
     for lo in range(0, radii.size, _BLOCK):
         r = radii[lo:lo + _BLOCK]
-        s = np.zeros((K, r.size), dtype=complex)
-        for m, row in enumerate(_laguerre_rows(r, K)):
-            s[:K - m] += rho[m, m:, None] * row
         p1 = np.searchsorted(x, r[-1], side="right")
-        pts, j = order[p0:p1], np.searchsorted(r, x[p0:p1])
+        pts = order[p0:p1]
         i, k = np.divmod(pts, grid.ny)
-        z = np.exp(1j * np.arctan2(ys[k], xs[i]))  # e^{i theta} of each point
-        h = np.zeros(pts.size, dtype=complex)
-        for a in range(K - 1, 0, -1):
-            h += s[a, j]
-            h *= z
-        w[pts] = (2 / math.pi) * (s[0, j].real + 2 * h.real)
+        w[pts] = _wigner_block(rho_ri, r, np.searchsorted(r, x[p0:p1]), np.arctan2(ys[k], xs[i]))
         p0 = p1
     return ScalarField(grid, w.reshape(grid.nx, grid.ny))
+
+
+def _wigner_block(rho_ri, r, j, theta) -> np.ndarray:
+    """oracle_wigner at the points of one block of radii r, point n at radius r[j[n]] and angle
+    theta[n], from rho_ri[m, m + a] = (Re, Im) of (-1)^m rho_a[m, m+a]."""
+    z = np.exp(1j * theta)  # e^{i theta}
+    h, hz = np.zeros(z.size, dtype=complex), np.empty(z.size, dtype=complex)
+    s = None
+    with np.errstate():  # numpy restores its ufunc buffer size on leaving this
+        np.setbufsize(_UFUNC_BUFFER)
+        for a0, a1, tiles in _laguerre_rows(r, len(rho_ri)):
+            if s is None:  # the walk's first group is its tallest
+                s = np.empty((a1 - a0, 2, r.size))  # the group's S_a as (a - a0, Re/Im, radius)
+                sc = np.empty((a1 - a0, r.size), dtype=complex)
+                t = sc.view(float).reshape(s.shape)  # a tile's products, until sc takes the sums
+            s.fill(0.0)  # from +0, so no sum depends on the sign of a zero product: +0 + -0 = +0
+            for m, row in enumerate(tiles):
+                g = len(row)
+                np.multiply(row[:, None], rho_ri[m, m + a0:m + a0 + g, :, None], out=t[:g])
+                s[:g] += t[:g]
+            sc.real, sc.imag = s[:, 0], s[:, 1]
+            for a in range(a1 - 1, max(a0, 1) - 1, -1):  # Horner in e^{i theta}, descending a
+                h += np.take(sc[a - a0], j, out=hz, mode="clip")
+                h *= z
+    return (2 / math.pi) * (s[0, 0, j] + 2 * h.real)  # the last group holds Re S_0
 
 
 def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:

@@ -10,9 +10,9 @@ from oampointer.closedform import (
     UndefinedCorrelationError,
     VarianceCollapseError,
 )
-from oampointer.fock import TwoModeState
+from oampointer.fock import _UNDERFLOW_X, GridSpec, ScalarField, TwoModeState
 from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
-from oampointer.oracle import oracle_states
+from oampointer.oracle import _audit_truncation, oracle_states
 
 RT2 = math.sqrt(2.0)
 
@@ -307,3 +307,70 @@ def operator_quantities(params: MeasurementParams) -> dict:
             rp = math.sqrt(ps) * abs(x_psi - x_initial) / math.sqrt(var_psi)
             out[name] = rp / (abs(x_phi - x_initial) / math.sqrt(var_phi))
     return out
+
+
+def lockstep_laguerre_rows(x: np.ndarray, K: int):
+    """Yield, for m = 0..K-1, the (K - m, len(x)) array of displaced-Fock magnitudes l_m^a(x).
+
+    fock._laguerre_rows as it was when every chain stepped in lockstep, one
+    (K - m, len(x)) row per m made from fresh temporaries; kept verbatim, with
+    row_wigner, so the chain-tiled walk is pinned bit for bit.
+    """
+    bad = (x > _UNDERFLOW_X) & (K > x / 8)
+    if bad.any():
+        raise ValueError(
+            f"displaced-Fock amplitudes at |beta|^2 = {x[bad].max():.6g} need a cutoff "
+            f"K <= |beta|^2/8 (got K = {K}): e^(-|beta|^2/2) underflows beyond |beta|^2 = {_UNDERFLOW_X:g}"
+        )
+    a = np.arange(K, dtype=float)[:, None]
+    pos = x > 0
+    logx = np.log(np.where(pos, x, 1.0))
+    lgam = np.cumsum(np.log(np.maximum(a, 1.0)), axis=0)  # log a!
+    row = np.where(pos, np.exp(a * logx / 2 - x / 2 - lgam / 2), a == 0)
+    a_minus_x = a - x
+    prev = np.zeros_like(row)
+    yield row
+    for m in range(K - 1):
+        n = K - 1 - m
+        nxt = (a_minus_x[:n] + (2 * m + 1)) * row[:n]
+        nxt -= np.sqrt(m * (m + a[:n])) * prev[:n]
+        nxt *= 1.0 / np.sqrt((m + 1) * (m + 1 + a[:n]))
+        prev, row = row, nxt
+        yield row
+
+
+ROW_BLOCK = 1024  # row_wigner's distinct radii per block
+
+
+def row_wigner(state: TwoModeState, grid: GridSpec) -> ScalarField:
+    """oracle.oracle_wigner as it was with a (K, block) complex accumulator over lockstep rows.
+
+    Kept verbatim: the chain-tiled kernel must reproduce its every bit.
+    """
+    _audit_truncation(state)
+    xs, ys = grid.xs(), grid.ys()
+    x = np.abs(2 * (xs[:, None] + 1j * ys[None, :])).ravel() ** 2
+    order = np.argsort(x)  # points by radius
+    x = x[order]
+    radii = x[np.concatenate(([True], x[1:] != x[:-1]))]  # np.unique(x) without its numpy.ma import
+    v = state.coeffs
+    K = v.shape[0]
+    rho = ((-1.0) ** np.arange(K))[:, None] * (v @ v.conj().T)
+    w = np.empty(x.size)
+    p0 = 0
+    for lo in range(0, radii.size, ROW_BLOCK):
+        r = radii[lo:lo + ROW_BLOCK]
+        s = np.zeros((K, r.size), dtype=complex)
+        for m, row in enumerate(lockstep_laguerre_rows(r, K)):
+            s[:K - m] += rho[m, m:, None] * row
+        p1 = np.searchsorted(x, r[-1], side="right")
+        pts, j = order[p0:p1], np.searchsorted(r, x[p0:p1])
+        i, k = np.divmod(pts, grid.ny)
+        z = np.exp(1j * np.arctan2(ys[k], xs[i]))  # e^{i theta} of each point
+        h = np.zeros(pts.size, dtype=complex)
+        for a in range(K - 1, 0, -1):
+            h += s[a, j]
+            h *= z
+        w[pts] = (2 / math.pi) * (s[0, j].real + 2 * h.real)
+        p0 = p1
+    return ScalarField(grid, w.reshape(grid.nx, grid.ny))

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import expm_displacement, vacuum
+from _reference import expm_displacement, lockstep_laguerre_rows, vacuum
+from oampointer import fock
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -132,17 +133,48 @@ def _laguerre_table_assembly(alpha, dim):
     return mag * phase * lag_vals
 
 
-def test_laguerre_rows_against_scipy():
+def _laguerre_table(x, K):
+    """l[m][a] (an array over x) of one _laguerre_rows walk, each tile copied as it is yielded,
+    since the walk reuses its buffers; checks that the groups tile the chains top down."""
+    table, top = [[None] * (K - m) for m in range(K)], K
+    for a0, a1, tiles in _laguerre_rows(x, K):
+        assert a1 == top and 0 <= a0 < a1
+        top = a0
+        for m, tile in enumerate(tiles):
+            assert tile.shape == (min(a1, K - m) - a0, x.size)
+            for a, row in enumerate(tile.copy(), a0):
+                table[m][a] = row
+        assert m == K - 1 - a0
+    assert top == 0
+    return [np.array(rows) for rows in table]
+
+
+def test_laguerre_rows_against_scipy(monkeypatch):
     from scipy.special import eval_genlaguerre, gammaln
 
     xs = np.linspace(0.0, 9.0, 13)
-    rows = list(_laguerre_rows(xs, 12))
-    for m in (0, 1, 2, 5, 11):
-        assert rows[m].shape == (12 - m, xs.size)
-        for a in range(12 - m):
-            pref = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + a + 1)) - xs / 2) * xs ** (a / 2)
-            ref = pref * eval_genlaguerre(m, a, xs)
-            assert np.allclose(rows[m][a], ref, rtol=1e-12, atol=1e-12)
+    # one group of every chain (G = K), then groups of 5 chains, which do not divide K = 12
+    for tile in (fock._TILE, 5 * xs.size):
+        monkeypatch.setattr(fock, "_TILE", tile)
+        rows = _laguerre_table(xs, 12)
+        for m in (0, 1, 2, 5, 11):
+            assert rows[m].shape == (12 - m, xs.size)
+            for a in range(12 - m):
+                pref = np.exp(0.5 * (gammaln(m + 1) - gammaln(m + a + 1)) - xs / 2) * xs ** (a / 2)
+                ref = pref * eval_genlaguerre(m, a, xs)
+                assert np.allclose(rows[m][a], ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("chains", [None, 1, 3, 5, 40])
+def test_laguerre_rows_keep_the_lockstep_bits_whatever_the_grouping(monkeypatch, chains):
+    # the origin, both sides of the underflow limit (K <= x/8 there) and radii past it
+    x = np.concatenate(([0.0, 1e-300, 0.25], np.linspace(0.5, 60.0, 37), [1399.0, 1401.0, 5000.0]))
+    K = 43
+    if chains is not None:  # G = _TILE // len(x) chains per group
+        monkeypatch.setattr(fock, "_TILE", chains * x.size)
+    ref = list(lockstep_laguerre_rows(x, K))
+    for m, rows in enumerate(_laguerre_table(x, K)):
+        assert np.array_equal(rows.view(np.uint64), ref[m].view(np.uint64))
 
 
 def test_overlaps_identity_displacement():

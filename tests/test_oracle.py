@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _reference import operator_quantities, vacuum
+from _reference import operator_quantities, row_wigner, vacuum
 from oampointer import closedform as cf
-from oampointer import oracle
+from oampointer import cli, oracle
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -175,24 +175,65 @@ def _distinct_radii(grid):
     return np.unique(np.abs(2 * (grid.xs()[:, None] + 1j * grid.ys()[None, :])) ** 2)
 
 
+def _chain_groups(n_radii, K):
+    """The groups of a-chains _laguerre_rows walks in each of oracle_wigner's blocks of radii."""
+    from oampointer.fock import _TILE
+    from oampointer.oracle import _BLOCK
+
+    sizes = [min(_BLOCK, n_radii - lo) for lo in range(0, n_radii, _BLOCK)]
+    return [-(-K // min(max(_TILE // n, 1), K)) for n in sizes]
+
+
 def test_wigner_block_seams_match_closed_form_and_full_accumulator():
     from oampointer.oracle import _BLOCK
 
-    for grid, n_radii, n_blocks, origin in (
-        # two blocks of radii, the last partial, the origin (the |beta| = 0
-        # branch) in block 0, and radii shared by several points
-        (GridSpec(-4, 4, -4, 4, 67, 53), 1613, 2, True),
-        # no two points share a radius: three blocks, one point per radius
-        (GridSpec(-3.1, 5.3, -2.7, 4.9, 53, 47), 2491, 3, False),
+    for grid, n_radii, origin in (
+        # more than two blocks of radii, the last partial, the origin (the
+        # |beta| = 0 branch) in block 0, and radii shared by several points
+        (GridSpec(-4, 4, -4, 4, 121, 97), 4673, True),
+        # no two points share a radius: more than two blocks, one point per radius
+        (GridSpec(-3.1, 5.3, -2.7, 4.9, 83, 61), 5063, False),
     ):
         radii = _distinct_radii(grid)
-        assert radii.size == n_radii and -(-n_radii // _BLOCK) == n_blocks and n_radii % _BLOCK != 0
+        assert radii.size == n_radii and n_radii > 2 * _BLOCK and n_radii % _BLOCK != 0
         assert (radii[0] == 0.0) == origin
         for p in (NAMED_POINT, MeasurementParams(Gamma=0.8, alpha=2.0, delta=0.0, phi=0.0, gamma=1.0)):
             _, _, psi, _ = oracle_states(p)
+            groups = _chain_groups(n_radii, psi.na)  # a chain-group seam in every block, two in some
+            assert min(groups) >= 2 and max(groups) >= 3
             w = oracle_wigner(psi, grid).values
             assert np.abs(w - cf.wigner_field(p, grid).values).max() <= 1e-10
             assert np.abs(w - _wigner_full_accumulator(psi, grid)).max() <= 1e-14
+
+
+_FIELD_POINT = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, gamma=1.0)
+_ORACLE_FIELD_GRID = GridSpec(-6, 6, -6, 6, 241, 241)
+_FIELD_CHECKS = [(p, GridSpec(-6, 6, -6, 6, 61, 61)) for p in cli._field_check_points()]
+
+
+@pytest.mark.parametrize("p,grid", [
+    # the oracle-field grid: partial last block, and chain groups that do not divide K
+    (_FIELD_POINT, _ORACLE_FIELD_GRID),
+    *_FIELD_CHECKS,  # validate's ten fields
+    (_FIELD_POINT, GridSpec(-4, 4, -4, 4, 121, 97)),  # the origin, shared radii
+    (NAMED_POINT, GridSpec(-3.1, 5.3, -2.7, 4.9, 83, 61)),  # no shared radius
+    (_FIELD_POINT, GridSpec(-25, 25, -25, 25, 41, 41)),  # radii past the underflow of e^{-|beta|^2/2}
+    (MeasurementParams(Gamma=20.0, alpha=8 * math.pi / 9, phi=math.pi / 2, gamma=1.0),
+     GridSpec(-16, 16, -6, 6, 61, 41)),  # K = 256
+], ids=["oracle-field", *(f"validate{i}" for i in range(len(_FIELD_CHECKS))),
+        "origin", "no-shared-radius", "past-underflow", "K256"])
+def test_wigner_keeps_the_row_kernel_bits(p, grid):
+    # the chain-tiled walk against the kernel that accumulated lockstep rows into a (K, block) sum
+    _, _, psi, _ = oracle_states(p)
+    if grid == _ORACLE_FIELD_GRID:
+        from oampointer.fock import _TILE
+        from oampointer.oracle import _BLOCK
+
+        assert psi.na % min(_TILE // _BLOCK, psi.na) != 0 and _distinct_radii(grid).size % _BLOCK != 0
+    if p.Gamma == 20.0:
+        assert psi.na == 256
+    got, want = oracle_wigner(psi, grid).values, row_wigner(psi, grid).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_wigner_makes_radial_sums_once_per_distinct_radius(monkeypatch):
@@ -245,8 +286,9 @@ def test_wigner_memory_is_bounded_by_block_not_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a (points, K, Nb) accumulator alone would take 241^2 * 43 * 2 * 16 B = 76 MiB
-    assert peak < 32 * 2**20
+    # a (points, K, Nb) accumulator alone would take 241^2 * 43 * 2 * 16 B = 76 MiB, and a
+    # (K, radii) one over the 11,993 distinct radii 43 * 11,993 * 16 B = 7.9 MiB
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
