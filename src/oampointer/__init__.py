@@ -8,6 +8,7 @@ an independent truncated-Fock-space oracle, and the two are compared by a
 built-in validation command.
 """
 from .fock import (
+    FieldConsistencyError,
     GridSpec,
     NormDriftWarning,
     ScalarField,
@@ -33,7 +34,6 @@ from .measurement import (
 )
 from .closedform import (
     DegenerateShiftError,
-    FieldConsistencyError,
     ParamSeries,
     UndefinedCorrelationError,
     VarianceCollapseError,
@@ -50,16 +50,7 @@ from .closedform import (
     squeezing,
     wigner_field,
 )
-from .oracle import (
-    ReportEntry,
-    ValidationReport,
-    compare,
-    oracle_expectations,
-    oracle_intensity,
-    oracle_quantities,
-    oracle_states,
-    oracle_wigner,
-    validation_params,
-)
+from .oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
+from .validation import ReportEntry, ValidationReport, compare, oracle_quantities, validation_params
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import oracle as orc
+from . import validation
 from .fock import GridSpec, NormDriftWarning, TruncationWarning
 from .measurement import MeasurementParams, _require_two_levels, weak_value
 
@@ -101,8 +102,8 @@ def _sweep_values(quantity, points, engine, na=None):
         return (weak_value(p.alpha, p.delta).value.real for p in points)
     if engine == "oracle":
         run = orc._OracleRun(na)
-        return (run.quantities(p, (quantity,))[quantity] for p in points)
-    return orc.closed_value(quantity, cf.ParamSeries.of(points))
+        return (validation.value(quantity, p, run.point(p)) for p in points)
+    return validation.closed_value(quantity, cf.ParamSeries.of(points))
 
 
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
@@ -222,7 +223,7 @@ def cmd_validate(ns) -> int:
     # the default only where the option is absent: an empty --whitelist allows no failure
     whitelist = (DEFAULT_WHITELIST if ns.whitelist is None
                  else tuple(filter(None, (w.strip() for w in ns.whitelist.split(",")))))
-    params_set = orc.validation_params()
+    params_set = validation.validation_params()
     # an unwritable --out fails here, before any evaluation
     fh = open(ns.out, "w", newline="\n", buffering=_WRITE_BUFFER)
     written = False
@@ -232,7 +233,7 @@ def cmd_validate(ns) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", NormDriftWarning)
                 warnings.simplefilter("error", TruncationWarning)
-                report = orc.compare(
+                report = validation.compare(
                     params_set,
                     abs_tol=ns.abs_tol,
                     rel_tol=ns.rel_tol,
@@ -397,8 +398,8 @@ def _build_parser():
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("validate", help="closed-form vs oracle validation run")
-    p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=orc.ABS_TOL)
-    p.add_argument("--rel-tol", dest="rel_tol", type=_tolerance, default=orc.REL_TOL)
+    p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=validation.ABS_TOL)
+    p.add_argument("--rel-tol", dest="rel_tol", type=_tolerance, default=validation.REL_TOL)
     p.add_argument("--whitelist", default=None,
                    help="comma-separated quantity names (or prefix*) allowed to fail; spaces are ignored")
     p.add_argument("--out", default="validation_report.json", help="output path")

@@ -41,9 +41,11 @@ carry transcription defects (some give complex values for Hermitian
 observables); the last section keeps them verbatim for the validation report
 alone, through ``published_scalars`` and ``published_intensity``.
 ``published_scalars`` keys its values by quantity-table name: the one table,
-``oracle.SCALAR_QUANTITIES``, derives each quantity from an engine's five
+``validation.SCALAR_QUANTITIES``, derives each quantity from an engine's five
 primitives, and here the closed forms' are ``lambda_norm``, ``_i1``,
-``fidelity``, ``expectations`` and ``phi_moments``.
+``fidelity``, ``expectations`` and ``phi_moments``.  The table applies the
+three moment derivations here (``squeezing_from_moments``,
+``g2_from_moments``, ``snr_from_moments``) to either engine's moments.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import GridSpec, ScalarField, _grid_integral
+from .fock import FieldConsistencyError, GridSpec, ScalarField, _unit_intensity
 from .measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
 
 __all__ = [
@@ -89,10 +91,6 @@ class DegenerateShiftError(ValueError):
 
 class VarianceCollapseError(ValueError):
     """A position variance came out non-positive under the selected convention."""
-
-
-class FieldConsistencyError(ValueError):
-    """An intensity had no positive integral over its grid: the grid misses the beam."""
 
 
 # quantity-table name of each moment, as compare and published_scalars report it
@@ -504,14 +502,6 @@ def projected_wavefunction(params: MeasurementParams, grid: GridSpec) -> ScalarF
         values += t * ((u0(xv) + g / _RT2 * u1(xv)) * u0y + 1j * g / _RT2 * u0(xv) * u1y)
     values *= lam / 2 * nrm
     return ScalarField(grid, values)
-
-
-def _unit_intensity(grid: GridSpec, values: np.ndarray) -> ScalarField:
-    """The intensity scaled to unit grid integral; FieldConsistencyError where that integral is <= 0."""
-    total = _grid_integral(grid, values)
-    if total <= 0:
-        raise FieldConsistencyError(f"intensity integrated to {total:.3e} over the grid; the grid misses the beam")
-    return ScalarField(grid, values / total)
 
 
 def intensity_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:

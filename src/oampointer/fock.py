@@ -37,6 +37,7 @@ import numpy as np
 __all__ = [
     "NormDriftWarning",
     "TruncationWarning",
+    "FieldConsistencyError",
     "TwoModeState",
     "GridSpec",
     "ScalarField",
@@ -54,6 +55,10 @@ class NormDriftWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """Top Fock level carries non-negligible amplitude."""
+
+
+class FieldConsistencyError(ValueError):
+    """An intensity had no positive integral over its grid: the grid misses the beam."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,14 @@ def _grid_integral(grid: GridSpec, values: np.ndarray) -> float:
     ys, step = grid.ys(), max(1, _INTEGRAL_CELLS // grid.ny)
     rows = [np.trapezoid(values[i:i + step].real, ys, axis=1) for i in range(0, grid.nx, step)]
     return float(np.trapezoid(np.concatenate(rows), grid.xs()))
+
+
+def _unit_intensity(grid: GridSpec, values: np.ndarray) -> ScalarField:
+    """The intensity scaled to unit grid integral; FieldConsistencyError where that integral is <= 0."""
+    total = _grid_integral(grid, values)
+    if total <= 0:
+        raise FieldConsistencyError(f"intensity integrated to {total:.3e} over the grid; the grid misses the beam")
+    return ScalarField(grid, values / total)
 
 
 def _lower_a(c: np.ndarray) -> np.ndarray:

@@ -24,15 +24,8 @@ from oampointer.closedform import (
 )
 from oampointer.fock import GridSpec, TwoModeState, displacement_matrix
 from oampointer.measurement import MeasurementParams, initial_pointer, weak_value
-from oampointer.oracle import (
-    compare,
-    oracle_expectations,
-    oracle_intensity,
-    oracle_quantities,
-    oracle_states,
-    oracle_wigner,
-    validation_params,
-)
+from oampointer.oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
+from oampointer.validation import compare, oracle_quantities, validation_params
 
 WIGNER_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 121, 121)
 

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oampointer import cli
 from oampointer.cli import FIGURES, main
 from oampointer.closedform import wigner_field
 from oampointer.fock import GridSpec, NormDriftWarning, ScalarField, TruncationWarning
-from oampointer.measurement import MeasurementParams
+from oampointer.measurement import ExpectationSet, MeasurementParams
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -150,7 +151,7 @@ def test_sweep_cells_match_public_api(engine, tmp_path):
     # every reason cell the text of the error that made the quantity undefined
     from oampointer import closedform as cf
     from oampointer.measurement import MeasurementParams, weak_value
-    from oampointer.oracle import oracle_quantities
+    from oampointer.validation import oracle_quantities
 
     closed = {
         "Q1": lambda p: cf.squeezing(p)[0],
@@ -422,13 +423,26 @@ def test_oracle_sweep_derives_only_its_quantity(tmp_path, monkeypatch):
     def derived(p, e):
         raise AssertionError("a quantity the sweep does not write was derived")
 
-    table = {name: derived for name in cli.orc.SCALAR_QUANTITIES}
-    table["Q1"] = cli.orc.SCALAR_QUANTITIES["Q1"]
-    monkeypatch.setattr(cli.orc, "SCALAR_QUANTITIES", table)
+    table = {name: derived for name in cli.validation.SCALAR_QUANTITIES}
+    table["Q1"] = cli.validation.SCALAR_QUANTITIES["Q1"]
+    monkeypatch.setattr(cli.validation, "SCALAR_QUANTITIES", table)
     out = tmp_path / "q1.csv"
     assert run(["sweep", "--engine", "oracle", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 2,
                 "--steps", 5, "--alpha", 2.0, "--out", out]) == 0
     assert all(row[2] for row in read_csv(out)[1])
+
+
+@pytest.mark.parametrize("quantity", ["Q1", "lambda", "fidelity"])
+def test_oracle_sweep_audits_every_point_whatever_it_reads(quantity, tmp_path):
+    # the postselected pointer is audited once per point, also where the quantity reads no moment
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormDriftWarning)
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(TruncationWarning, match="at cutoff Na=14;"):
+            run(["sweep", "--engine", "oracle", "--quantity", quantity, "--axis", "Gamma", "--start", 0, "--stop", 6,
+                 "--steps", 13, "--alpha", 2.0, "--cutoff", 14, "--out", out])
+    assert not out.exists()
 
 
 def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeypatch):
@@ -446,8 +460,10 @@ def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeyp
                 "--alpha", 2.0, "--out", tmp_path / "chi.csv"]) == 0
     assert [p.size for p in calls] == [201]
     calls.clear()
-    monkeypatch.setattr(cli.orc._OracleRun, "quantities", lambda self, p: dict.fromkeys(cli.orc.SCALAR_QUANTITIES, 0.0))
-    cli.orc.compare(cli.orc.validation_params())
+    zeros = ExpectationSet(*[0j] * len(ExpectationSet.field_names()))
+    monkeypatch.setattr(cli.orc._OracleRun, "point",
+                        lambda self, p: SimpleNamespace(lam=0.0, i1=0j, fidelity=0.0, moments=zeros, phi=(0j, 0j, 0j)))
+    cli.validation.compare(cli.validation.validation_params())
     assert [p.size for p in calls] == [300]
 
 
@@ -700,7 +716,7 @@ def test_missing_required_options_exit_one(tmp_path):
 @pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
 def test_unwritable_output_exits_one(command, tmp_path, monkeypatch, capsys):
     # validate fails at once, before any comparison
-    monkeypatch.setattr(cli.orc, "compare", _never_called)
+    monkeypatch.setattr(cli.validation, "compare", _never_called)
     missing = tmp_path / "nodir" / "out.csv"
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -770,7 +786,7 @@ def test_every_export_resolves():
     # imports only names that are some layer's __all__
     import oampointer
 
-    for layer in ("fock", "measurement", "closedform", "oracle", "cli"):
+    for layer in ("fock", "measurement", "closedform", "oracle", "validation", "cli"):
         mod = importlib.import_module(f"oampointer.{layer}")
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], layer
     with open(oampointer.__file__) as fh:
@@ -789,7 +805,7 @@ def test_every_export_resolves():
 @pytest.fixture(scope="module")
 def default_report():
     """The report of a default validate run, built once for the tests that patch compare to return it."""
-    return cli.orc.compare(cli.orc.validation_params(), field_params=cli._field_check_points())
+    return cli.validation.compare(cli.validation.validation_params(), field_params=cli._field_check_points())
 
 
 def test_validate_default_passes(tmp_path):
@@ -834,7 +850,7 @@ def test_validate_failure_leaves_no_report(failure, tmp_path, monkeypatch, capsy
         else:
             raise ValueError("a library limit")
 
-    monkeypatch.setattr(cli.orc, "compare", compare)
+    monkeypatch.setattr(cli.validation, "compare", compare)
     out = tmp_path / "report.json"
     assert run(["validate", "--out", out]) == (2 if failure == "self-check" else 1)
     err = capsys.readouterr().err
@@ -861,9 +877,9 @@ def test_validate_cutoff_self_check_names_the_point(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", NormDriftWarning)
         warnings.simplefilter("error", TruncationWarning)
-        for p in cli.orc.validation_params():
+        for p in cli.validation.validation_params():
             try:
-                cli.orc.oracle_quantities(p, na=14)
+                cli.validation.oracle_quantities(p, na=14)
             except (NormDriftWarning, TruncationWarning):
                 break
     assert run(["validate", "--cutoff", 14, "--out", tmp_path / "report.json"]) == 2
@@ -888,8 +904,8 @@ def test_validate_impossible_tolerance_exits_two(tmp_path):
 @pytest.mark.parametrize("which", ["default", "empty"])
 def test_validate_report_file_is_to_json(which, default_report, tmp_path, monkeypatch):
     # the streamed report holds the bytes of the joined one
-    rep = default_report if which == "default" else cli.orc.ValidationReport(abs_tol=0.0, rel_tol=1.0)
-    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: rep)
+    rep = default_report if which == "default" else cli.validation.ValidationReport(abs_tol=0.0, rel_tol=1.0)
+    monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: rep)
     out = tmp_path / "report.json"
     assert run(["validate", "--out", out]) == 0
     assert out.read_bytes() == (rep.to_json() + "\n").encode()
@@ -898,7 +914,7 @@ def test_validate_report_file_is_to_json(which, default_report, tmp_path, monkey
 def test_validate_write_memory_is_bounded_by_an_entry(default_report, tmp_path, monkeypatch, capsys):
     # the 4.7 MiB report joined whole, then encoded, peaked at 10.2 MiB; streamed, what the run holds
     # besides the fixed write buffer (which tracemalloc also counts) is about 0.23 MiB
-    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
+    monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: default_report)
     out = tmp_path / "report.json"
     rc, peak = _traced_peak(["validate", "--out", out])
     assert rc == 0
@@ -909,14 +925,14 @@ def test_validate_write_memory_is_bounded_by_an_entry(default_report, tmp_path, 
 def test_validate_failure_while_writing_leaves_no_report(default_report, tmp_path, monkeypatch, capsys):
     # a write that fails part way removes what it wrote: here after 3000 entries, about 1.4 MiB,
     # so the first full write buffer is already on disk
-    chunks = cli.orc.ValidationReport.json_chunks
+    chunks = cli.validation.ValidationReport.json_chunks
 
     def failing(self, summary):
         yield from itertools.islice(chunks(self, summary), 3000)
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
-    monkeypatch.setattr(cli.orc.ValidationReport, "json_chunks", failing)
+    monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: default_report)
+    monkeypatch.setattr(cli.validation.ValidationReport, "json_chunks", failing)
     assert run(["validate", "--out", tmp_path / "report.json"]) == 1
     assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -925,17 +941,17 @@ def test_validate_failure_while_writing_leaves_no_report(default_report, tmp_pat
 @pytest.mark.parametrize("stage", ["compare", "write"])
 def test_validate_refused_allocation_leaves_no_report(stage, default_report, tmp_path, monkeypatch, capsys):
     # refused while comparing, or part way through writing (after about 1.4 MiB are on disk): exit 1, no report
-    chunks = cli.orc.ValidationReport.json_chunks
+    chunks = cli.validation.ValidationReport.json_chunks
 
     def failing(self, summary):
         yield from itertools.islice(chunks(self, summary), 3000)
         raise MemoryError(_REFUSED)
 
     if stage == "compare":
-        monkeypatch.setattr(cli.orc, "compare", _refused_allocation)
+        monkeypatch.setattr(cli.validation, "compare", _refused_allocation)
     else:
-        monkeypatch.setattr(cli.orc, "compare", lambda *args, **kwargs: default_report)
-        monkeypatch.setattr(cli.orc.ValidationReport, "json_chunks", failing)
+        monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: default_report)
+        monkeypatch.setattr(cli.validation.ValidationReport, "json_chunks", failing)
     assert run(["validate", "--out", tmp_path / "report.json"]) == 1
     assert capsys.readouterr().err == f"error: {_REFUSED}\n"
     assert list(tmp_path.iterdir()) == []

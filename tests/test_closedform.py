@@ -28,16 +28,8 @@ from oampointer.closedform import (
 from oampointer.closedform import _i1, _lambda_from_bracket
 from oampointer.fock import GridSpec
 from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
-from oampointer.oracle import (
-    oracle_expectations,
-    oracle_intensity,
-    oracle_quantities,
-    oracle_states,
-    oracle_wigner,
-    SCALAR_QUANTITIES,
-    _ClosedPrimitives,
-    validation_params,
-)
+from oampointer.oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
+from oampointer.validation import SCALAR_QUANTITIES, _ClosedPrimitives, oracle_quantities, validation_params, value
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
 
@@ -196,14 +188,15 @@ def test_closed_forms_over_a_series_keep_the_one_point_bits():
     sets = [(validation_params(), 1), (drawn, 4), (field_points, 1), *((s, 0) for s in _figure_series())]
     for points, stride in sets:
         want = [scalar_closed_values(p) for p in points]  # Python floats and complexes
-        table = _ClosedPrimitives(ParamSeries.of(points))  # closed_value's primitives, shared by the names
+        series = ParamSeries.of(points)
+        table = _ClosedPrimitives(series)  # closed_value's primitives, shared by the names
         for name in SCALAR_QUANTITIES:
-            got = table.value(name)
+            got = value(name, series, table)
             assert _bits(got) == _bits([w[name] for w in want]), name
             undefined.update(v[1].split(" ")[0] for v in got if isinstance(v, tuple))
         for p, w in list(zip(points, want))[::stride] if stride else ():
             table = _ClosedPrimitives(p)
-            assert _bits([table.value(name) for name in w]) == _bits(list(w.values())), p
+            assert _bits([value(name, p, table) for name in w]) == _bits(list(w.values())), p
     assert undefined == {"cross-correlation", "non-postselected", "position"}  # all three reasons met
 
 

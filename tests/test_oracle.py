@@ -9,7 +9,7 @@ import pytest
 
 from _reference import operator_quantities, row_wigner, vacuum
 from oampointer import closedform as cf
-from oampointer import cli, oracle
+from oampointer import cli, oracle, validation
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -28,19 +28,17 @@ from oampointer.measurement import (
     postselect,
     weak_value,
 )
-from oampointer.oracle import (
+from oampointer.oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
+from oampointer.validation import (
     SCALAR_QUANTITIES,
     ReportEntry,
     ValidationReport,
     _entry,
     closed_value,
     compare,
-    oracle_expectations,
-    oracle_intensity,
     oracle_quantities,
-    oracle_states,
-    oracle_wigner,
     validation_params,
+    value,
 )
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
@@ -352,16 +350,20 @@ def test_oracle_takes_no_closed_form_primitive(monkeypatch):
     assert got == want
 
 
-@pytest.mark.parametrize("quantity,unread", [("Q1", ("lambda_norm", "fidelity", "phi_moments")),
-                                             ("chi", ("lambda_norm", "fidelity")),
-                                             ("lambda", ("fidelity", "expectations", "phi_moments"))])
-def test_closed_value_makes_only_the_primitives_it_reads(monkeypatch, quantity, unread):
-    # a closed-form sweep pays for its own quantity only
-    series = cf.ParamSeries.of(_SWEEP_GAMMA_AXIS)
-    want = closed_value(quantity, series)
+@pytest.mark.parametrize("engine,quantity,unread", [
+    ("closedform", "Q1", ("lambda_norm", "fidelity", "phi_moments")),
+    ("closedform", "chi", ("lambda_norm", "fidelity")),
+    ("closedform", "lambda", ("fidelity", "expectations", "phi_moments")),
+    ("oracle", "Q1", ("inner", "nonpostselected_moments")),
+    ("oracle", "chi", ("inner",)),
+    ("oracle", "lambda", ("inner", "nonpostselected_moments", "_moments")),
+], ids=["Q1-unread0", "chi-unread1", "lambda-unread2", "oracle-Q1", "oracle-chi", "oracle-lambda"])
+def test_closed_value_makes_only_the_primitives_it_reads(monkeypatch, engine, quantity, unread):
+    # a sweep pays for its own quantity only, on either engine: each primitive is made on first use
+    want = list(cli._sweep_values(quantity, _SWEEP_GAMMA_AXIS, engine))
     for name in unread:
-        monkeypatch.setattr(cf, name, _refuse)
-    assert closed_value(quantity, series) == want
+        monkeypatch.setattr(cf if engine == "closedform" else oracle, name, _refuse)
+    assert list(cli._sweep_values(quantity, _SWEEP_GAMMA_AXIS, engine)) == want
 
 
 def test_table_derivations_match_operators_on_the_oracle_states():
@@ -462,7 +464,7 @@ def test_signed_zero_neighbours_keep_their_uncached_bits(monkeypatch, axis):
     fresh = [repr(oracle_quantities(p)) for p in points]
     calls = _counting_evolve_joint(monkeypatch)
     run = oracle._OracleRun()
-    assert [repr(run.quantities(p)) for p in points] == fresh
+    assert [repr({name: value(name, p, run.point(p)) for name in SCALAR_QUANTITIES}) for p in points] == fresh
     assert [_state_bytes(psi_i, joint, psi) for psi_i, joint, psi, _ in map(run.states, points)] \
         == list(map(_fresh_state_bytes, points))
     assert [math.copysign(1.0, getattr(p, axis)) for p in calls] == [1.0, -1.0]

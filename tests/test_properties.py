@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oampointer.closedform import squeezing
 from oampointer.fock import displacement_matrix
-from oampointer.oracle import oracle_quantities, validation_params
+from oampointer.validation import oracle_quantities, validation_params
 
 
 @given(
