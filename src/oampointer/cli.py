@@ -29,12 +29,12 @@ from .measurement import MeasurementParams, _require_two_levels, weak_value
 
 __all__ = ["main"]
 
-_FMT = "%.17g"  # every float written; a field's values fill one per-grid row template of it, one % per row
-_WRITE_BUFFER = 1 << 20  # bytes per write of a streamed file (field rows, report entries)
+_FMT = "%.17g"  # every float written: by % in sweeps, by fieldtext (the same bytes) in fields
+_WRITE_BUFFER = 1 << 20  # bytes per write of the streamed validation report
 
 SWEEP_QUANTITIES = ("Q1", "Q2", "g2", "chi", "fidelity", "lambda", "weak_value")
 SWEEP_AXES = ("Gamma", "alpha", "gamma", "phi", "delta")
-DEFAULT_WHITELIST = ("published:*", "chi[x2=operator]")
+DEFAULT_WHITELIST = ("published:*",)
 
 
 class ConfigError(Exception):
@@ -150,19 +150,19 @@ def cmd_sweep(ns) -> int:
     return 0
 
 
-# head, row (\0 stands for x, \1 for y), separator, tail of a field file; the json
-# is json.dumps(rows, indent=0, sort_keys=True), as no %.17g string needs escaping
+# head, record (\0 stands for x, \1 for y, \2 for the value), separator, tail of a field file; the
+# json is json.dumps(rows, indent=0, sort_keys=True), as no %.17g string needs escaping
 _FIELD_LAYOUT = {
-    "csv": ("x,y_or_p,value\n", "\0,\1," + _FMT, "\n", "\n"),
-    "json": ("[\n", '{\n"value": "' + _FMT + '",\n"x": "\0",\n"y_or_p": "\1"\n}', ",\n", "\n]\n"),
+    "csv": ("x,y_or_p,value\n", "\0,\1,\2", "\n", "\n"),
+    "json": ("[\n", '{\n"value": "\2",\n"x": "\0",\n"y_or_p": "\1"\n}', ",\n", "\n]\n"),
 }
 
 
 def _write_field(path, kind, params, grid, engine, na, fmt):
     """Compute one intensity or Wigner field; write its rows and the .meta.json sidecar.
 
-    The rows are streamed: one % per x-row fills a template of the y cells formatted once per
-    grid, so no more than one row's text is held, and the writes go out in _WRITE_BUFFER blocks.
+    The rows are streamed in blocks of cells (fieldtext.write_cells), so no more than a block's
+    text is held.
     """
     if engine == "closedform":
         fld = (cf.intensity_field if kind == "intensity" else cf.wigner_field)(params, grid)
@@ -173,14 +173,10 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
         raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
                          f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
-    # x-major rows: a template of one row's formatted y cells, given its x and filled by one % per row
-    head, row, sep, tail = _FIELD_LAYOUT[fmt]
-    line = sep.join(row.replace("\1", _FMT % y) for y in grid.ys().tolist())
-    with open(path, "w", newline="\n", buffering=_WRITE_BUFFER) as fh:
-        for i, (x, values) in enumerate(zip(grid.xs().tolist(), fld.values)):
-            fh.write(sep if i else head)
-            fh.write(line.replace("\0", _FMT % x) % tuple(values.tolist()))
-        fh.write(tail)
+    from . import fieldtext  # on first use: commands that write no field neither compile nor load it
+
+    with open(path, "wb") as fh:
+        fieldtext.write_cells(fh, _FIELD_LAYOUT[fmt], grid, fld.values)
     sidecar = {
         "kind": kind,
         "engine": engine,

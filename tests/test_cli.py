@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oampointer import cli
+from oampointer import cli, fieldtext
 from oampointer.cli import FIGURES, main
 from oampointer.closedform import wigner_field
 from oampointer.fock import GridSpec, NormDriftWarning, ScalarField, TruncationWarning
@@ -334,9 +334,11 @@ def _grid_arg(g):
 @pytest.mark.parametrize("specials", [False, True])
 def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypatch):
     # x-major rows of "{:.17g}" cells on an odd non-square grid, in csv and in json; the two-row
-    # grid has only a first and a last row, so every row separator of the streamed writer shows
+    # grid has only a first and a last row, so every row separator of the streamed writer shows.
+    # Blocks of 3 cells hold one row of 5 each, blocks of 10 two rows and a last one of one row
     p = MeasurementParams(Gamma=0.7, alpha=2.0, phi=0.3, gamma=1.2)
-    for grid in (_ODD_GRID, replace(_ODD_GRID, nx=2)):
+    for grid, block in itertools.product((_ODD_GRID, replace(_ODD_GRID, nx=2)), (fieldtext.BLOCK, 3, 10)):
+        monkeypatch.setattr(fieldtext, "BLOCK", block)
         values = wigner_field(p, grid).values.copy()
         if specials:
             values.flat[[i % values.size for i in (0, 6, 17, 34)]] = _SPECIALS
@@ -766,6 +768,20 @@ def test_library_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_library_import_loads_no_fractions_or_decimal(tmp_path):
+    # fieldtext's table of powers comes from ints (importing fractions cost 0.8 MB of RSS), and cli
+    # loads fieldtext, and builds the table, only when it writes a field
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\nfrom oampointer.cli import main\nprint('oampointer.fieldtext' in sys.modules)\n"
+            f"assert main(['field', '--kind', 'wigner', '--grid=-4,4,-4,4,21,21', '--out', {str(tmp_path / 'w.csv')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "[]"
 
 
 def test_oracle_wigner_field_loads_no_numpy_ma(tmp_path):
