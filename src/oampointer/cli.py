@@ -12,6 +12,7 @@ that trips in validate (its cutoff self-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,41 +84,41 @@ def _parse_grid(text: str) -> GridSpec:
 DEFAULT_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 241, 241)
 
 
-def _params_from(ns) -> MeasurementParams:
-    return MeasurementParams(
-        Gamma=ns.Gamma, alpha=ns.alpha, delta=ns.delta,
-        phi=ns.phi, gamma=ns.gamma, sigma=ns.sigma,
-    )
-
-
 SWEEP_HEADER = "axis_value,quantity,value,reason,engine,Gamma,alpha,delta,phi,gamma,sigma"
-_PARAM_COLUMNS = SWEEP_HEADER.split(",")[5:]
+_PARAM_COLUMNS = SWEEP_HEADER.split(",")[5:]  # MeasurementParams' fields, in order
+
+
+def _params_from(ns) -> MeasurementParams:
+    return MeasurementParams(*(getattr(ns, name) for name in _PARAM_COLUMNS))
 
 
 def _sweep_values(quantity, points, engine, na=None):
-    """The quantity at each point, (None, reason) where it is undefined: the closed forms in one
-    evaluation over the series, the oracle one point at a time as the rows are made, in one run
-    that evolves each distinct pointer once and derives only this quantity."""
+    """The quantity at each point, (None, reason) where it is undefined: the closed forms in one evaluation
+    over the series (a closedform.ParamSeries or the points), the oracle one point at a time as the rows
+    are made, in one run that evolves each distinct pointer once and derives only this quantity."""
     if quantity == "weak_value":  # fixed by the preselection alone: no engine computes it
         return (weak_value(p.alpha, p.delta).value.real for p in points)
     if engine == "oracle":
         run = orc._OracleRun(na)
         return (validation.value(quantity, p, run.point(p)) for p in points)
-    return validation.closed_value(quantity, cf.ParamSeries.of(points))
+    if not isinstance(points, cf.ParamSeries):
+        points = cf.ParamSeries.of(points)
+    return validation.closed_value(quantity, points)
 
 
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
-    # every point first: an axis value outside the legal domain fails before any evaluation
-    points = [replace(base, **{axis: float(v)}) for v in values]
+    # every point is checked before any evaluation; the closed forms' series is made from the axis column
+    points = (cf.ParamSeries.along(base, axis, values) if engine == "closedform" and quantity != "weak_value"
+              else [replace(base, **{axis: v}) for v in values.tolist()])
     # the parameter cells, formatted once per series; the axis column repeats the axis value
     cells = [_FMT % getattr(base, name) for name in _PARAM_COLUMNS]
     at = _PARAM_COLUMNS.index(axis)
     rows = []
-    for v, p, res in zip(values, points, _sweep_values(quantity, points, engine, na)):
+    for v, res in zip(values.tolist(), _sweep_values(quantity, points, engine, na)):
         if isinstance(res, tuple):
             value, reason = "", res[1]
         elif not math.isfinite(res):
-            raise ValueError(f"{quantity} is not finite ({res}) at {axis} = {v:g}, {p}")
+            raise ValueError(f"{quantity} is not finite ({res}) at {axis} = {v:g}, {replace(base, **{axis: v})}")
         else:
             value, reason = _FMT % res, ""
         x = _FMT % v
@@ -371,6 +372,7 @@ def _add_shared(p, *names):
         p.add_argument("--" + name, **_SHARED_OPTIONS[name])
 
 
+@functools.cache
 def _build_parser():
     ap = _Parser(prog="oampointer", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -384,14 +386,12 @@ def _build_parser():
     _add_param_args(p)
     p.add_argument("--out", default="sweep.csv", help="output path")
     _add_shared(p, "format", "engine", "cutoff")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("field", help="export an intensity or Wigner field")
     p.add_argument("--kind", default=None, choices=("intensity", "wigner"))
     _add_param_args(p)
     p.add_argument("--out", default="field.csv", help="output path")
     _add_shared(p, "format", "engine", "cutoff", "grid")
-    p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("validate", help="closed-form vs oracle validation run")
     p.add_argument("--abs-tol", dest="abs_tol", type=_tolerance, default=validation.ABS_TOL)
@@ -400,13 +400,11 @@ def _build_parser():
                    help="comma-separated quantity names (or prefix*) allowed to fail; spaces are ignored")
     p.add_argument("--out", default="validation_report.json", help="output path")
     _add_shared(p, "cutoff")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("figure", help="emit the data behind one preset figure")
     p.add_argument("--name", default=None, choices=FIGURES)
     p.add_argument("--outdir", default="figures")
     _add_shared(p, "engine", "cutoff", "grid")
-    p.set_defaults(func=cmd_figure)
     return ap, sub.choices
 
 
@@ -437,7 +435,7 @@ def main(argv=None) -> int:
             if getattr(ns, "engine", None) == "closedform":
                 raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
             _require_two_levels(ns.cutoff)  # before any evaluation, also of closed-form-only quantities
-        return ns.func(ns)
+        return globals()["cmd_" + ns.command](ns)  # by name at each call: the parser is built once
     # ValueError: a library limit, e.g. the Gamma ceiling; MemoryError: an array the machine refuses,
     # e.g. of a huge grid or step count; OSError: an output that cannot be written
     except (ConfigError, ValueError, MemoryError, OSError) as exc:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -117,18 +117,46 @@ class ParamSeries:
     sigma: float | np.ndarray
     size: int
 
+    def __len__(self):
+        return self.size
+
     @classmethod
     def of(cls, points) -> ParamSeries:
         """The series of a nonempty sequence of MeasurementParams, in its order."""
         points = list(points)
         if not points:
             raise ValueError("a parameter series needs at least one point")
-        cols = {}
-        for f in fields(MeasurementParams):
-            col = np.array([getattr(p, f.name) for p in points], dtype=float)
-            bits = col.view(np.uint64)
-            cols[f.name] = float(col[0]) if (bits == bits[0]).all() else col
+        cols = {f.name: _column([getattr(p, f.name) for p in points]) for f in fields(MeasurementParams)}
         return cls(**cols, size=len(points))
+
+    @classmethod
+    def along(cls, base: MeasurementParams, axis: str, values) -> ParamSeries:
+        """The series of replace(base, axis=v) for each v of a nonempty 1-D values, without making the points.
+
+        Every parameter's legal values form an interval, so MeasurementParams checks the column at its least
+        and greatest value (np.min and np.max keep a nan); where that fails, the points are made in order,
+        so the error names the first offending value.
+        """
+        col = np.array(values, dtype=float)
+        if not col.size:
+            raise ValueError("a parameter series needs at least one point")
+        try:
+            replace(base, **{axis: float(col.min())})
+            replace(base, **{axis: float(col.max())})
+        except ValueError:
+            for v in col.tolist():
+                replace(base, **{axis: v})
+            raise
+        cols = {name: float(v) for name, v in vars(base).items()}
+        cols[axis] = _column(col)
+        return cls(**cols, size=col.size)
+
+
+def _column(values):
+    """One parameter over a series: the float, where every value has the same bits, else the array."""
+    col = np.asarray(values, dtype=float)
+    bits = col.view(np.uint64)
+    return float(col[0]) if (bits == bits[0]).all() else col
 
 
 _ARRAY = np.ndarray  # a series' varying parameters and everything made from them

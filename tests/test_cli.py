@@ -136,6 +136,92 @@ def test_sweep_rejects_out_of_domain_axis(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+_SWEEP_BASE = MeasurementParams(Gamma=0.0, alpha=0.0)  # the sweep command's parameter defaults
+
+# the edges of each axis' domain, legal and illegal; every axis also meets nan and +-inf
+_AXIS_EDGES = {
+    "Gamma": [-0.0, -5e-324, -1.0],
+    "alpha": [-0.0, math.nextafter(math.pi, 0), math.pi],
+    "delta": [-0.0, 2 * math.pi, math.nextafter(2 * math.pi, 7.0)],
+    "phi": [-0.0, math.nextafter(2 * math.pi, 0), 2 * math.pi],
+    "gamma": [-0.0, -5e-324, -1.0],
+}
+
+
+def _first_refusal(axis, values):
+    """The error line of a sweep over values: its first point in sweep order that MeasurementParams refuses."""
+    for v in values.tolist():
+        try:
+            replace(_SWEEP_BASE, **{axis: v})
+        except ValueError as exc:
+            return f"error: {exc}\n"
+    return ""
+
+
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_sweep_refuses_its_first_illegal_point_before_any_evaluation(axis, engine, tmp_path, monkeypatch, capsys):
+    # each edge value as the whole column, as its last value and as its first
+    columns = [(a, b, n) for v in [*_AXIS_EDGES[axis], math.nan, math.inf, -math.inf]
+               for a, b, n in ((v, v, 2), (0.0, v, 3), (v, 0.0, 3))]
+    refused = 0
+    for i, (start, stop, steps) in enumerate(columns):
+        with np.errstate(invalid="ignore"):
+            want = _first_refusal(axis, np.linspace(start, stop, steps))
+        out = tmp_path / f"{i}.csv"
+        with monkeypatch.context() as m:  # a legal column is evaluated as zeros
+            m.setattr(cli, "_sweep_values", _never_called if want else lambda q, points, *a, **k: [0.0] * len(points))
+            with np.errstate(invalid="ignore"):
+                rc = run(["sweep", "--engine", engine, "--quantity", "Q1", "--axis", axis, f"--start={start}",
+                          f"--stop={stop}", f"--steps={steps}", "--out", out])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == ((1, want) if want else (0, "")), (start, stop, steps)
+        assert out.exists() != bool(want)
+        refused += bool(want)
+    assert 0 < refused < len(columns)
+
+
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_sweep_names_its_first_illegal_value_not_an_extreme(engine, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_sweep_values", _never_called)
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--engine", engine, "--quantity", "Q1", "--axis", "alpha", "--start", 0, "--stop", 10,
+                "--steps", 11, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: alpha must lie in [0, pi), got 4.0\n"
+    assert not out.exists()
+
+
+def test_closed_form_sweep_checks_no_point_per_row_and_main_parses_with_one_parser(tmp_path, monkeypatch):
+    # the closed-form series is made from the axis column: its checks do not grow with the step count
+    checks = []
+    post_init = MeasurementParams.__post_init__
+
+    def counting(self):
+        checks[-1] += 1
+        post_init(self)
+
+    monkeypatch.setattr(MeasurementParams, "__post_init__", counting)
+    for steps in (21, 201):
+        checks.append(0)
+        assert run(["sweep", "--quantity", "chi", "--axis", "alpha", "--start", 0, "--stop", 3, "--steps", steps,
+                    "--Gamma", 1.1, "--out", tmp_path / f"{steps}.csv"]) == 0
+    assert checks[0] == checks[1]
+    # one argument parser serves every main call of a process
+    built = []
+    parser_init = cli._Parser.__init__
+
+    def counting_parser(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        parser_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_parser)
+    cli._build_parser.cache_clear()
+    for i in range(5):
+        assert run(["sweep", "--quantity", "lambda", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 3,
+                    "--out", tmp_path / f"{i}.csv"]) == 0
+    assert built.count("oampointer") == 1
+
+
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
 def test_sweep_rejects_non_finite_parameter(engine, tmp_path):
     out = tmp_path / "x.csv"

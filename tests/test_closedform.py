@@ -150,12 +150,16 @@ def test_hermiticity_residues():
             assert getattr(m, name).real >= -1e-12
 
 
-def _figure_series():
-    """The distinct sweep series of the figure presets, each as the figure command evaluates it."""
+def _figure_columns():
+    """The distinct sweep series of the figure presets as (base point, axis, axis column)."""
     keys = {(axis, G, al) for preset in _FIGURE_PRESETS.values() if len(preset) == 3
             for axis in preset[1:2] for G, al in preset[2]}
-    return [[replace(_point(G, al, math.pi / 2), **{axis: v}) for v in np.linspace(*_FIGURE_AXES[axis]).tolist()]
-            for axis, G, al in sorted(keys)]
+    return [(_point(G, al, math.pi / 2), axis, np.linspace(*_FIGURE_AXES[axis])) for axis, G, al in sorted(keys)]
+
+
+def _figure_series():
+    """The distinct sweep series of the figure presets, each as its points one at a time."""
+    return [[replace(base, **{axis: v}) for v in values.tolist()] for base, axis, values in _figure_columns()]
 
 
 def _bits(values):
@@ -198,6 +202,81 @@ def test_closed_forms_over_a_series_keep_the_one_point_bits():
             table = _ClosedPrimitives(p)
             assert _bits([value(name, p, table) for name in w]) == _bits(list(w.values())), p
     assert undefined == {"cross-correlation", "non-postselected", "position"}  # all three reasons met
+
+
+def _series_bits(series):
+    """Every field of a ParamSeries: a column's type, dimensions and float64 bits, and the size."""
+    return {name: (type(v), np.ndim(v), np.asarray(v, dtype=float).view(np.uint64).tolist()) if name != "size"
+            else v for name, v in vars(series).items()}
+
+
+def test_series_along_an_axis_is_the_series_of_its_points():
+    # the closed-form sweep's series, made from the axis column, against the series of its points:
+    # a column whose elements all have the same bits is one Python float, so 0.0 and -0.0 stay apart
+    cases = [*_figure_columns(),
+             (MeasurementParams(Gamma=0.4, alpha=1.0), "Gamma", np.array([0.0, -0.0, 0.0])),
+             (MeasurementParams(Gamma=0.4, alpha=1.0), "gamma", np.full(5, 0.7)),
+             (MeasurementParams(Gamma=0.4, alpha=1.0, delta=-0.0), "phi", np.array([-0.0])),
+             (MeasurementParams(Gamma=1, alpha=2, delta=3, phi=4, gamma=5, sigma=6), "alpha", np.linspace(0, 3, 7)),
+             (MeasurementParams(Gamma=1, alpha=2, delta=3, phi=4, gamma=5, sigma=6), "delta", [0, 1, 2])]
+    for base, axis, values in cases:
+        points = [replace(base, **{axis: v}) for v in np.asarray(values).tolist()]
+        got = ParamSeries.along(base, axis, values)
+        assert _series_bits(got) == _series_bits(ParamSeries.of(points)), (base, axis)
+        assert len(got) == got.size == len(points)
+    with pytest.raises(ValueError, match="at least one point"):
+        ParamSeries.along(NAMED_POINT, "Gamma", [])
+
+
+@pytest.mark.parametrize("axis, column", [
+    ("alpha", [0.0, 2.0, 4.0, 3.0, 10.0, 1.0]),  # the first illegal value is no extreme
+    ("alpha", [1.0, -5e-324, math.pi]),
+    ("Gamma", [0.0, math.inf, math.nan, -1.0]),  # inf before nan, though np.min and np.max are nan
+    ("gamma", [1.0, -math.inf, math.nan]),
+    ("delta", [2 * math.pi, math.nextafter(2 * math.pi, 7.0)]),
+    ("phi", [math.nan, 2 * math.pi]),
+    ("sigma", [1.0, 0.0]),
+])
+def test_series_along_an_axis_names_the_first_refused_point(axis, column):
+    with pytest.raises(ValueError) as first:
+        for v in column:
+            replace(NAMED_POINT, **{axis: v})
+    with pytest.raises(ValueError) as got:
+        ParamSeries.along(NAMED_POINT, axis, column)
+    assert str(got.value) == str(first.value)
+
+
+def test_scalar_quantities_do_not_depend_on_the_beam_waist():
+    # sigma scales the coordinates only; chi's reasons quote variances in sigma, so definedness is compared
+    rng = np.random.default_rng(7)
+    k = np.arange(12)
+    points = [
+        MeasurementParams(Gamma=G, alpha=al, delta=de, phi=ph, gamma=gam)
+        for G, al, de, ph, gam in zip(
+            np.where(k % 5 == 0, 0.0, rng.uniform(0, 3, 12)).tolist(),
+            rng.uniform(0, 0.95 * math.pi, 12).tolist(),
+            rng.uniform(0, 2 * math.pi, 12).tolist(),
+            rng.uniform(0, 2 * math.pi, 12).tolist(),
+            np.where(k % 4 == 1, 0.0, rng.uniform(0, 3, 12)).tolist(),
+        )
+    ]
+    engines = {
+        "closedform": lambda p: {name: value(name, p, _ClosedPrimitives(p)) for name in SCALAR_QUANTITIES},
+        "oracle": oracle_quantities,
+    }
+    undefined = set()
+    for engine, quantities in engines.items():
+        for p in points:
+            want = quantities(p)
+            undefined.update(name for name, v in want.items() if isinstance(v, tuple))
+            for sigma in (0.3, 2.0, 5.0):
+                got = quantities(replace(p, sigma=sigma))
+                for name, w in want.items():
+                    g = got[name]
+                    assert isinstance(g, tuple) == isinstance(w, tuple), (engine, name, p, sigma)
+                    if not isinstance(w, tuple):
+                        assert abs(g - w) <= 1e-13 * abs(w), (engine, name, p, sigma, g, w)
+    assert {"g2", "chi"} <= undefined
 
 
 def test_published_moments_deviate_and_are_reported_upstream():
