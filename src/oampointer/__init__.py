@@ -24,6 +24,7 @@ from .measurement import (
     ExpectationSet,
     JointState,
     MeasurementParams,
+    ParamSeries,
     PostselectionError,
     WeakValue,
     evolve_joint,
@@ -34,7 +35,6 @@ from .measurement import (
 )
 from .closedform import (
     DegenerateShiftError,
-    ParamSeries,
     UndefinedCorrelationError,
     VarianceCollapseError,
     expectations,

@@ -22,11 +22,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import closedform as cf
-from . import oracle as orc
 from . import validation
 from .fock import GridSpec, NormDriftWarning, TruncationWarning
-from .measurement import MeasurementParams, _require_two_levels, weak_value
+from .measurement import MeasurementParams, ParamSeries, _require_two_levels
 
 __all__ = ["main"]
 
@@ -92,29 +90,14 @@ def _params_from(ns) -> MeasurementParams:
     return MeasurementParams(*(getattr(ns, name) for name in _PARAM_COLUMNS))
 
 
-def _sweep_values(quantity, points, engine, na=None):
-    """The quantity at each point, (None, reason) where it is undefined: the closed forms in one evaluation
-    over the series (a closedform.ParamSeries or the points), the oracle one point at a time as the rows
-    are made, in one run that evolves each distinct pointer once and derives only this quantity."""
-    if quantity == "weak_value":  # fixed by the preselection alone: no engine computes it
-        return (weak_value(p.alpha, p.delta).value.real for p in points)
-    if engine == "oracle":
-        run = orc._OracleRun(na)
-        return (validation.value(quantity, p, run.point(p)) for p in points)
-    if not isinstance(points, cf.ParamSeries):
-        points = cf.ParamSeries.of(points)
-    return validation.closed_value(quantity, points)
-
-
 def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None):
-    # every point is checked before any evaluation; the closed forms' series is made from the axis column
-    points = (cf.ParamSeries.along(base, axis, values) if engine == "closedform" and quantity != "weak_value"
-              else [replace(base, **{axis: v}) for v in values.tolist()])
+    # every point is checked before any evaluation, as the series is made from the axis column
+    series = ParamSeries.along(base, axis, values)
     # the parameter cells, formatted once per series; the axis column repeats the axis value
     cells = [_FMT % getattr(base, name) for name in _PARAM_COLUMNS]
     at = _PARAM_COLUMNS.index(axis)
     rows = []
-    for v, res in zip(values.tolist(), _sweep_values(quantity, points, engine, na)):
+    for v, res in zip(values.tolist(), validation.values(quantity, series, engine, na)):
         if isinstance(res, tuple):
             value, reason = "", res[1]
         elif not math.isfinite(res):
@@ -165,11 +148,7 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
     The rows are streamed in blocks of cells (fieldtext.write_cells), so no more than a block's
     text is held.
     """
-    if engine == "closedform":
-        fld = (cf.intensity_field if kind == "intensity" else cf.wigner_field)(params, grid)
-    else:
-        psi = orc.oracle_states(params, na)[2]
-        fld = (orc.oracle_intensity if kind == "intensity" else orc.oracle_wigner)(psi, grid)
+    fld = validation.engine_field(kind, params, grid, engine, na)
     bad = np.argwhere(~np.isfinite(fld.values))
     if bad.size:  # refuse before anything is written: no nan rows, no NaN in the sidecar
         raise ValueError(f"{kind} field at Gamma = {params.Gamma:g} is not finite at (x, y) = "
@@ -200,22 +179,6 @@ def cmd_field(ns) -> int:
     return 0
 
 
-def _field_check_points():
-    """Ten varied points for the field cross-validation."""
-    return [
-        MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0),
-        MeasurementParams(Gamma=0.0, alpha=0.0, delta=0.0, phi=0.0, gamma=0.0),
-        MeasurementParams(Gamma=0.0, alpha=2.0, delta=0.0, phi=math.pi / 2, gamma=1.0),
-        MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0),
-        MeasurementParams(Gamma=0.5, alpha=math.pi / 2, delta=math.pi / 2, phi=math.pi / 2, gamma=1.0),
-        MeasurementParams(Gamma=1.0, alpha=11 * math.pi / 12, delta=0.0, phi=0.0, gamma=1.0),
-        MeasurementParams(Gamma=1.5, alpha=2.0, delta=0.0, phi=1.0, gamma=2.0),
-        MeasurementParams(Gamma=2.0, alpha=0.5, delta=math.pi / 2, phi=0.0, gamma=0.5),
-        MeasurementParams(Gamma=0.7, alpha=2.2, delta=0.0, phi=math.pi / 2, gamma=1.3),
-        MeasurementParams(Gamma=1.0, alpha=0.0, delta=0.0, phi=0.0, gamma=1.0),
-    ]
-
-
 def cmd_validate(ns) -> int:
     # the default only where the option is absent: an empty --whitelist allows no failure
     whitelist = (DEFAULT_WHITELIST if ns.whitelist is None
@@ -235,7 +198,7 @@ def cmd_validate(ns) -> int:
                     abs_tol=ns.abs_tol,
                     rel_tol=ns.rel_tol,
                     na=ns.cutoff,
-                    field_params=_field_check_points(),
+                    field_params=validation.field_check_points(),
                 )
             summary = report.summary()
             fh.writelines(report.json_chunks(summary))  # entry by entry: the report text is never held whole

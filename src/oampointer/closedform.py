@@ -51,19 +51,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .fock import FieldConsistencyError, GridSpec, ScalarField, _unit_intensity
-from .measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
+from .measurement import ExpectationSet, MeasurementParams, ParamSeries, PostselectionError
 
 __all__ = [
     "UndefinedCorrelationError",
     "DegenerateShiftError",
     "VarianceCollapseError",
     "FieldConsistencyError",
-    "ParamSeries",
     "lambda_norm",
     "expectations",
     "squeezing",
@@ -98,66 +96,8 @@ MOMENT_NAMES = {f"moment:{name}": name for name in ExpectationSet.field_names()}
 
 
 # ---------------------------------------------------------------------------
-# one point or a series of points
+# one point or a series of points (measurement.ParamSeries)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamSeries:
-    """The parameters of many points as columns, for one closed-form evaluation over all of them.
-
-    A parameter that varies is a 1-D float array; one with the same bits at
-    every point is that float, so what depends on it alone is worked out once.
-    """
-
-    Gamma: float | np.ndarray
-    alpha: float | np.ndarray
-    delta: float | np.ndarray
-    phi: float | np.ndarray
-    gamma: float | np.ndarray
-    sigma: float | np.ndarray
-    size: int
-
-    def __len__(self):
-        return self.size
-
-    @classmethod
-    def of(cls, points) -> ParamSeries:
-        """The series of a nonempty sequence of MeasurementParams, in its order."""
-        points = list(points)
-        if not points:
-            raise ValueError("a parameter series needs at least one point")
-        cols = {f.name: _column([getattr(p, f.name) for p in points]) for f in fields(MeasurementParams)}
-        return cls(**cols, size=len(points))
-
-    @classmethod
-    def along(cls, base: MeasurementParams, axis: str, values) -> ParamSeries:
-        """The series of replace(base, axis=v) for each v of a nonempty 1-D values, without making the points.
-
-        Every parameter's legal values form an interval, so MeasurementParams checks the column at its least
-        and greatest value (np.min and np.max keep a nan); where that fails, the points are made in order,
-        so the error names the first offending value.
-        """
-        col = np.array(values, dtype=float)
-        if not col.size:
-            raise ValueError("a parameter series needs at least one point")
-        try:
-            replace(base, **{axis: float(col.min())})
-            replace(base, **{axis: float(col.max())})
-        except ValueError:
-            for v in col.tolist():
-                replace(base, **{axis: v})
-            raise
-        cols = {name: float(v) for name, v in vars(base).items()}
-        cols[axis] = _column(col)
-        return cls(**cols, size=col.size)
-
-
-def _column(values):
-    """One parameter over a series: the float, where every value has the same bits, else the array."""
-    col = np.asarray(values, dtype=float)
-    bits = col.view(np.uint64)
-    return float(col[0]) if (bits == bits[0]).all() else col
-
 
 _ARRAY = np.ndarray  # a series' varying parameters and everything made from them
 
@@ -235,12 +175,8 @@ def _abs2(z):
 
 
 def _weak(params):
-    """The weak value e^{i delta} tan(alpha/2) of each point."""
-    alpha, delta = params.alpha, params.delta
-    if type(delta) is _ARRAY:
-        alphas = np.broadcast_to(alpha, delta.shape).tolist()
-        return np.array([weak_value(a, d).value for a, d in zip(alphas, delta.tolist())])
-    return _each(lambda a: weak_value(a, delta).value, alpha)
+    """The weak value e^{i delta} tan(alpha/2) of each point, with the bits of measurement.weak_value's."""
+    return _each(_cis, params.delta) * _each(lambda a: math.tan(a / 2), params.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +204,18 @@ def _i1(params: MeasurementParams | ParamSeries, coupling=None):
     return _complex(e * re - 0.0 * im, e * im + 0.0 * re)
 
 
-def _lambda_from_bracket(bracket):
+def _positive(bracket):
+    """The bracket where it is positive; a series raises as its first offending point would."""
     if type(bracket) is _ARRAY:
-        for first in bracket[~(bracket > 0)][:1]:  # a series raises as its first offending point would
-            _lambda_from_bracket(first)
+        for first in bracket[~(bracket > 0)][:1]:
+            _positive(first)
     elif not bracket > 0:
         raise PostselectionError(f"normalization bracket {bracket:.3e} is not positive; postselection impossible")
-    return 1.0 / _each(math.sqrt, bracket)
+    return bracket
+
+
+def _lambda_from_bracket(bracket):
+    return 1.0 / _each(math.sqrt, _positive(bracket))
 
 
 def lambda_norm(params: MeasurementParams | ParamSeries):
@@ -309,6 +250,7 @@ def expectations(params: MeasurementParams | ParamSeries) -> ExpectationSet:
     cm, cp = _cmul(1 + wc, 1 - w), _cmul(1 - wc, 1 + w)
     i1 = _i1(params)
     s1 = tp2 + tm2 + (_cmul(cm, np.conj(i1)) + _cmul(cp, i1)).real
+    _positive(s1 / 4)  # s1 is 4 lambda's bracket in exact arithmetic
     # the even-in-Gamma parts of the cross terms, once for both branches: each is a leading
     # (left-associated) partial sum or a whole factor there, so taking it out keeps the bits
     a_even = 2 + 4 * gam2 - G2 * gam2
@@ -436,10 +378,6 @@ def _collapse(x2_convention, var_psi, var_phi):
     )
 
 
-def _ps(alpha):
-    return weak_value(alpha).ps
-
-
 def snr_from_moments(
     m_psi: ExpectationSet,
     phi_m,
@@ -465,7 +403,7 @@ def snr_from_moments(
     # the shift is checked first: where both fail, its reason stands
     undefined = {**_undefined(collapsed, _collapse, x2_convention, var_psi, var_phi), **no_shift}
     bad = degenerate | collapsed
-    ps = _each(_ps, params.alpha)
+    ps = _each(lambda a: math.cos(a / 2) ** 2, params.alpha)  # the bare postselection probability
     rp = _each(math.sqrt, n_total * ps) * abs(dx) / _each(math.sqrt, _kept(var_psi, bad))
     rn = math.sqrt(n_total) * abs(dxp) / _each(math.sqrt, _kept(var_phi, bad))
     return _listed(rp / _kept(rn, bad), undefined), _listed(rp, undefined), _listed(rn, undefined)
@@ -510,7 +448,7 @@ def projected_wavefunction(params: MeasurementParams, grid: GridSpec) -> ScalarF
     """
     sig = params.sigma
     g = params.gamma * np.exp(1j * params.phi)
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     lam = lambda_norm(params)
     c = params.Gamma * sig / _RT2
     nrm = 1 / math.sqrt(1 + params.gamma**2)
@@ -547,7 +485,7 @@ def wigner_field(params: MeasurementParams, grid: GridSpec) -> ScalarField:
     """
     G, gam, phi = params.Gamma, params.gamma, params.phi
     u = 1 + gam**2
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     lam = lambda_norm(params)
     X = grid.xs()[:, None]
     P = grid.ys()[None, :]
@@ -616,7 +554,7 @@ def _expectations_published(params: MeasurementParams, lam: float) -> Expectatio
     M1 = G * T_plus + G**2 / 4 * (T + 4 * IV1) + G**3 / 4 * (V_plus + II) + G**4 * I1 / 16
     M2 = -G * T_minus + G**2 / 4 * (T + 4 * IV2) - G**3 / 4 * (V_minus + II) + G**4 * I2 / 16
 
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     wc = np.conj(w)
     aw2 = abs(w) ** 2
     lam2 = lam**2
@@ -654,7 +592,7 @@ def published_scalars(params: MeasurementParams) -> dict:
     lambda drops the Im(w) Im(I1) term of the bracket, Q2 flips the sign of
     <ab + a†b†> and squares the wrong mean, the fidelity takes I1 at Gamma, not Gamma/2.
     """
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     aw2 = abs(w) ** 2
     lam = _lambda_from_bracket(0.5 * (1 + aw2 + (1 - aw2) * _i1(params).real))
     m = _expectations_published(params, lam)
@@ -673,7 +611,7 @@ def _published_wavefunction(params: MeasurementParams, grid: GridSpec) -> np.nda
     sig = params.sigma
     s = params.Gamma / 2
     g = params.gamma * np.exp(1j * params.phi)
-    w = weak_value(params.alpha, params.delta).value
+    w = _weak(params)
     X = grid.xs()[:, None]
     Y = grid.ys()[None, :]
     psi_y = (math.pi * sig**2) ** -0.25 * np.exp(-(Y**2) / (2 * sig**2))

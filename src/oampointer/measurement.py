@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .fock import NormDriftWarning, TwoModeState, _lower_a, _occupied_levels, di
 __all__ = [
     "PostselectionError",
     "MeasurementParams",
+    "ParamSeries",
     "ExpectationSet",
     "WeakValue",
     "JointState",
@@ -74,6 +75,69 @@ class MeasurementParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class ParamSeries:
+    """The parameters of many points as columns, for one closed-form evaluation over all of them.
+
+    A parameter that varies is a 1-D float array; one with the same bits at
+    every point is that float, so what depends on it alone is worked out once.
+    Iterating yields the points in order, as MeasurementParams.
+    """
+
+    Gamma: float | np.ndarray
+    alpha: float | np.ndarray
+    delta: float | np.ndarray
+    phi: float | np.ndarray
+    gamma: float | np.ndarray
+    sigma: float | np.ndarray
+    size: int
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        cols = [np.broadcast_to(getattr(self, f.name), self.size).tolist() for f in fields(MeasurementParams)]
+        return (MeasurementParams(*p) for p in zip(*cols))
+
+    @classmethod
+    def of(cls, points) -> ParamSeries:
+        """The series of a nonempty sequence of MeasurementParams, in its order."""
+        points = list(points)
+        if not points:
+            raise ValueError("a parameter series needs at least one point")
+        cols = {f.name: _column([getattr(p, f.name) for p in points]) for f in fields(MeasurementParams)}
+        return cls(**cols, size=len(points))
+
+    @classmethod
+    def along(cls, base: MeasurementParams, axis: str, values) -> ParamSeries:
+        """The series of replace(base, axis=v) for each v of a nonempty 1-D values, without making the points.
+
+        Every parameter's legal values form an interval, so MeasurementParams checks the column at its least
+        and greatest value (np.min and np.max keep a nan); where that fails, the points are made in order,
+        so the error names the first offending value.
+        """
+        col = np.array(values, dtype=float)
+        if not col.size:
+            raise ValueError("a parameter series needs at least one point")
+        try:
+            replace(base, **{axis: float(col.min())})
+            replace(base, **{axis: float(col.max())})
+        except ValueError:
+            for v in col.tolist():
+                replace(base, **{axis: v})
+            raise
+        cols = {name: float(v) for name, v in vars(base).items()}
+        cols[axis] = _column(col)
+        return cls(**cols, size=col.size)
+
+
+def _column(values):
+    """One parameter over a series: the float, where every value has the same bits, else the array."""
+    col = np.asarray(values, dtype=float)
+    bits = col.view(np.uint64)
+    return float(col[0]) if (bits == bits[0]).all() else col
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 The two routes meet only here.  SCALAR_QUANTITIES derives each scalar from an
 engine's five primitives, through closedform's three moment derivations
 (squeezing_from_moments, g2_from_moments, snr_from_moments); value reads it,
-at one point or over a closedform.ParamSeries, for either engine's record:
+at one point or over a measurement.ParamSeries, for either engine's record:
 _ClosedPrimitives for the closed forms, oracle._OraclePrimitives for the
-oracle, each making a primitive on first use.  compare holds the routes
-against each other and writes a ValidationReport.
+oracle, each making a primitive on first use.  values and engine_field are
+the one place an engine is chosen by name, for the CLI's sweeps and fields.
+compare holds the routes against each other and writes a ValidationReport.
 
 The oracle is called through its module (orc.oracle_wigner, not a name
 imported from it), so a patch of the oracle module reaches every call.
@@ -26,16 +27,18 @@ from . import closedform as cf
 from . import oracle as orc
 from .closedform import DegenerateShiftError, UndefinedCorrelationError, VarianceCollapseError
 from .fock import GridSpec, NormDriftWarning, TruncationWarning
-from .measurement import MeasurementParams
+from .measurement import MeasurementParams, ParamSeries, weak_value
 
 __all__ = [
     "SCALAR_QUANTITIES",
     "value",
-    "closed_value",
+    "values",
+    "engine_field",
     "oracle_quantities",
     "ReportEntry",
     "ValidationReport",
     "validation_params",
+    "field_check_points",
     "compare",
 ]
 
@@ -46,10 +49,10 @@ __all__ = [
 
 @dataclass
 class _ClosedPrimitives:
-    """The closed forms' primitives at one point or over a closedform.ParamSeries, each made on
+    """The closed forms' primitives at one point or over a ParamSeries, each made on
     first use, so a quantity costs only what it reads; each function is looked up on closedform then."""
 
-    params: MeasurementParams | cf.ParamSeries
+    params: MeasurementParams | ParamSeries
     lam = functools.cached_property(lambda self: cf.lambda_norm(self.params))
     i1 = functools.cached_property(lambda self: cf._i1(self.params))
     fidelity = functools.cached_property(lambda self: cf.fidelity(self.params))
@@ -57,7 +60,7 @@ class _ClosedPrimitives:
     phi = functools.cached_property(lambda self: cf.phi_moments(self.params))
 
 
-# name -> value(params, e), at one point or over a closedform.ParamSeries, from an engine's five
+# name -> value(params, e), at one point or over a ParamSeries, from an engine's five
 # primitives e: the normalization lam, I1 (i1), the fidelity, the ExpectationSet of moments and the
 # non-postselected (<a>, <a†a>, <a^2>) (phi).  value reads it for both engines, and compare reports
 # the names in this order; the published transcriptions are not in the table: compare takes them
@@ -80,22 +83,36 @@ _UNDEFINED_ERRORS = (UndefinedCorrelationError, DegenerateShiftError, VarianceCo
 
 def value(name: str, params, e):
     """The table quantity name from an engine's primitives e at params, or (None, reason) where it is
-    undefined; over a closedform.ParamSeries, the list of those, one per point."""
+    undefined; over a ParamSeries, the list of those, one per point."""
     try:
         v = SCALAR_QUANTITIES[name](params, e)
     except _UNDEFINED_ERRORS as exc:
         v = None, str(exc)
-    if not isinstance(params, cf.ParamSeries) or isinstance(v, list):
+    if not isinstance(params, ParamSeries) or isinstance(v, list):
         return v
     if isinstance(v, tuple):  # undefined at every point
         return [v] * params.size
     return np.broadcast_to(v, params.size).tolist()  # b2 and bdag2b2 are one 0j for all
 
 
-def closed_value(name: str, params):
-    """The closed form of a table quantity at one point, or (None, reason) where it is undefined;
-    over a closedform.ParamSeries, the list of those, one per point, from one evaluation."""
-    return value(name, params, _ClosedPrimitives(params))
+def values(name: str, series: ParamSeries, engine: str, na: int | None = None):
+    """The quantity name at each point of series, (None, reason) where it is undefined: the closed forms
+    in one evaluation over the series, the oracle point by point as they are read, in one run that
+    evolves each distinct pointer once and derives only this quantity."""
+    if name == "weak_value":  # fixed by the preselection alone: no engine computes it
+        return (weak_value(p.alpha, p.delta).value.real for p in series)
+    if engine == "oracle":
+        run = orc._OracleRun(na)
+        return (value(name, p, run.point(p)) for p in series)
+    return value(name, series, _ClosedPrimitives(series))
+
+
+def engine_field(kind: str, params: MeasurementParams, grid: GridSpec, engine: str, na: int | None = None):
+    """The "intensity" or "wigner" field at one point, from the closed forms or the oracle's postselected pointer."""
+    if engine == "closedform":
+        return (cf.intensity_field if kind == "intensity" else cf.wigner_field)(params, grid)
+    psi = orc.oracle_states(params, na)[2]
+    return (orc.oracle_intensity if kind == "intensity" else orc.oracle_wigner)(psi, grid)
 
 
 def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
@@ -208,6 +225,22 @@ def validation_params() -> list[MeasurementParams]:
     return out
 
 
+def field_check_points() -> list[MeasurementParams]:
+    """Ten varied points for the field cross-validation."""
+    return [
+        MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0),
+        MeasurementParams(Gamma=0.0, alpha=0.0, delta=0.0, phi=0.0, gamma=0.0),
+        MeasurementParams(Gamma=0.0, alpha=2.0, delta=0.0, phi=math.pi / 2, gamma=1.0),
+        MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0),
+        MeasurementParams(Gamma=0.5, alpha=math.pi / 2, delta=math.pi / 2, phi=math.pi / 2, gamma=1.0),
+        MeasurementParams(Gamma=1.0, alpha=11 * math.pi / 12, delta=0.0, phi=0.0, gamma=1.0),
+        MeasurementParams(Gamma=1.5, alpha=2.0, delta=0.0, phi=1.0, gamma=2.0),
+        MeasurementParams(Gamma=2.0, alpha=0.5, delta=math.pi / 2, phi=0.0, gamma=0.5),
+        MeasurementParams(Gamma=0.7, alpha=2.2, delta=0.0, phi=math.pi / 2, gamma=1.3),
+        MeasurementParams(Gamma=1.0, alpha=0.0, delta=0.0, phi=0.0, gamma=1.0),
+    ]
+
+
 def _entry(quantity, idx, params, closed, oracle, abs_tol, rel_tol):
     c_undef = isinstance(closed, tuple)
     o_undef = isinstance(oracle, tuple)
@@ -272,7 +305,7 @@ def compare(
     if not params_set:
         raise ValueError("parameter set must be nonempty")
     report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
-    series = cf.ParamSeries.of(params_set)
+    series = ParamSeries.of(params_set)
     e = _ClosedPrimitives(series)
     closed = {name: value(name, series, e) for name in SCALAR_QUANTITIES}
     run = orc._OracleRun(na)  # one run for the lattice and the field checks

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from _reference import expm_displacement
-from oampointer.cli import _field_check_points, main
+from oampointer.cli import main
 from oampointer.closedform import (
     expectations,
     fidelity,
@@ -25,7 +25,7 @@ from oampointer.closedform import (
 from oampointer.fock import GridSpec, TwoModeState, displacement_matrix
 from oampointer.measurement import MeasurementParams, initial_pointer, weak_value
 from oampointer.oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
-from oampointer.validation import compare, oracle_quantities, validation_params
+from oampointer.validation import compare, field_check_points, oracle_quantities, validation_params
 
 WIGNER_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 121, 121)
 
@@ -88,7 +88,7 @@ def test_criterion_04_bounds_suite():
 
 
 def test_criterion_05_wigner_suite():
-    points = _field_check_points()
+    points = field_check_points()
     assert len(points) == 10
     target = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, delta=0.0, phi=0.0, gamma=1.0)
     assert target in points
@@ -105,7 +105,7 @@ def test_criterion_05_wigner_suite():
 
 
 def test_criterion_06_intensity_suite():
-    for p in _field_check_points():
+    for p in field_check_points():
         closed = intensity_field(p, WIGNER_GRID)
         orc = oracle_intensity(oracle_states(p)[2], WIGNER_GRID)
         assert np.abs(closed.values - orc.values).max() < 1e-6, p

@@ -16,7 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oampointer import cli, fieldtext
+from oampointer import cli, fieldtext, validation
+from oampointer import closedform as cf
+from oampointer import oracle as orc
 from oampointer.cli import FIGURES, main
 from oampointer.closedform import wigner_field
 from oampointer.fock import GridSpec, NormDriftWarning, ScalarField, TruncationWarning
@@ -76,7 +78,7 @@ def test_oracle_weak_value_sweep_builds_no_state(tmp_path, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("weak_value taken from the oracle")
 
-    monkeypatch.setattr(cli.orc, "_OracleRun", evaluated)
+    monkeypatch.setattr(orc, "_OracleRun", evaluated)
     cells = {}
     for engine in ("closedform", "oracle"):
         out = tmp_path / f"{engine}.csv"
@@ -129,7 +131,7 @@ def test_sweep_rejects_bad_quantity(tmp_path):
 
 
 def test_sweep_rejects_out_of_domain_axis(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_sweep_values", _never_called)  # the last point is refused before the first is evaluated
+    monkeypatch.setattr(validation, "values", _never_called)  # the last point is refused before the first is evaluated
     rc = run(["sweep", "--quantity", "Q1", "--axis", "alpha",
               "--start", 0, "--stop", math.pi, "--steps", 3, "--out", tmp_path / "x.csv"])
     assert rc == 1  # alpha = pi is outside the open interval
@@ -170,7 +172,7 @@ def test_sweep_refuses_its_first_illegal_point_before_any_evaluation(axis, engin
             want = _first_refusal(axis, np.linspace(start, stop, steps))
         out = tmp_path / f"{i}.csv"
         with monkeypatch.context() as m:  # a legal column is evaluated as zeros
-            m.setattr(cli, "_sweep_values", _never_called if want else lambda q, points, *a, **k: [0.0] * len(points))
+            m.setattr(validation, "values", _never_called if want else lambda q, points, *a, **k: [0.0] * len(points))
             with np.errstate(invalid="ignore"):
                 rc = run(["sweep", "--engine", engine, "--quantity", "Q1", "--axis", axis, f"--start={start}",
                           f"--stop={stop}", f"--steps={steps}", "--out", out])
@@ -183,7 +185,7 @@ def test_sweep_refuses_its_first_illegal_point_before_any_evaluation(axis, engin
 
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
 def test_sweep_names_its_first_illegal_value_not_an_extreme(engine, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_sweep_values", _never_called)
+    monkeypatch.setattr(validation, "values", _never_called)
     out = tmp_path / "x.csv"
     assert run(["sweep", "--engine", engine, "--quantity", "Q1", "--axis", "alpha", "--start", 0, "--stop", 10,
                 "--steps", 11, "--out", out]) == 1
@@ -371,7 +373,7 @@ def test_field_refuses_non_finite_values(tmp_path, monkeypatch, capsys):
         values[1, 2] = math.nan
         return ScalarField(grid, values)
 
-    monkeypatch.setattr(cli.cf, "wigner_field", nan_field)
+    monkeypatch.setattr(cf, "wigner_field", nan_field)
     out = tmp_path / "x.csv"
     rc = run(["field", "--kind", "wigner", "--Gamma", 40, "--grid=-24,24,-5,5,11,11", "--out", out])
     assert rc == 1
@@ -391,8 +393,8 @@ def _refused_allocation(*args, **kwargs):
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
 def test_field_refused_allocation_exits_one(engine, tmp_path, monkeypatch, capsys):
     # a grid too large for the machine is a stated limit, not a traceback
-    monkeypatch.setattr(cli.cf, "wigner_field", _refused_allocation)
-    monkeypatch.setattr(cli.orc, "oracle_wigner", _refused_allocation)
+    monkeypatch.setattr(cf, "wigner_field", _refused_allocation)
+    monkeypatch.setattr(orc, "oracle_wigner", _refused_allocation)
     out = tmp_path / "x.csv"
     assert run(["field", "--kind", "wigner", "--engine", engine, "--grid=-1,1,-1,1,5,5", "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {_REFUSED}\n"
@@ -428,7 +430,7 @@ def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypa
         values = wigner_field(p, grid).values.copy()
         if specials:
             values.flat[[i % values.size for i in (0, 6, 17, 34)]] = _SPECIALS
-            monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: ScalarField(grid, values))
+            monkeypatch.setattr(cf, "wigner_field", lambda params, grid: ScalarField(grid, values))
         cells = [
             ("{:.17g}".format(x), "{:.17g}".format(y), "{:.17g}".format(v))
             for x, line in zip(grid.xs().tolist(), values.tolist())
@@ -459,7 +461,7 @@ def test_field_write_memory_is_bounded_by_a_row(fmt, tmp_path, monkeypatch):
     # the 401^2 file is 9.1 MiB (csv) or 14.8 MiB (json): formatted whole it peaked at 21.9 or 32.5 MiB
     grid = GridSpec(-6.0, 6.0, -6.0, 6.0, 401, 401)
     fld = wigner_field(MeasurementParams(Gamma=1.0, alpha=2.8, gamma=1.0), grid)
-    monkeypatch.setattr(cli.cf, "wigner_field", lambda params, grid: fld)
+    monkeypatch.setattr(cf, "wigner_field", lambda params, grid: fld)
     out = tmp_path / f"w.{fmt}"
     rc, peak = _traced_peak(["field", "--kind", "wigner", "--format", fmt, _grid_arg(grid), "--out", out])
     assert rc == 0
@@ -481,7 +483,7 @@ def test_field_refuses_intensity_off_the_beam(engine, tmp_path, capsys):
 
 
 def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_sweep_values", lambda quantity, points, *args, **kwargs: [math.nan] * len(points))
+    monkeypatch.setattr(validation, "values", lambda quantity, points, *args, **kwargs: [math.nan] * len(points))
     out = tmp_path / "x.csv"
     rc = run(["sweep", "--quantity", "Q1", "--axis", "Gamma", "--start", 0, "--stop", 1, "--steps", 2,
               "--out", out])
@@ -490,17 +492,32 @@ def test_sweep_refuses_non_finite_value(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("runtime_warnings", ["default", "error"])
+@pytest.mark.parametrize("engine", ["closedform", "oracle"])
+def test_sweep_refuses_a_point_where_postselection_fails(engine, runtime_warnings, tmp_path, capsys):
+    # at Gamma = 0 the largest alpha below pi leaves no |H> component in float arithmetic: both engines refuse
+    # the series by its postselection, with no RuntimeWarning raised on the way, whatever the filter
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter(runtime_warnings, RuntimeWarning)
+        rc = run(["sweep", "--engine", engine, "--quantity", "Q1", "--axis", "alpha", "--start=0",
+                  f"--stop={math.nextafter(math.pi, 0)!r}", "--steps=3", "--out", out])
+    assert rc == 1
+    assert "postselection" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("axis,evolved", [("alpha", 1), ("delta", 1), ("Gamma", 61)])
 def test_oracle_sweep_evolves_each_pointer_once(axis, evolved, tmp_path, monkeypatch):
     # alpha and delta enter only at postselection: one pointer serves their whole axis
     calls = []
-    evolve_joint = cli.orc.evolve_joint
+    evolve_joint = orc.evolve_joint
 
     def counting(pointer, params):
         calls.append(params)
         return evolve_joint(pointer, params)
 
-    monkeypatch.setattr(cli.orc, "evolve_joint", counting)
+    monkeypatch.setattr(orc, "evolve_joint", counting)
     assert run(["sweep", "--engine", "oracle", "--quantity", "chi", "--axis", axis, "--start", 0, "--stop", 2,
                 "--steps", 61, "--alpha", 2.0, "--Gamma", 1.1, "--out", tmp_path / "chi.csv"]) == 0
     assert len(calls) == evolved
@@ -537,19 +554,19 @@ def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeyp
     # a closed-form sweep makes the moments of all its points in one call, and so does
     # compare for the whole lattice; the oracle's per-point work is stubbed out
     calls = []
-    expectations = cli.cf.expectations
+    expectations = cf.expectations
 
     def counting(params):
         calls.append(params)
         return expectations(params)
 
-    monkeypatch.setattr(cli.cf, "expectations", counting)
+    monkeypatch.setattr(cf, "expectations", counting)
     assert run(["sweep", "--quantity", "chi", "--axis", "Gamma", "--start", 0, "--stop", 2, "--steps", 201,
                 "--alpha", 2.0, "--out", tmp_path / "chi.csv"]) == 0
     assert [p.size for p in calls] == [201]
     calls.clear()
     zeros = ExpectationSet(*[0j] * len(ExpectationSet.field_names()))
-    monkeypatch.setattr(cli.orc._OracleRun, "point",
+    monkeypatch.setattr(orc._OracleRun, "point",
                         lambda self, p: SimpleNamespace(lam=0.0, i1=0j, fidelity=0.0, moments=zeros, phi=(0j, 0j, 0j)))
     cli.validation.compare(cli.validation.validation_params())
     assert [p.size for p in calls] == [300]
@@ -907,7 +924,7 @@ def test_every_export_resolves():
 @pytest.fixture(scope="module")
 def default_report():
     """The report of a default validate run, built once for the tests that patch compare to return it."""
-    return cli.validation.compare(cli.validation.validation_params(), field_params=cli._field_check_points())
+    return validation.compare(validation.validation_params(), field_params=validation.field_check_points())
 
 
 def test_validate_default_passes(tmp_path):
@@ -928,7 +945,7 @@ def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_
     def evaluated(*args, **kwargs):
         raise AssertionError("evaluated before the tolerance was checked")
 
-    monkeypatch.setattr(cli.orc, "_OracleRun", evaluated)
+    monkeypatch.setattr(orc, "_OracleRun", evaluated)
     out = tmp_path / "report.json"
     flag = "--" + option.replace("_", "-")
     if via == "flag":

@@ -25,7 +25,7 @@ from oampointer.closedform import (
     squeezing,
     wigner_field,
 )
-from oampointer.closedform import _i1, _lambda_from_bracket
+from oampointer.closedform import _i1, _lambda_from_bracket, _weak
 from oampointer.fock import GridSpec
 from oampointer.measurement import ExpectationSet, MeasurementParams, PostselectionError, weak_value
 from oampointer.oracle import oracle_expectations, oracle_intensity, oracle_states, oracle_wigner
@@ -210,6 +210,24 @@ def _series_bits(series):
             else v for name, v in vars(series).items()}
 
 
+def test_weak_value_of_a_series_keeps_the_one_point_bits():
+    # e^{i delta} tan(alpha/2) as measurement.weak_value makes it, per element of varying and constant columns
+    alphas = [-0.0, 0.0, 1e-300, 0.3, 2.2, 8 * math.pi / 9, math.nextafter(math.pi, 0)]
+    deltas = [-0.0, 0.0, 5e-324, 0.6, math.pi / 2, math.pi, 2 * math.pi]
+    grid = [MeasurementParams(Gamma=0.0, alpha=a, delta=d) for a in alphas for d in deltas]
+    rng = np.random.default_rng(5)  # a draw where numpy's array tan and complex products round apart
+    drawn = [MeasurementParams(Gamma=0.0, alpha=a, delta=d)
+             for a, d in zip(rng.uniform(0, math.pi, 2000).tolist(), rng.uniform(0, 2 * math.pi, 2000).tolist())]
+    subsets = [grid, grid[::3], drawn, grid[:1],
+               *([p for p in grid if p.alpha == a] for a in (-0.0, math.nextafter(math.pi, 0))),
+               *([p for p in grid if p.delta == d] for d in (-0.0, 2 * math.pi))]
+    for points in subsets:
+        want = [weak_value(p.alpha, p.delta).value for p in points]
+        series = ParamSeries.of(points)
+        assert _bits(np.broadcast_to(_weak(series), series.size).tolist()) == _bits(want)
+        assert _bits([_weak(p) for p in points]) == _bits(want)
+
+
 def test_series_along_an_axis_is_the_series_of_its_points():
     # the closed-form sweep's series, made from the axis column, against the series of its points:
     # a column whose elements all have the same bits is one Python float, so 0.0 and -0.0 stay apart
@@ -224,6 +242,8 @@ def test_series_along_an_axis_is_the_series_of_its_points():
         got = ParamSeries.along(base, axis, values)
         assert _series_bits(got) == _series_bits(ParamSeries.of(points)), (base, axis)
         assert len(got) == got.size == len(points)
+        bits = [np.array(list(vars(p).values()), dtype=float).view(np.uint64).tolist() for p in points]
+        assert [np.array(list(vars(q).values())).view(np.uint64).tolist() for q in got] == bits  # its points, in order
     with pytest.raises(ValueError, match="at least one point"):
         ParamSeries.along(NAMED_POINT, "Gamma", [])
 

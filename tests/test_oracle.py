@@ -9,7 +9,7 @@ import pytest
 
 from _reference import operator_quantities, row_wigner, vacuum
 from oampointer import closedform as cf
-from oampointer import cli, oracle, validation
+from oampointer import oracle, validation
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -21,6 +21,7 @@ from oampointer.fock import (
 from oampointer.measurement import (
     ExpectationSet,
     MeasurementParams,
+    ParamSeries,
     _preselection_amplitudes,
     evolve_joint,
     initial_pointer,
@@ -34,11 +35,12 @@ from oampointer.validation import (
     ReportEntry,
     ValidationReport,
     _entry,
-    closed_value,
     compare,
+    field_check_points,
     oracle_quantities,
     validation_params,
     value,
+    values,
 )
 
 NAMED_POINT = MeasurementParams(Gamma=0.3, alpha=8 * math.pi / 9, delta=0.0, phi=math.pi / 2, gamma=1.0)
@@ -206,7 +208,7 @@ def test_wigner_block_seams_match_closed_form_and_full_accumulator():
 
 _FIELD_POINT = MeasurementParams(Gamma=1.0, alpha=8 * math.pi / 9, gamma=1.0)
 _ORACLE_FIELD_GRID = GridSpec(-6, 6, -6, 6, 241, 241)
-_FIELD_CHECKS = [(p, GridSpec(-6, 6, -6, 6, 61, 61)) for p in cli._field_check_points()]
+_FIELD_CHECKS = [(p, GridSpec(-6, 6, -6, 6, 61, 61)) for p in validation.field_check_points()]
 
 
 @pytest.mark.parametrize("p,grid", [
@@ -300,7 +302,7 @@ def test_oracle_quantities_state_the_underflow_limit():
         p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
         rec = oracle_quantities(p)
         for name in ("Q1", "Q2", "lambda", "I1", "fidelity"):
-            entry = _entry(name, 0, p, closed_value(name, p), rec[name], 1e-10, 1e-8)
+            entry = _entry(name, 0, p, values(name, ParamSeries.of([p]), "closedform")[0], rec[name], 1e-10, 1e-8)
             assert entry.status == "pass", (gamma_c, entry)
     for gamma_c in (80.0, 1e4):
         p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
@@ -360,10 +362,10 @@ def test_oracle_takes_no_closed_form_primitive(monkeypatch):
 ], ids=["Q1-unread0", "chi-unread1", "lambda-unread2", "oracle-Q1", "oracle-chi", "oracle-lambda"])
 def test_closed_value_makes_only_the_primitives_it_reads(monkeypatch, engine, quantity, unread):
     # a sweep pays for its own quantity only, on either engine: each primitive is made on first use
-    want = list(cli._sweep_values(quantity, _SWEEP_GAMMA_AXIS, engine))
+    want = list(values(quantity, ParamSeries.of(_SWEEP_GAMMA_AXIS), engine))
     for name in unread:
         monkeypatch.setattr(cf if engine == "closedform" else oracle, name, _refuse)
-    assert list(cli._sweep_values(quantity, _SWEEP_GAMMA_AXIS, engine)) == want
+    assert list(values(quantity, ParamSeries.of(_SWEEP_GAMMA_AXIS), engine)) == want
 
 
 def test_table_derivations_match_operators_on_the_oracle_states():
@@ -431,15 +433,13 @@ def _fresh_state_bytes(p):
 
 def test_compare_keeps_the_bits_of_points_evaluated_afresh(monkeypatch):
     # with a memo of size 0 every point starts empty, as oracle_quantities does alone
-    from oampointer.cli import _field_check_points
-
-    points = validation_params() + _field_check_points()
+    points = validation_params() + field_check_points()
     run = oracle._OracleRun()
     assert [_state_bytes(psi_i, joint, psi) for psi_i, joint, psi, _ in map(run.states, points)] \
         == list(map(_fresh_state_bytes, points))
 
     def entries():
-        return [repr(e) for e in compare(validation_params(), field_params=_field_check_points()).entries]
+        return [repr(e) for e in compare(validation_params(), field_params=field_check_points()).entries]
 
     memo = entries()
     monkeypatch.setattr(oracle, "_POINTERS", 0)

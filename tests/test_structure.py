@@ -52,6 +52,12 @@ def test_each_route_reaches_only_its_own_layers():
     assert _reach("closedform") == {"fock", "measurement"}
 
 
+def test_cli_reaches_both_routes_only_through_validation():
+    # the CLI chooses no engine itself, and measurement, which holds ParamSeries, reads fock alone
+    assert not _imports("cli") & {"oracle", "closedform"}
+    assert _reach("measurement") == {"fock"}
+
+
 def test_package_root_keeps_its_public_names():
     body = _tree("__init__").body
     names = {a.asname or a.name for node in body if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -82,7 +88,7 @@ def test_traced_call_counts_of_the_benchmark_hold(tmp_path):
     rc, calls = _traced_calls(lambda: cli.main(sweep))
     assert rc == 0
     assert (calls["fock.displacement_matrix"], calls["measurement.evolve_joint"]) == (22, 11)
-    points = cli._field_check_points()[:2]
+    points = validation.field_check_points()[:2]
     report, calls = _traced_calls(lambda: validation.compare(points[:1], field_params=points))
     assert sum(e.quantity == "wigner:field_maxdev" for e in report.entries) == 2
     assert calls["oracle.oracle_wigner"] == 2
