@@ -100,7 +100,8 @@ def values(name: str, series: ParamSeries, engine: str, na: int | None = None):
     in one evaluation over the series, the oracle point by point as they are read, in one run that
     evolves each distinct pointer once and derives only this quantity."""
     if name == "weak_value":  # fixed by the preselection alone: no engine computes it
-        return (weak_value(p.alpha, p.delta).value.real for p in series)
+        cols = (np.broadcast_to(c, series.size).tolist() for c in (series.alpha, series.delta))
+        return (weak_value(a, d).value.real for a, d in zip(*cols))
     if engine == "oracle":
         run = orc._OracleRun(na)
         return (value(name, p, run.point(p)) for p in series)
@@ -144,8 +145,7 @@ def _json_value(v) -> str:
 @dataclass(frozen=True)
 class ReportEntry:
     quantity: str
-    point_index: int
-    params: MeasurementParams
+    point_index: int  # into ValidationReport.points
     closed_value: complex | float | None
     oracle_value: complex | float | None
     abs_delta: float | None
@@ -158,6 +158,7 @@ class ReportEntry:
 class ValidationReport:
     abs_tol: float
     rel_tol: float
+    points: list = field(default_factory=list)  # by point index: compare's params_set, then its field_params
     entries: list = field(default_factory=list)
 
     def summary(self):
@@ -180,27 +181,29 @@ class ValidationReport:
         return [e for e in self.entries if e.status == "fail" and not whitelisted(e.quantity)]
 
     def json_chunks(self, summary):
-        """json.dumps(report, indent=2, sort_keys=True) by template, one chunk per entry, then the
-        tail holding `summary` (that of self.summary()); the caller streams or joins them."""
-        sep, params, block = '{\n  "entries": [\n', None, ""
+        """json.dumps(report, indent=2, sort_keys=True) by template, one chunk per entry and per point, then
+        the tail holding `summary` (that of self.summary()); the caller streams or joins them."""
+        sep = '{\n  "entries": [\n'
         for e in self.entries:
-            if e.params is not params:  # one params block per point
-                params = e.params
-                block = json.dumps(vars(params), indent=2, sort_keys=True).replace("\n", "\n      ")
             yield (
                 f'{sep}    {{\n      "abs_delta": {_json_value(e.abs_delta)},\n'
                 f'      "closed": {_json_value(e.closed_value)},\n'
                 f'      "oracle": {_json_value(e.oracle_value)},\n'
-                f'      "params": {block},\n      "point_index": {e.point_index},\n'
+                f'      "point_index": {e.point_index},\n'
                 f'      "quantity": {encode_basestring_ascii(e.quantity)},\n'
                 f'      "reason": {"null" if e.reason is None else encode_basestring_ascii(e.reason)},\n'
                 f'      "rel_delta": {_json_value(e.rel_delta)},\n'
                 f'      "status": {encode_basestring_ascii(e.status)}\n    }}'
             )
             sep = ",\n"
+        yield "\n  ],\n" if self.entries else '{\n  "entries": [],\n'
+        sep = '  "points": [\n'
+        for p in self.points:  # one json.dumps per point: an indented one holds all its pieces until it joins them
+            yield sep + "    " + json.dumps(vars(p), indent=2, sort_keys=True).replace("\n", "\n    ")
+            sep = ",\n"
         tail = json.dumps({"summary": summary, "tolerances": {"abs": self.abs_tol, "rel": self.rel_tol}},
                           indent=2, sort_keys=True)
-        yield ("\n  ],\n" if self.entries else '{\n  "entries": [],\n') + tail[2:]
+        yield ("\n  ],\n" if self.points else '  "points": [],\n') + tail[2:]
 
     def to_json(self) -> str:
         return "".join(self.json_chunks(self.summary()))
@@ -241,24 +244,22 @@ def field_check_points() -> list[MeasurementParams]:
     ]
 
 
-def _entry(quantity, idx, params, closed, oracle, abs_tol, rel_tol):
+def _entry(quantity, idx, closed, oracle, abs_tol, rel_tol):
     c_undef = isinstance(closed, tuple)
     o_undef = isinstance(oracle, tuple)
     if c_undef or o_undef:
         if c_undef and o_undef:
-            return ReportEntry(quantity, idx, params, None, None, None, None, "undefined",
-                               reason=closed[1])
+            return ReportEntry(quantity, idx, None, None, None, None, "undefined", reason=closed[1])
         # engines disagree about definedness: that is a failure
         reason = (closed[1] if c_undef else oracle[1]) or "one engine undefined"
         cv = None if c_undef else closed
         ov = None if o_undef else oracle
-        return ReportEntry(quantity, idx, params, cv, ov, None, None, "fail", reason=reason)
+        return ReportEntry(quantity, idx, cv, ov, None, None, "fail", reason=reason)
     ad = abs(closed - oracle)
     scale = max(abs(closed), abs(oracle))
     rd = ad / scale if scale > 0 else 0.0
     ok = ad <= abs_tol or rd <= rel_tol
-    return ReportEntry(quantity, idx, params, closed, oracle, float(ad), float(rd),
-                       "pass" if ok else "fail")
+    return ReportEntry(quantity, idx, closed, oracle, float(ad), float(rd), "pass" if ok else "fail")
 
 
 # the field cross-check: one grid and one max-deviation tolerance
@@ -267,9 +268,9 @@ _FIELD_TOL = 1e-6
 ABS_TOL, REL_TOL = 1e-10, 1e-8  # compare's default scalar tolerances, and validate's
 
 
-def _field_maxdev(quantity, idx, params, closed, oracle):
+def _field_maxdev(quantity, idx, closed, oracle):
     dev = float(np.abs(closed.values - oracle.values).max())
-    return ReportEntry(quantity, idx, params, dev, 0.0, dev, None, "pass" if dev <= _FIELD_TOL else "fail")
+    return ReportEntry(quantity, idx, dev, 0.0, dev, None, "pass" if dev <= _FIELD_TOL else "fail")
 
 
 @contextlib.contextmanager
@@ -301,10 +302,10 @@ def compare(
     always on the fixed 61 x 61 grid over [-6, 6]^2 with the fixed
     max-deviation tolerance 1e-6 (the *:field_maxdev entries).
     """
-    params_set = list(params_set)
+    params_set, field_params = list(params_set), list(field_params or ())
     if not params_set:
         raise ValueError("parameter set must be nonempty")
-    report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol)
+    report = ValidationReport(abs_tol=abs_tol, rel_tol=rel_tol, points=params_set + field_params)
     series = ParamSeries.of(params_set)
     e = _ClosedPrimitives(series)
     closed = {name: value(name, series, e) for name in SCALAR_QUANTITIES}
@@ -314,20 +315,19 @@ def compare(
             e = run.point(p)
         rec = {name: value(name, p, e) for name in SCALAR_QUANTITIES}
         for name, v in rec.items():
-            report.entries.append(_entry(name, idx, p, closed[name][idx], v, abs_tol, rel_tol))
+            report.entries.append(_entry(name, idx, closed[name][idx], v, abs_tol, rel_tol))
         for name, v in cf.published_scalars(p).items():
-            report.entries.append(_entry("published:" + name, idx, p, v, rec[name], abs_tol, rel_tol))
+            report.entries.append(_entry("published:" + name, idx, v, rec[name], abs_tol, rel_tol))
 
-    for idx, p in enumerate(field_params or (), 10_000):
+    for idx, p in enumerate(field_params, len(params_set)):
         with _at_point(p):
             psi = run.states(p)[2]
             i_orc, w_orc = orc.oracle_intensity(psi, _FIELD_GRID), orc.oracle_wigner(psi, _FIELD_GRID)
         w_closed = cf.wigner_field(p, _FIELD_GRID)
         report.entries += [
-            _field_maxdev("wigner:field_maxdev", idx, p, w_closed, w_orc),
-            _entry("wigner:integral", idx, p, w_closed.integral(), 1.0, 1e-6, 1e-6),
-            _field_maxdev("intensity:field_maxdev", idx, p, cf.intensity_field(p, _FIELD_GRID), i_orc),
-            _field_maxdev("published:intensity:field_maxdev", idx, p,
-                          cf.published_intensity(p, _FIELD_GRID), i_orc),
+            _field_maxdev("wigner:field_maxdev", idx, w_closed, w_orc),
+            _entry("wigner:integral", idx, w_closed.integral(), 1.0, 1e-6, 1e-6),
+            _field_maxdev("intensity:field_maxdev", idx, cf.intensity_field(p, _FIELD_GRID), i_orc),
+            _field_maxdev("published:intensity:field_maxdev", idx, cf.published_intensity(p, _FIELD_GRID), i_orc),
         ]
     return report

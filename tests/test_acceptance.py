@@ -44,7 +44,7 @@ def test_criterion_02_master_oracle_equivalence():
     report = compare(validation_params(), abs_tol=1e-10, rel_tol=1e-8)
     exact_failures = report.failures(whitelist=("published:*",))
     assert exact_failures == [], [
-        (e.quantity, e.params, e.abs_delta) for e in exact_failures[:5]
+        (e.quantity, report.points[e.point_index], e.abs_delta) for e in exact_failures[:5]
     ]
     # whitelisted transcription-defect candidates carry measured residuals
     summary = report.summary()

@@ -194,8 +194,8 @@ def test_sweep_names_its_first_illegal_value_not_an_extreme(engine, tmp_path, mo
 
 
 def test_closed_form_sweep_checks_no_point_per_row_and_main_parses_with_one_parser(tmp_path, monkeypatch):
-    # the closed-form series is made from the axis column: its checks do not grow with the step count
-    checks = []
+    # the closed-form series, and weak_value's on either engine, is read from the axis column:
+    # its checks do not grow with the step count
     post_init = MeasurementParams.__post_init__
 
     def counting(self):
@@ -203,11 +203,13 @@ def test_closed_form_sweep_checks_no_point_per_row_and_main_parses_with_one_pars
         post_init(self)
 
     monkeypatch.setattr(MeasurementParams, "__post_init__", counting)
-    for steps in (21, 201):
-        checks.append(0)
-        assert run(["sweep", "--quantity", "chi", "--axis", "alpha", "--start", 0, "--stop", 3, "--steps", steps,
-                    "--Gamma", 1.1, "--out", tmp_path / f"{steps}.csv"]) == 0
-    assert checks[0] == checks[1]
+    for quantity, engine in [("chi", "closedform"), ("weak_value", "closedform"), ("weak_value", "oracle")]:
+        checks = []
+        for steps in (21, 201):
+            checks.append(0)
+            assert run(["sweep", "--quantity", quantity, "--engine", engine, "--axis", "alpha", "--start", 0,
+                        "--stop", 3, "--steps", steps, "--Gamma", 1.1, "--out", tmp_path / f"{steps}.csv"]) == 0
+        assert checks[0] == checks[1], (quantity, engine, checks)
     # one argument parser serves every main call of a process
     built = []
     parser_init = cli._Parser.__init__
@@ -1031,23 +1033,23 @@ def test_validate_report_file_is_to_json(which, default_report, tmp_path, monkey
 
 
 def test_validate_write_memory_is_bounded_by_an_entry(default_report, tmp_path, monkeypatch, capsys):
-    # the 4.7 MiB report joined whole, then encoded, peaked at 10.2 MiB; streamed, what the run holds
-    # besides the fixed write buffer (which tracemalloc also counts) is about 0.23 MiB
+    # the 3.0 MiB report joined whole, then encoded, peaks at 6.6 MiB; streamed, what the run holds
+    # besides the fixed write buffer (which tracemalloc also counts) is about 0.35 MiB
     monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: default_report)
     out = tmp_path / "report.json"
     rc, peak = _traced_peak(["validate", "--out", out])
     assert rc == 0
-    assert out.stat().st_size > 4 * 2**20
+    assert out.stat().st_size > 3 * 10**6
     assert peak - cli._WRITE_BUFFER < 2**20
 
 
 def test_validate_failure_while_writing_leaves_no_report(default_report, tmp_path, monkeypatch, capsys):
-    # a write that fails part way removes what it wrote: here after 3000 entries, about 1.4 MiB,
+    # a write that fails part way removes what it wrote: here after 5000 entries, about 1.4 MiB,
     # so the first full write buffer is already on disk
     chunks = cli.validation.ValidationReport.json_chunks
 
     def failing(self, summary):
-        yield from itertools.islice(chunks(self, summary), 3000)
+        yield from itertools.islice(chunks(self, summary), 5000)
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.validation, "compare", lambda *args, **kwargs: default_report)
@@ -1063,7 +1065,7 @@ def test_validate_refused_allocation_leaves_no_report(stage, default_report, tmp
     chunks = cli.validation.ValidationReport.json_chunks
 
     def failing(self, summary):
-        yield from itertools.islice(chunks(self, summary), 3000)
+        yield from itertools.islice(chunks(self, summary), 5000)
         raise MemoryError(_REFUSED)
 
     if stage == "compare":

@@ -302,7 +302,7 @@ def test_oracle_quantities_state_the_underflow_limit():
         p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
         rec = oracle_quantities(p)
         for name in ("Q1", "Q2", "lambda", "I1", "fidelity"):
-            entry = _entry(name, 0, p, values(name, ParamSeries.of([p]), "closedform")[0], rec[name], 1e-10, 1e-8)
+            entry = _entry(name, 0, values(name, ParamSeries.of([p]), "closedform")[0], rec[name], 1e-10, 1e-8)
             assert entry.status == "pass", (gamma_c, entry)
     for gamma_c in (80.0, 1e4):
         p = MeasurementParams(Gamma=gamma_c, alpha=1.0, delta=0.0, phi=0.0, gamma=1.0)
@@ -527,7 +527,7 @@ def _reference_report_json(rep):
 
     entries = [
         {
-            "quantity": e.quantity, "point_index": e.point_index, "params": vars(e.params),
+            "quantity": e.quantity, "point_index": e.point_index,
             "closed": enc(e.closed_value), "oracle": enc(e.oracle_value),
             "abs_delta": enc(e.abs_delta), "rel_delta": enc(e.rel_delta),
             "status": e.status, "reason": e.reason,
@@ -535,7 +535,8 @@ def _reference_report_json(rep):
         for e in rep.entries
     ]
     return json.dumps(
-        {"tolerances": {"abs": rep.abs_tol, "rel": rep.rel_tol}, "entries": entries, "summary": rep.summary()},
+        {"tolerances": {"abs": rep.abs_tol, "rel": rep.rel_tol}, "entries": entries, "summary": rep.summary(),
+         "points": [vars(p) for p in rep.points]},
         indent=2,
         sort_keys=True,
     )
@@ -545,20 +546,23 @@ def test_report_json_bytes_match_json_dumps():
     p = MeasurementParams(Gamma=0.1, alpha=1 / 3, delta=math.pi / 2, phi=0.0, gamma=2.0)
     q = MeasurementParams(Gamma=2.0, alpha=0.0, delta=0.0, phi=1e-300, gamma=0.0, sigma=1.5)
     nan, inf = float("nan"), float("inf")
-    rep = ValidationReport(abs_tol=1e-10, rel_tol=1e-8, entries=[
-        ReportEntry("g2", 0, p, None, None, None, None, "undefined",
+    # q is both a lattice point (1) and a field check point (2), as in compare([p, q], field_params=[q])
+    rep = ValidationReport(abs_tol=1e-10, rel_tol=1e-8, points=[p, q, q], entries=[
+        ReportEntry("g2", 0, None, None, None, None, "undefined",
                     reason='gamma = 0: the "b" mode is empty, so g2 is 0/0 \u2014 undefined'),
-        ReportEntry("I1", 0, p, complex(1.0, -0.0), np.complex128(0.3 - 1e-17j), 2.5e-17, 0.1, "pass"),
-        ReportEntry("moment:a", 0, p, np.float64(0.1), -0.0, np.float64(0.0), 5e-324, "pass"),
-        ReportEntry("Q1", 1, q, nan, 1.0, nan, inf, "fail"),
-        ReportEntry("chi", 1, q, None, -inf, None, None, "fail", reason="one engine undefined"),
-        ReportEntry("I2", 1, q, np.complex128(nan + 1j * inf), complex(-inf, 0.0), inf, -inf, "fail"),
-        ReportEntry("wigner:field_maxdev", 10_000, q, 3e-16, 0.0, 3e-16, None, "pass"),
-        ReportEntry("published:intensity:field_maxdev", 10_000, q, 2.0, 0.0, 2.0, None, "fail"),
+        ReportEntry("I1", 0, complex(1.0, -0.0), np.complex128(0.3 - 1e-17j), 2.5e-17, 0.1, "pass"),
+        ReportEntry("moment:a", 0, np.float64(0.1), -0.0, np.float64(0.0), 5e-324, "pass"),
+        ReportEntry("Q1", 1, nan, 1.0, nan, inf, "fail"),
+        ReportEntry("chi", 1, None, -inf, None, None, "fail", reason="one engine undefined"),
+        ReportEntry("I2", 1, np.complex128(nan + 1j * inf), complex(-inf, 0.0), inf, -inf, "fail"),
+        ReportEntry("wigner:field_maxdev", 2, 3e-16, 0.0, 3e-16, None, "pass"),
+        ReportEntry("published:intensity:field_maxdev", 2, 2.0, 0.0, 2.0, None, "fail"),
     ])
     assert rep.to_json() == _reference_report_json(rep)
-    empty = ValidationReport(abs_tol=0.0, rel_tol=1.0)
-    assert empty.to_json() == _reference_report_json(empty)
+    # with no entries, no points, or neither
+    for part in ({"points": [q]}, {"entries": rep.entries[:1]}, {}):
+        part = ValidationReport(abs_tol=0.0, rel_tol=1.0, **part)
+        assert part.to_json() == _reference_report_json(part)
 
 
 def test_compare_flags_published_residuals_but_not_exact():
@@ -583,12 +587,31 @@ def test_compare_takes_published_entries_from_one_place():
     assert not any(e.quantity.startswith("published:") for e in scalar[:n_exact])
     for e in scalar[n_exact:]:
         assert e.closed_value == pub[e.quantity.removeprefix("published:")], e.quantity
-    field = [e for e in rep.entries if e.point_index == 10_000]
+    field = [e for e in rep.entries if e.point_index == 1]
     assert [e.quantity for e in field if e.quantity.startswith("published:")] == [
         "published:intensity:field_maxdev"]
     grid = GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)
     i_orc = oracle_intensity(oracle_states(p)[2], grid)
     assert field[-1].closed_value == float(np.abs(cf.published_intensity(p, grid).values - i_orc.values).max())
+
+
+def test_report_states_each_point_once():
+    # the lattice takes point indices 0..n-1 and the field check points n..; every entry's
+    # params are rebuilt from the parsed report's points at its point_index
+    lattice, fields = validation_params()[::75], field_check_points()[:2]
+    rep = compare(lattice, field_params=fields)
+    data = json.loads(rep.to_json())
+    points = [MeasurementParams(**d) for d in data["points"]]
+    assert points == rep.points == lattice + fields
+    indices = [e["point_index"] for e in data["entries"]]
+    assert sorted(set(indices)) == list(range(len(lattice) + len(fields)))
+    field_names = {"wigner:field_maxdev", "wigner:integral", "intensity:field_maxdev",
+                   "published:intensity:field_maxdev"}
+    for i, e in zip(indices, data["entries"]):
+        assert (i >= len(lattice)) == (e["quantity"] in field_names), e
+    assert [points[i] for i in indices] == [
+        p for p in lattice for _ in range(len(SCALAR_QUANTITIES) + len(cf.published_scalars(p)))
+    ] + [p for p in fields for _ in field_names]
 
 
 def test_validation_params_lattice():
