@@ -7,6 +7,19 @@ distribution, SNR gain, and fidelity.  Every analytic expression is backed by
 an independent truncated-Fock-space oracle, and the two are compared by a
 built-in validation command.
 """
+import os
+
+# OpenBLAS reads its thread count once, while numpy loads it, and by default starts a worker per
+# core that spins for about 0.13 s of CPU though no product here is large enough to use it.  So
+# numpy is loaded with one thread unless the caller chose a count, and the caller's environment is
+# then restored exactly, for child processes and libraries loaded later.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fock import (
     FieldConsistencyError,
     GridSpec,
