@@ -1,8 +1,8 @@
 """Command-line front end: parameter sweeps, field exports, validation, figure presets.
 
 Output is data only (CSV plus JSON sidecars); plotting is left to external
-tools.  All floats are written with 17 significant digits so identical
-configurations produce byte-identical files.
+tools.  All floats are written with 17 significant digits; how far a
+configuration's bytes repeat, by output, is stated in the README's CLI section.
 
 Exit codes: 0 success, 1 usage/config error, a library limit (any ValueError),
 an allocation the machine refuses (MemoryError) or an output that cannot be
@@ -38,23 +38,6 @@ DEFAULT_WHITELIST = ("published:*",)
 
 class ConfigError(Exception):
     pass
-
-
-def _read_config(path: str) -> dict:
-    out = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return out
 
 
 def _tolerance(text: str) -> float:
@@ -122,8 +105,6 @@ def _write_rows(path, rows, fmt):
 
 
 def cmd_sweep(ns) -> int:
-    if None in (ns.quantity, ns.axis, ns.start, ns.stop, ns.steps):
-        raise ConfigError("sweep needs quantity, axis, start, stop and steps (flags or config)")
     if ns.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {ns.steps}")
     base = _params_from(ns)
@@ -172,8 +153,6 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
 
 
 def cmd_field(ns) -> int:
-    if ns.kind is None:
-        raise ConfigError("field needs kind (flag or config)")
     _write_field(ns.out, ns.kind, _params_from(ns), ns.grid, ns.engine, ns.cutoff, ns.format)
     print(f"wrote {ns.out} and {ns.out}.meta.json")
     return 0
@@ -275,8 +254,6 @@ FIGURES = tuple(_FIGURE_PRESETS)
 
 
 def cmd_figure(ns) -> int:
-    if ns.name is None:
-        raise ConfigError("figure needs name (flag or config)")
     preset = _FIGURE_PRESETS[ns.name]
     os.makedirs(ns.outdir, exist_ok=True)
     if len(preset) == 2:
@@ -341,17 +318,17 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="sweep one quantity along one parameter axis")
-    p.add_argument("--quantity", default=None, choices=SWEEP_QUANTITIES)
-    p.add_argument("--axis", default=None, choices=SWEEP_AXES)
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--quantity", required=True, choices=SWEEP_QUANTITIES)
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p.add_argument("--start", required=True, type=float)
+    p.add_argument("--stop", required=True, type=float)
+    p.add_argument("--steps", required=True, type=int)
     _add_param_args(p)
     p.add_argument("--out", default="sweep.csv", help="output path")
     _add_shared(p, "format", "engine", "cutoff")
 
     p = sub.add_parser("field", help="export an intensity or Wigner field")
-    p.add_argument("--kind", default=None, choices=("intensity", "wigner"))
+    p.add_argument("--kind", required=True, choices=("intensity", "wigner"))
     _add_param_args(p)
     p.add_argument("--out", default="field.csv", help="output path")
     _add_shared(p, "format", "engine", "cutoff", "grid")
@@ -365,35 +342,52 @@ def _build_parser():
     _add_shared(p, "cutoff")
 
     p = sub.add_parser("figure", help="emit the data behind one preset figure")
-    p.add_argument("--name", default=None, choices=FIGURES)
+    p.add_argument("--name", required=True, choices=FIGURES)
     p.add_argument("--outdir", default="figures")
     _add_shared(p, "engine", "cutoff", "grid")
     return ap, sub.choices
 
 
-def _config_argv(commands, argv, ns):
-    """argv again with the config file's lines as flags right after the command.
+def _config_argv(commands, argv):
+    """argv with the lines of its --config file as flags right after the command, argv[0].
 
-    Each key=value becomes --option=value, so argparse converts and checks the
-    file's values as it does typed flags, and a flag on the command line wins
-    because it is parsed later.
+    Each key=value becomes --option=value, so argparse converts and checks the file's values as it
+    does typed flags, a required option may come from either, and a flag on the command line wins
+    because it is parsed later.  Only a --config after a known command is read; argparse refuses any other.
     """
-    conf = _read_config(ns.config)
-    options = {a.dest: a.option_strings[0] for a in commands[ns.command]._actions
+    path = None
+    if argv and argv[0] in commands:
+        for arg, following in zip(argv[1:], [*argv[2:], None]):
+            if arg == "--config":
+                path = following  # None at the end: argparse says that --config needs a value
+            elif arg.startswith("--config="):
+                path = arg[len("--config="):]
+    if path is None:
+        return argv
+    options = {a.dest: a.option_strings[0] for a in commands[argv[0]]._actions
                if a.option_strings and a.dest not in ("help", "config")}
-    for key in conf:
-        if key not in options:
-            raise ConfigError(f"unknown config key {key!r}")
-    return [ns.command, *(f"{options[k]}={v}" for k, v in conf.items()), *argv[argv.index(ns.command) + 1:]]
+    flags = []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in options:
+                    raise ConfigError(f"unknown config key {key!r}")
+                flags.append(f"{options[key]}={val}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        ns = parser.parse_args(argv)
-        if ns.config:
-            ns = parser.parse_args(_config_argv(commands, argv, ns))
+        ns = parser.parse_args(_config_argv(commands, sys.argv[1:] if argv is None else list(argv)))
         if ns.cutoff is not None:
             if getattr(ns, "engine", None) == "closedform":
                 raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")

@@ -7,6 +7,8 @@ dropped. The bytes are those of formatting each cell on its own with '%.17g' % v
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -46,47 +48,49 @@ def tables():
     By 2 (k + K) + (v < 0): 10^(16-k) as hi, hi's upper and lower halves and lo; the text around
     the digits; 17 times the layout class. By 17 class + the last nonzero digit: the mask that keeps
     the digits and the point. By 3-digit chunk: its text "d.d.d." and the place of its last nonzero
-    digit (0, 1, 2; -99 for none); chunk 1000 is all NUL.
+    digit (0, 1, 2; -99 for none); chunk 1000 is all NUL. The rows by k + K are doubled at the end.
     """
-    his, los, n = [], [], 1
-    for _ in range(16 + K + 1):  # 10^p for p = 0 .. 16 + K: hi and lo correctly rounded from the int
-        his.append(float(n))
-        los.append(float(n - int(his[-1])))
-        n *= 10
-    big, rest = np.array(his[1:K - 15]), np.array(los[1:K - 15])
+    # 10^p for p = 0 .. 16 + K: hi and lo correctly rounded from the int
+    ints = list(itertools.accumulate(itertools.repeat(10, 16 + K), operator.mul, initial=1))
+    his = np.array(ints, dtype=float)
+    los = np.array(list(map(operator.sub, ints, map(int, his.tolist()))), dtype=float)
+    big, rest = his[1:K - 15], los[1:K - 15]
     # 10^-q for q = 1 .. K - 16: hi = 1 / 10^q rounded, lo = (1 - hi 10^q) / 10^q; hi + lo is within 1e-31 of it
     small = 1 / big
     p = small * big
     tail = ((1 - p) - _error(p, *_halves(small), *_halves(big)) - small * rest) / big
-    hi = np.repeat(his[::-1] + small.tolist(), 2)
-    lo = np.repeat(los[::-1] + tail.tolist(), 2)
-    k = np.repeat(np.arange(-K, K + 1.0), 2)
-    sci = (k < -4) | (k >= 17)
-    text = np.zeros((k.size, BYTES), np.uint8)
-    text[1::2, 0] = 45
-    text[:, 1:6] = np.where((k[:, None] <= [-1, -1, -2, -3, -4]) & (k[:, None] >= -4), [48.0, 46, 48, 48, 48], 0)
-    ak = np.abs(k)
-    h, t = np.floor(ak / 100), np.floor(ak / 10)
-    exp = [np.full_like(k, 101), np.where(k < 0, 45.0, 43), np.where(h > 0, 48 + h, 0), 48 + t - 10 * h, 48 + ak - 10 * t]
-    text[:, 42:47] = np.where(sci[:, None], np.stack(exp, 1), 0)
-    # classes 0..16: fixed notation, the point after digit k; 17: scientific; 18: fixed, below 1. In
-    # each, the digits up to the last nonzero one are kept, and in fixed notation those before the point
-    cls = np.arange(19.0)[:, None, None]
-    keep = np.where(cls < 17, cls, 0)
-    point = np.where(cls == 18, 17, keep)
-    last, j = np.arange(17.0)[:, None], np.arange(17.0)
-    mask = np.zeros((19, 17, BYTES), np.uint8)
-    mask[:, :, 8:42:2] = np.where(j <= np.maximum(last, keep), 255, 0)
-    mask[:, :, 9:41:2] = np.where((j[:16] == point) & (point < last), 255, 0)
-    d = np.arange(1000.0)[:, None] / [100, 10, 1]
-    d = np.floor(d) - 10 * np.floor(d / 10)
+    hi = np.concatenate([his[::-1], small])
+    powers = np.stack([hi, *_halves(hi), np.concatenate([los[::-1], tail])], 1)
+    d = np.indices((10, 10, 10)).reshape(3, 1000).T  # the digits of each chunk
     chunks = np.zeros((1001, 6), np.uint8)
     chunks[:-1, 0::2] = 48 + d
     chunks[:-1, 1::2] = 46
-    ends = np.append(np.where(d[:, 2] > 0, 2, np.where(d[:, 1] > 0, 1, np.where(d[:, 0] > 0, 0, -99))), -99.0)
-    layout = 17 * np.where(sci, 17, np.where(k < 0, 18, k))
-    return (np.stack([hi, *_halves(hi), lo], 1), text.view(np.uint64), layout,
-            mask.reshape(-1, BYTES).view(np.uint64), chunks.view("V6").ravel(), ends)
+    ends = np.full(1001, -99.0)
+    ends[:-1] = np.where(d > 0, [0, 1, 2], -99).max(1)
+    # classes 0..16: fixed, the point after digit k; 17: scientific (k < -4 or k > 16), "e", the exponent's sign
+    # and digits (hundreds where |k| >= 100); 18: fixed, below 1 (k = -4 .. -1), after "0." and -1 - k zeros
+    layout = np.full(2 * K + 1, 17.0)
+    layout[K - 4:K] = 18
+    layout[K:K + 17] = np.arange(17)
+    text = np.zeros((2 * K + 1, BYTES), np.uint8)
+    text[:, 42:44] = [101, 45]
+    text[K:, 43] = 43
+    text[:, 44:47] = chunks[np.abs(np.arange(-K, K + 1)), 0::2]
+    text[K - 99:K + 100, 44] = 0
+    text[K - 4:K + 17, 42:47] = 0
+    text[K - 4:K, 1:6] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5)
+    text = np.repeat(text, 2, axis=0)
+    text[1::2, 0] = 45
+    # in each class, the digits up to the last nonzero one are kept, and in fixed notation those before the point
+    cls = np.arange(19)[:, None, None]
+    keep = np.where(cls < 17, cls, 0)
+    point = np.where(cls == 18, 17, keep)
+    last, j = np.arange(17)[:, None], np.arange(17)
+    mask = np.zeros((19, 17, BYTES), bool)
+    mask[:, :, 8:42:2] = j <= np.maximum(last, keep)
+    mask[:, :, 9:41:2] = (j[:16] == point) & (point < last)
+    return (np.repeat(powers, 2, axis=0), text.view(np.uint64), np.repeat(17 * layout, 2),
+            (mask.view(np.uint8) * np.uint8(255)).reshape(-1, BYTES).view(np.uint64), chunks.view("V6").ravel(), ends)
 
 
 def percent_rows(values, width=None):

@@ -8,10 +8,10 @@ the unit-charge vortex mode, expanded over two Hermite-Gauss modes.
 
 The pipeline splits at postselection: the coupling (evolve_joint) makes the
 branches D(±Gamma/2)|pointer> whatever the preselection is, and alpha and delta
-weigh them only in postselect and nonpostselected_moments.  Of the pointer
-moments this module makes only the three of the un-postselected pointer that
-the SNR ratio reads; all eleven of one state are the oracle's
-(oracle.oracle_expectations).
+weigh them only in postselect and nonpostselected_moments.  One lowering
+kernel, _moments, makes the eleven pointer moments of a state: the oracle reads
+them all (oracle.oracle_expectations), and nonpostselected_moments mixes three
+of them from the two branches for the SNR ratio.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fock import NormDriftWarning, TwoModeState, _lower_a, _occupied_levels, displacement_matrix
+from .fock import NormDriftWarning, TwoModeState, _lower_a, _lower_b, _occupied_levels, displacement_matrix
 
 __all__ = [
     "PostselectionError",
@@ -163,6 +163,22 @@ class ExpectationSet:
         return tuple(f.name for f in fields(cls))
 
 
+def _moments(c: np.ndarray) -> ExpectationSet:
+    """All eleven moments of a raw coefficient grid, unaudited.
+
+    Only lowering operators are applied (raising is rewritten away), so the
+    result is exact to the stored truncation and the two-level b cutoff stays
+    exact.  Each moment is np.vdot over its named pair of lowered grids, raw
+    arrays of the grid's shape.
+    """
+    av, bv = _lower_a(c), _lower_b(c)
+    aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
+
+    pairs = dict(a=(c, av), b=(c, bv), a2=(c, aav), b2=(c, bbv), adag_a=(av, av), bdag_b=(bv, bv), adag_b=(av, bv),
+                 ab=(c, abv), adaga_bdagb=(abv, abv), adag2a2=(aav, aav), bdag2b2=(bbv, bbv))
+    return ExpectationSet(**{name: complex(np.vdot(u, v)) for name, (u, v) in pairs.items()})
+
+
 @dataclass(frozen=True)
 class WeakValue:
     """Weak value of sigma_x plus the bare postselection probability."""
@@ -214,13 +230,8 @@ class JointState:
 
     @functools.cached_property
     def _branch_moments(self):
-        """(<a>, <a†a>, <a^2>) of branch_plus and of branch_minus, made on first use, by lowering the
-        a mode only, so exact to the stored truncation."""
-        def moments(c):
-            av = _lower_a(c)
-            return complex(np.vdot(c, av)), complex(np.vdot(av, av)), complex(np.vdot(c, _lower_a(av)))
-
-        return moments(self.branch_plus.coeffs), moments(self.branch_minus.coeffs)
+        """The moments (_moments) of branch_plus and of branch_minus, made on first use."""
+        return _moments(self.branch_plus.coeffs), _moments(self.branch_minus.coeffs)
 
 
 def _preselection_amplitudes(alpha: float, delta: float) -> tuple[complex, complex]:
@@ -299,4 +310,4 @@ def nonpostselected_moments(joint: JointState, params: MeasurementParams):
     """
     wp, wm = (abs(amp) ** 2 for amp in _preselection_amplitudes(params.alpha, params.delta))
     plus, minus = joint._branch_moments
-    return tuple(wp * p + wm * m for p, m in zip(plus, minus))
+    return tuple(wp * getattr(plus, name) + wm * getattr(minus, name) for name in ("a", "adag_a", "a2"))

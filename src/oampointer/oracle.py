@@ -1,10 +1,10 @@
 """The state-vector engine: the postselected pointer from truncated Fock-space states.
 
 The oracle's primitives and fields come from truncated Fock-space state vectors,
-ladder operators and inner products; of the package it reads only fock and
-measurement, so it shares no line with the closed forms.  The quantity table
-that derives the scalars from either engine's primitives, and the comparison
-of the two routes, are validation's.
+ladder operators and inner products, its moments from measurement._moments; of
+the package it reads only fock and measurement, so it shares no line with the
+closed forms.  The quantity table that derives the scalars from either engine's
+primitives, and the comparison of the two routes, are validation's.
 
 The coupling displaces the branches D(±Gamma/2)|Psi_i> whatever the preselected
 state is; alpha and delta enter only at postselection, as the weights of those
@@ -37,8 +37,6 @@ from .fock import (
     TruncationWarning,
     TwoModeState,
     _laguerre_rows,
-    _lower_a,
-    _lower_b,
     _occupied_levels,
     _unit_intensity,
     coordinate_wavefunction,
@@ -49,6 +47,7 @@ from .fock import (
 from .measurement import (
     ExpectationSet,
     MeasurementParams,
+    _moments,
     evolve_joint,
     initial_pointer,
     nonpostselected_moments,
@@ -77,25 +76,9 @@ def _audit_truncation(state: TwoModeState):
 
 
 def oracle_expectations(state: TwoModeState) -> ExpectationSet:
-    """All eleven moments of one state (_moments); warns when the top Fock level is occupied."""
+    """All eleven moments of one state (measurement._moments); warns when the top Fock level is occupied."""
     _audit_truncation(state)
     return _moments(state.coeffs)
-
-
-def _moments(c: np.ndarray) -> ExpectationSet:
-    """All eleven moments of a raw coefficient grid, unaudited.
-
-    Only lowering operators are applied (raising is rewritten away), so the
-    result is exact to the stored truncation and the two-level b cutoff stays
-    exact.  Each moment is np.vdot over its named pair of lowered grids, raw
-    arrays of the grid's shape.
-    """
-    av, bv = _lower_a(c), _lower_b(c)
-    aav, bbv, abv = _lower_a(av), _lower_b(bv), _lower_a(bv)
-
-    pairs = dict(a=(c, av), b=(c, bv), a2=(c, aav), b2=(c, bbv), adag_a=(av, av), bdag_b=(bv, bv), adag_b=(av, bv),
-                 ab=(c, abv), adaga_bdagb=(abv, abv), adag2a2=(aav, aav), bdag2b2=(bbv, bbv))
-    return ExpectationSet(**{name: complex(np.vdot(u, v)) for name, (u, v) in pairs.items()})
 
 
 def oracle_states(params: MeasurementParams, na: int | None = None):

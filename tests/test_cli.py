@@ -820,6 +820,39 @@ def test_missing_required_options_exit_one(tmp_path):
     assert run(["sweep", "--quantity", "Q1", "--axis", "Gamma"]) == 1
 
 
+@pytest.mark.parametrize("args, missing", [
+    (["sweep", "--quantity", "Q1"], "--axis, --start, --stop, --steps"),
+    (["sweep"], "--quantity, --axis, --start, --stop, --steps"),
+    (["field", "--Gamma", 1], "--kind"),
+    (["figure", "--outdir", "."], "--name"),
+])
+def test_missing_required_option_is_named_by_argparse(args, missing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: the following arguments are required: {missing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_help_lists_its_required_options_without_brackets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--help"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())
+    for name in ("--quantity {", "--axis {", "--start START", "--stop STOP", "--steps STEPS"):
+        assert name in usage and "[" + name not in usage, name
+    assert "[--out OUT]" in usage and "[--config CONFIG]" in usage
+
+
+def test_config_is_read_after_the_command_only(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text("quantity=lambda\naxis=Gamma\nstart=0\nstop=1\nsteps=3\n")
+    assert run(["--config", conf, "sweep"]) == 1
+    assert list(tmp_path.iterdir()) == [conf]
+    assert run(["sweep", f"--config={conf}"]) == 0
+    assert len(read_csv(tmp_path / "sweep.csv")[1]) == 3
+
+
 @pytest.mark.parametrize("command", ["sweep", "field", "validate", "figure"])
 def test_unwritable_output_exits_one(command, tmp_path, monkeypatch, capsys):
     # validate fails at once, before any comparison
@@ -1020,6 +1053,27 @@ def test_validate_impossible_tolerance_exits_two(tmp_path):
     out = tmp_path / "report.json"
     rc = run(["validate", "--out", out, "--abs-tol", 0, "--rel-tol", 0])
     assert rc == 2
+
+
+def test_validate_exits_two_where_one_engine_is_undefined(tmp_path, monkeypatch, capsys):
+    # the closed-form g2 made undefined at a point where the oracle's is defined: a failure, not an undefined entry
+    g2 = validation.SCALAR_QUANTITIES["g2"]
+
+    def closed_undefined(p, e):
+        if isinstance(e, validation._ClosedPrimitives):
+            raise cf.UndefinedCorrelationError("")
+        return g2(p, e)
+
+    monkeypatch.setitem(validation.SCALAR_QUANTITIES, "g2", closed_undefined)
+    point = MeasurementParams(Gamma=0.3, alpha=2.0, phi=math.pi / 2, gamma=1.0)
+    monkeypatch.setattr(validation, "validation_params", lambda: [point])
+    monkeypatch.setattr(validation, "field_check_points", lambda: [])
+    out = tmp_path / "report.json"
+    assert run(["validate", "--out", out]) == 2
+    assert "validation FAILED: 1 non-whitelisted failures" in capsys.readouterr().err
+    (entry,) = [e for e in json.loads(out.read_text())["entries"] if e["quantity"] == "g2"]
+    assert (entry["status"], entry["reason"], entry["closed"]) == ("fail", "one engine undefined", None)
+    assert entry["oracle"] == validation.oracle_quantities(point)["g2"]
 
 
 @pytest.mark.parametrize("which", ["default", "empty"])

@@ -319,6 +319,24 @@ def test_oracle_quantities_raise_no_norm_drift(gamma_c):
         oracle_quantities(p)
 
 
+@pytest.mark.parametrize("closed, oracle_value, reason", [
+    ((None, "no b photons"), 0.25, "no b photons"),
+    (0.25, (None, "no b photons"), "no b photons"),
+    ((None, ""), 0.25, "one engine undefined"),
+    (0.25, (None, ""), "one engine undefined"),
+], ids=["closed-undefined", "oracle-undefined", "closed-no-reason", "oracle-no-reason"])
+def test_definedness_disagreement_is_a_failure(closed, oracle_value, reason):
+    # one engine undefined where the other gives a value fails, keeping the defined side and the
+    # undefined side's reason, and is a failure the report (and so validate) stops on
+    entry = _entry("g2", 3, closed, oracle_value, 1e-10, 1e-8)
+    want_closed = None if isinstance(closed, tuple) else closed
+    want_oracle = None if isinstance(oracle_value, tuple) else oracle_value
+    assert entry == ReportEntry("g2", 3, want_closed, want_oracle, None, None, "fail", reason=reason)
+    report = ValidationReport(1e-10, 1e-8, points=[NAMED_POINT] * 4, entries=[entry])
+    assert report.failures() == [entry]
+    assert report.summary()["g2"] == {"pass": 0, "fail": 1, "undefined": 0, "max_abs_delta": 0.0}
+
+
 def test_cutoff_doubling_self_consistency():
     p = MeasurementParams(Gamma=2.0, alpha=2.5, delta=0.0, phi=math.pi / 2, gamma=1.5)
     r1 = oracle_quantities(p, na=49)
