@@ -12,6 +12,7 @@ that trips in validate (its cutoff self-check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -93,6 +94,23 @@ def _sweep_rows(quantity, axis, values, base: MeasurementParams, engine, na=None
     return rows
 
 
+@contextlib.contextmanager
+def _outputs():
+    """open() for the files of one output: whatever stops the block removes each file opened through it."""
+    opened = []
+
+    def open_(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    try:
+        yield open_
+    except BaseException:  # so a failed command leaves no partial output; a non-regular path such as /dev/null stays
+        for path in filter(os.path.isfile, (os.path.realpath(fh.name) for fh in opened)):  # a link's target
+            os.remove(path)
+        raise
+
+
 def _write_rows(path, rows, fmt):
     """Sweep rows under SWEEP_HEADER, as csv lines or as json objects keyed by its columns."""
     if fmt == "csv":
@@ -100,7 +118,7 @@ def _write_rows(path, rows, fmt):
     else:  # json: argparse and the config check admit no other format
         keys = SWEEP_HEADER.split(",")
         text = json.dumps([dict(zip(keys, r)) for r in rows], indent=0, sort_keys=True) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with _outputs() as open_, open_(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
@@ -136,8 +154,6 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
                          f"({grid.xs()[bad[0, 0]]:g}, {grid.ys()[bad[0, 1]]:g}), first of {len(bad)} cells")
     from . import fieldtext  # on first use: commands that write no field neither compile nor load it
 
-    with open(path, "wb") as fh:
-        fieldtext.write_cells(fh, _FIELD_LAYOUT[fmt], grid, fld.values)
     sidecar = {
         "kind": kind,
         "engine": engine,
@@ -147,9 +163,11 @@ def _write_field(path, kind, params, grid, engine, na, fmt):
         "min": float(fld.values.real.min()),
         "max": float(fld.values.real.max()),
     }
-    with open(path + ".meta.json", "w", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # both files are opened first, so a failure in either removes both, also an earlier run's sidecar
+    with _outputs() as open_, open_(path, "wb") as fh, open_(path + ".meta.json", "w", newline="\n") as side:
+        fieldtext.write_cells(fh, _FIELD_LAYOUT[fmt], grid, fld.values)
+        json.dump(sidecar, side, indent=2, sort_keys=True)
+        side.write("\n")
 
 
 def cmd_field(ns) -> int:
@@ -162,18 +180,14 @@ def cmd_validate(ns) -> int:
     # the default only where the option is absent: an empty --whitelist allows no failure
     whitelist = (DEFAULT_WHITELIST if ns.whitelist is None
                  else tuple(filter(None, (w.strip() for w in ns.whitelist.split(",")))))
-    params_set = validation.validation_params()
-    # an unwritable --out fails here, before any evaluation
-    fh = open(ns.out, "w", newline="\n", buffering=_WRITE_BUFFER)
-    written = False
-    try:
-        with fh:
+    try:  # an unwritable --out fails at open_, before any evaluation
+        with _outputs() as open_, open_(ns.out, "w", newline="\n", buffering=_WRITE_BUFFER) as fh:
             # the cutoff check is the per-point truncation audits, raised here whatever a user's filters say
             with warnings.catch_warnings():
                 warnings.simplefilter("error", NormDriftWarning)
                 warnings.simplefilter("error", TruncationWarning)
                 report = validation.compare(
-                    params_set,
+                    validation.validation_params(),
                     abs_tol=ns.abs_tol,
                     rel_tol=ns.rel_tol,
                     na=ns.cutoff,
@@ -182,13 +196,9 @@ def cmd_validate(ns) -> int:
             summary = report.summary()
             fh.writelines(report.json_chunks(summary))  # entry by entry: the report text is never held whole
             fh.write("\n")
-        written = True
     except (NormDriftWarning, TruncationWarning) as exc:
         print(f"cutoff self-check FAILED: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if not written and os.path.isfile(ns.out):  # no empty or partial report after a failure; /dev/null stays
-            os.remove(ns.out)
     for q, s in sorted(summary.items()):
         print(f"  {q:38s} pass={s['pass']:4d} fail={s['fail']:4d} undefined={s['undefined']:4d} "
               f"max|d|={s['max_abs_delta']:.3e}")
@@ -269,7 +279,8 @@ def cmd_figure(ns) -> int:
         fallback = axis == "gamma"
         _write_rows(os.path.join(ns.outdir, ns.name + ("_fallback_gamma.csv" if fallback else ".csv")), rows, "csv")
         if fallback:
-            with open(os.path.join(ns.outdir, ns.name + "_r_axis.stub.txt"), "w", newline="\n") as fh:
+            stub = os.path.join(ns.outdir, ns.name + "_r_axis.stub.txt")
+            with _outputs() as open_, open_(stub, "w", newline="\n") as fh:
                 fh.write(_STUB_TEXT)
         written = 1 + fallback
     print(f"figure {ns.name}: wrote {written} file(s) under {ns.outdir}")

@@ -9,9 +9,9 @@ primitives, and the comparison of the two routes, are validation's.
 The coupling displaces the branches D(±Gamma/2)|Psi_i> whatever the preselected
 state is; alpha and delta enter only at postselection, as the weights of those
 two branches (Aharonov, Albert & Vaidman, PRL 60, 1351 (1988)).  So the oracle
-runs measurement's pipeline split there: it evolves and audits each pointer
-(Gamma, gamma, phi, sigma) once per run (one compare call, one sweep:
-_OracleRun), and every point postselects from its joint state, audits the
+runs measurement's pipeline split there: a walk over points (_points: one
+compare call, one sweep) evolves and audits each pointer (Gamma, gamma, phi,
+sigma) once, and every point postselects from its joint state, audits the
 postselected pointer for truncation and makes each primitive on first use.
 
 The displaced-Fock elements of fock._laguerre_rows are exact on any
@@ -82,8 +82,10 @@ def oracle_expectations(state: TwoModeState) -> ExpectationSet:
 
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
-    """Build (initial pointer, joint state, postselected pointer, success prob)."""
-    return _OracleRun(na).states(params)
+    """Build (initial pointer, joint state, postselected pointer, success prob) of one point, without a
+    memo; the functions that read its states (oracle_expectations, the fields) audit them for truncation."""
+    psi_i, joint, _ = _evolve_pointer(params, na)
+    return (psi_i, joint, *postselect(joint, params))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
 # the five primitives from state vectors
 # ---------------------------------------------------------------------------
 
-_POINTERS = 8  # distinct pointers one run holds: the lattice alternates two, a Gamma sweep never repeats one
+_POINTERS = 8  # distinct pointers one walk holds: the lattice alternates two, a Gamma sweep never repeats one
 
 
 def _evolve_pointer(params: MeasurementParams, na: int | None):
@@ -215,32 +217,19 @@ class _OraclePrimitives:
     phi = functools.cached_property(lambda self: nonpostselected_moments(self.pointer[1], self.params))
 
 
-class _OracleRun:
-    """The oracle over one run (a compare call, a sweep, one point): each distinct pointer is
-    evolved once (_evolve_pointer) and each point postselects its own preselection from it.
+def _points(points, na: int | None = None):
+    """The primitives of each of points in turn, from one walk: each distinct pointer is evolved once
+    (_evolve_pointer), and each point postselects its own preselection from it and audits its
+    postselected pointer for truncation, once, whichever primitives are read.
 
-    The memo is an lru_cache of _POINTERS pointers that lives as long as the run.  Its key is the
+    The memo is an lru_cache of _POINTERS pointers that lives as long as the walk.  Its key is the
     point's params with alpha = delta = 0, plus the signs of Gamma, gamma and phi, as a dataclass
     key takes -0.0 and 0.0 for one.
     """
-
-    def __init__(self, na: int | None = None):
-        self._evolved = functools.lru_cache(maxsize=_POINTERS)(lambda p, signs: _evolve_pointer(p, na))
-
-    def _pointer(self, p: MeasurementParams):
-        """(initial pointer, joint state, I1) of the point's pointer, from the memo."""
+    evolved = functools.lru_cache(maxsize=_POINTERS)(lambda p, signs: _evolve_pointer(p, na))
+    for p in points:
         signs = tuple(math.copysign(1.0, v) for v in (p.Gamma, p.gamma, p.phi))
-        return self._evolved(replace(p, alpha=0.0, delta=0.0), signs)
-
-    def states(self, p: MeasurementParams):
-        """oracle_states of one point: (initial pointer, joint state, postselected pointer, success prob)."""
-        psi_i, joint, _ = self._pointer(p)
-        return (psi_i, joint, *postselect(joint, p))
-
-    def point(self, p: MeasurementParams) -> _OraclePrimitives:
-        """The primitives of one point; its postselected pointer is audited for truncation here, once,
-        whichever of them are read."""
-        pointer = self._pointer(p)
+        pointer = evolved(replace(p, alpha=0.0, delta=0.0), signs)
         psi = postselect(pointer[1], p)[0]
         _audit_truncation(psi)
-        return _OraclePrimitives(p, pointer, psi)
+        yield _OraclePrimitives(p, pointer, psi)

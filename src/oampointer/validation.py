@@ -97,14 +97,13 @@ def value(name: str, params, e):
 
 def values(name: str, series: ParamSeries, engine: str, na: int | None = None):
     """The quantity name at each point of series, (None, reason) where it is undefined: the closed forms
-    in one evaluation over the series, the oracle point by point as they are read, in one run that
+    in one evaluation over the series, the oracle point by point as they are read, in one walk that
     evolves each distinct pointer once and derives only this quantity."""
     if name == "weak_value":  # fixed by the preselection alone: no engine computes it
         cols = (np.broadcast_to(c, series.size).tolist() for c in (series.alpha, series.delta))
         return (weak_value(a, d).value.real for a, d in zip(*cols))
     if engine == "oracle":
-        run = orc._OracleRun(na)
-        return (value(name, p, run.point(p)) for p in series)
+        return (value(name, e.params, e) for e in orc._points(series, na))
     return value(name, series, _ClosedPrimitives(series))
 
 
@@ -121,7 +120,7 @@ def oracle_quantities(params: MeasurementParams, na: int | None = None) -> dict:
 
     Keyed by table name in table order, with (None, reason) where a quantity is undefined.
     """
-    e = orc._OracleRun(na).point(params)
+    e = next(orc._points([params], na))
     return {name: value(name, params, e) for name in SCALAR_QUANTITIES}
 
 
@@ -294,7 +293,7 @@ def compare(
     Failures are recorded as data, never raised.  Each quantity of
     SCALAR_QUANTITIES is derived once from each engine's primitives: from the
     closed forms' over the whole set, each primitive made once, and from the
-    oracle's (_OracleRun.point) point by point, so entries are ordered by
+    oracle's (the walk oracle._points) point by point, so entries are ordered by
     (point index, table order); each point ends with the residuals of the
     published transcriptions (closedform.published_scalars) against the oracle
     value of the same name, as "published:<name>".  Each point of field_params
@@ -309,10 +308,10 @@ def compare(
     series = ParamSeries.of(params_set)
     e = _ClosedPrimitives(series)
     closed = {name: value(name, series, e) for name in SCALAR_QUANTITIES}
-    run = orc._OracleRun(na)  # one run for the lattice and the field checks
+    points = orc._points(params_set + field_params, na)  # one walk for the lattice and the field checks
     for idx, p in enumerate(params_set):
         with _at_point(p):
-            e = run.point(p)
+            e = next(points)
         rec = {name: value(name, p, e) for name in SCALAR_QUANTITIES}
         for name, v in rec.items():
             report.entries.append(_entry(name, idx, closed[name][idx], v, abs_tol, rel_tol))
@@ -321,7 +320,7 @@ def compare(
 
     for idx, p in enumerate(field_params, len(params_set)):
         with _at_point(p):
-            psi = run.states(p)[2]
+            psi = next(points).psi
             i_orc, w_orc = orc.oracle_intensity(psi, _FIELD_GRID), orc.oracle_wigner(psi, _FIELD_GRID)
         w_closed = cf.wigner_field(p, _FIELD_GRID)
         report.entries += [

@@ -78,7 +78,7 @@ def test_oracle_weak_value_sweep_builds_no_state(tmp_path, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("weak_value taken from the oracle")
 
-    monkeypatch.setattr(orc, "_OracleRun", evaluated)
+    monkeypatch.setattr(orc, "_points", evaluated)
     cells = {}
     for engine in ("closedform", "oracle"):
         out = tmp_path / f"{engine}.csv"
@@ -472,6 +472,42 @@ def test_field_write_memory_is_bounded_by_a_row(fmt, tmp_path, monkeypatch):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("through_link", [False, True])
+def test_field_failure_while_writing_leaves_no_file(through_link, tmp_path, monkeypatch, capsys):
+    # a full disk at the third block of cells, when two blocks of rows are on disk: neither the
+    # partial rows nor a sidecar stay, not even the sidecar of an earlier run at the same path;
+    # through a symlink the file written is its target, and only the link stays
+    out, g17, blocks = tmp_path / "w.csv", fieldtext.g17, []
+    if through_link:
+        out.symlink_to(tmp_path / "target.csv")
+    args = ["field", "--kind", "wigner", "--Gamma", 1, "--alpha", 2.8, "--out", out]
+    assert run(args) == 0
+
+    def failing(v, cells):
+        blocks.append(out.stat().st_size)
+        if len(blocks) == 3:
+            raise OSError(28, "No space left on device")
+        g17(v, cells)
+
+    monkeypatch.setattr(fieldtext, "g17", failing)
+    assert run(args) == 1
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert blocks[-1] > 10**5
+    assert list(tmp_path.iterdir()) == ([out] if through_link else [])
+
+
+def test_field_sidecar_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the sidecar fails part way, after the rows are complete: neither file stays
+    def failing(obj, fh, **kwargs):
+        fh.write("{\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", failing)
+    assert run(["field", "--kind", "wigner", "--Gamma", 1, "--alpha", 2.8, "--out", tmp_path / "w.csv"]) == 1
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("engine", ["closedform", "oracle"])
 def test_field_refuses_intensity_off_the_beam(engine, tmp_path, capsys):
     # far from the beam the intensity integrates to 0: refused before the division
@@ -568,8 +604,8 @@ def test_closed_forms_run_once_per_series_and_once_per_compare(tmp_path, monkeyp
     assert [p.size for p in calls] == [201]
     calls.clear()
     zeros = ExpectationSet(*[0j] * len(ExpectationSet.field_names()))
-    monkeypatch.setattr(orc._OracleRun, "point",
-                        lambda self, p: SimpleNamespace(lam=0.0, i1=0j, fidelity=0.0, moments=zeros, phi=(0j, 0j, 0j)))
+    monkeypatch.setattr(orc, "_points", lambda points, na=None: (
+        SimpleNamespace(lam=0.0, i1=0j, fidelity=0.0, moments=zeros, phi=(0j, 0j, 0j)) for p in points))
     cli.validation.compare(cli.validation.validation_params())
     assert [p.size for p in calls] == [300]
 
@@ -980,7 +1016,7 @@ def test_validate_refuses_tolerance_that_checks_nothing(via, option, value, tmp_
     def evaluated(*args, **kwargs):
         raise AssertionError("evaluated before the tolerance was checked")
 
-    monkeypatch.setattr(orc, "_OracleRun", evaluated)
+    monkeypatch.setattr(orc, "_points", evaluated)
     out = tmp_path / "report.json"
     flag = "--" + option.replace("_", "-")
     if via == "flag":

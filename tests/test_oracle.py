@@ -423,7 +423,7 @@ def test_gaussian_pointer_snr_limit():
 
 
 # ---------------------------------------------------------------------------
-# one run: each distinct pointer is evolved once
+# one walk: each distinct pointer is evolved once
 # ---------------------------------------------------------------------------
 
 def _counting_evolve_joint(monkeypatch):
@@ -452,8 +452,7 @@ def _fresh_state_bytes(p):
 def test_compare_keeps_the_bits_of_points_evaluated_afresh(monkeypatch):
     # with a memo of size 0 every point starts empty, as oracle_quantities does alone
     points = validation_params() + field_check_points()
-    run = oracle._OracleRun()
-    assert [_state_bytes(psi_i, joint, psi) for psi_i, joint, psi, _ in map(run.states, points)] \
+    assert [_state_bytes(*e.pointer[:2], e.psi) for e in oracle._points(points)] \
         == list(map(_fresh_state_bytes, points))
 
     def entries():
@@ -474,17 +473,27 @@ def test_compare_evolves_each_lattice_pointer_once(monkeypatch):
     assert len({(p.Gamma, p.gamma, p.phi) for p in calls}) == 30
 
 
+@pytest.mark.parametrize("distinct, evolutions", [(9, 10), (8, 8)])
+def test_a_walk_holds_at_most_eight_pointers(monkeypatch, distinct, evolutions):
+    # a sweep of any length runs in bounded memory: the ninth distinct pointer evicts the first,
+    # which is then evolved again, where an unbounded memo would evolve nine
+    points = [MeasurementParams(Gamma=0.1 * k, alpha=2.0, gamma=1.0) for k in range(distinct)]
+    calls = _counting_evolve_joint(monkeypatch)
+    for _ in oracle._points(points + points[:1]):
+        pass
+    assert len(calls) == evolutions
+
+
 @pytest.mark.parametrize("axis", ["Gamma", "phi", "gamma"])
 def test_signed_zero_neighbours_keep_their_uncached_bits(monkeypatch, axis):
-    # a tuple key takes -0.0 and 0.0 for one; the run tells them apart
+    # a tuple key takes -0.0 and 0.0 for one; the walk tells them apart
     base = MeasurementParams(Gamma=1.1, alpha=2.0, delta=0.6, phi=0.9, gamma=1.3)
     points = [replace(base, **{axis: z}) for z in (0.0, -0.0, 0.0, -0.0)]
     fresh = [repr(oracle_quantities(p)) for p in points]
     calls = _counting_evolve_joint(monkeypatch)
-    run = oracle._OracleRun()
-    assert [repr({name: value(name, p, run.point(p)) for name in SCALAR_QUANTITIES}) for p in points] == fresh
-    assert [_state_bytes(psi_i, joint, psi) for psi_i, joint, psi, _ in map(run.states, points)] \
-        == list(map(_fresh_state_bytes, points))
+    walk = list(oracle._points(points))  # walked once: each sign's pointer is evolved once
+    assert [repr({name: value(name, p, e) for name in SCALAR_QUANTITIES}) for p, e in zip(points, walk)] == fresh
+    assert [_state_bytes(*e.pointer[:2], e.psi) for e in walk] == list(map(_fresh_state_bytes, points))
     assert [math.copysign(1.0, getattr(p, axis)) for p in calls] == [1.0, -1.0]
 
 
