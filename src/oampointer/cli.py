@@ -37,10 +37,6 @@ SWEEP_AXES = ("Gamma", "alpha", "gamma", "phi", "delta")
 DEFAULT_WHITELIST = ("published:*",)
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _tolerance(text: str) -> float:
     """A validation tolerance: finite and >= 0 (inf passes everything; inf and nan are not JSON)."""
     try:
@@ -54,13 +50,13 @@ def _tolerance(text: str) -> float:
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
-        raise ConfigError(f"grid must be xmin,xmax,ymin,ymax,nx,ny, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must be xmin,xmax,ymin,ymax,nx,ny, got {text!r}")
     try:
         xmin, xmax, ymin, ymax = (float(p) for p in parts[:4])
         nx, ny = int(parts[4]), int(parts[5])
         return GridSpec(xmin, xmax, ymin, ymax, nx, ny)
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
 DEFAULT_GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 241, 241)
@@ -124,7 +120,7 @@ def _write_rows(path, rows, fmt):
 
 def cmd_sweep(ns) -> int:
     if ns.steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {ns.steps}")
+        raise ValueError(f"steps must be >= 2, got {ns.steps}")
     base = _params_from(ns)
     values = np.linspace(ns.start, ns.stop, ns.steps)
     rows = _sweep_rows(ns.quantity, ns.axis, values, base, ns.engine, na=ns.cutoff)
@@ -297,7 +293,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _add_param_args(p):
@@ -385,13 +381,13 @@ def _config_argv(commands, argv):
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in options:
-                    raise ConfigError(f"unknown config key {key!r}")
+                    raise ValueError(f"unknown config key {key!r}")
                 flags.append(f"{options[key]}={val}")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     return [argv[0], *flags, *argv[1:]]
 
 
@@ -401,12 +397,12 @@ def main(argv=None) -> int:
         ns = parser.parse_args(_config_argv(commands, sys.argv[1:] if argv is None else list(argv)))
         if ns.cutoff is not None:
             if getattr(ns, "engine", None) == "closedform":
-                raise ConfigError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
+                raise ValueError("cutoff is an oracle-only option; the closed-form engine has no cutoff")
             _require_two_levels(ns.cutoff)  # before any evaluation, also of closed-form-only quantities
         return globals()["cmd_" + ns.command](ns)  # by name at each call: the parser is built once
     # ValueError: a library limit, e.g. the Gamma ceiling; MemoryError: an array the machine refuses,
     # e.g. of a huge grid or step count; OSError: an output that cannot be written
-    except (ConfigError, ValueError, MemoryError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

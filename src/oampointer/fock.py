@@ -30,6 +30,7 @@ they stay right where that factor alone underflows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,14 @@ class FieldConsistencyError(ValueError):
     """An intensity had no positive integral over its grid: the grid misses the beam."""
 
 
+def _integer(name: str, value) -> int:
+    """value as operator.index takes it (an int or a numpy integer); a ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TwoModeState:
     """Complex coefficient grid c[n, m] over |n>_a |m>_b with beam waist sigma."""
@@ -76,8 +85,8 @@ class TwoModeState:
             raise ValueError(f"need Na >= 1 and Nb >= 2, got shape {c.shape}")
         if not np.all(np.isfinite(c.view(float))):
             raise ValueError("coefficients must be finite")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -115,7 +124,7 @@ class GridSpec:
                 raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid bounds must satisfy min < max")
-        if self.nx < 2 or self.ny < 2:
+        if _integer("nx", self.nx) < 2 or _integer("ny", self.ny) < 2:
             raise ValueError("need nx >= 2 and ny >= 2")
 
     def xs(self) -> np.ndarray:
@@ -288,11 +297,11 @@ def displacement_matrix(alpha: complex, dim: int, cols: int | None = None) -> np
     z = complex(alpha)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if dim < 1:
+    if _integer("dim", dim) < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if cols is None:
         cols = dim
-    if not 1 <= cols <= dim:
+    if not 1 <= _integer("cols", cols) <= dim:
         raise ValueError(f"cols must lie in [1, dim = {dim}], got {cols}")
     lower = np.exp(1j * np.angle(z) * np.arange(dim)) if z.imag else (-1.0 if z.real < 0 else 1.0) ** np.arange(dim)
     upper = (-1.0) ** np.arange(cols) * lower[:cols].conj()
@@ -323,9 +332,17 @@ def hermite_functions(pts: np.ndarray, nmax: int, sigma: float = 1.0) -> np.ndar
     evaluated by the normalized three-term recurrence on mantissas: u_n = m_n 2^e,
     where the per-point exponent e carries e^{-xi^2/2} and every rescaling of
     the mantissas, so nothing underflows where the Gaussian alone would
-    (|xi| >= 38.6) and nothing overflows.
+    (|xi| >= 38.6) and nothing overflows.  It raises ValueError for a sigma
+    that is not positive and finite, a non-finite point or a negative nmax.
     """
-    xi = np.asarray(pts, dtype=float) / sigma
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if _integer("nmax", nmax) < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    x = np.asarray(pts, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"pts must be finite, got {x[~np.isfinite(x)][0]}")
+    xi = x / sigma
     # the floor keeps e in int64; no recurrence of fewer than 1e15 steps climbs back from 2^-1.4e18
     h = np.maximum(-(xi**2) / 2, -1e18)
     e = np.floor(h / math.log(2))

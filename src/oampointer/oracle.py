@@ -83,8 +83,9 @@ def oracle_expectations(state: TwoModeState) -> ExpectationSet:
 
 def oracle_states(params: MeasurementParams, na: int | None = None):
     """Build (initial pointer, joint state, postselected pointer, success prob) of one point, without a
-    memo; the functions that read its states (oracle_expectations, the fields) audit them for truncation."""
-    psi_i, joint, _ = _evolve_pointer(params, na)
+    memo or I1; the functions that read its states (oracle_expectations, the fields) audit them for truncation."""
+    psi_i = initial_pointer(params, default_cutoff(params.Gamma) if na is None else na)
+    joint = evolve_joint(psi_i, params)
     return (psi_i, joint, *postselect(joint, params))
 
 
@@ -183,17 +184,6 @@ def oracle_intensity(state: TwoModeState, grid: GridSpec) -> ScalarField:
 _POINTERS = 8  # distinct pointers one walk holds: the lattice alternates two, a Gamma sweep never repeats one
 
 
-def _evolve_pointer(params: MeasurementParams, na: int | None):
-    """All of a point that alpha and delta do not enter: (initial pointer, its joint state, I1).
-    evolve_joint makes the two displaced branches and audits them for norm drift."""
-    if na is None:
-        na = default_cutoff(params.Gamma)
-    psi_i = initial_pointer(params, na)
-    # I1 on the a levels psi_i occupies, where the elements of D(Gamma) are exact
-    c = psi_i.coeffs[: _occupied_levels(psi_i)]
-    return psi_i, evolve_joint(psi_i, params), complex(np.vdot(c, displacement_matrix(params.Gamma, len(c)) @ c))
-
-
 @dataclass
 class _OraclePrimitives:
     """The oracle's primitives at one point, from its pointer (initial pointer, joint state, I1) and
@@ -218,15 +208,20 @@ class _OraclePrimitives:
 
 
 def _points(points, na: int | None = None):
-    """The primitives of each of points in turn, from one walk: each distinct pointer is evolved once
-    (_evolve_pointer), and each point postselects its own preselection from it and audits its
-    postselected pointer for truncation, once, whichever primitives are read.
+    """The primitives of each of points in turn, from one walk: each distinct pointer (initial pointer,
+    joint state, I1) is evolved once, and each point postselects its own preselection from it and audits
+    its postselected pointer for truncation, once, whichever primitives are read.
 
     The memo is an lru_cache of _POINTERS pointers that lives as long as the walk.  Its key is the
     point's params with alpha = delta = 0, plus the signs of Gamma, gamma and phi, as a dataclass
     key takes -0.0 and 0.0 for one.
     """
-    evolved = functools.lru_cache(maxsize=_POINTERS)(lambda p, signs: _evolve_pointer(p, na))
+    @functools.lru_cache(maxsize=_POINTERS)
+    def evolved(p, signs):
+        psi_i = initial_pointer(p, default_cutoff(p.Gamma) if na is None else na)
+        c = psi_i.coeffs[: _occupied_levels(psi_i)]  # I1 on the a levels psi_i occupies, where D(Gamma) is exact
+        return psi_i, evolve_joint(psi_i, p), complex(np.vdot(c, displacement_matrix(p.Gamma, len(c)) @ c))
+
     for p in points:
         signs = tuple(math.copysign(1.0, v) for v in (p.Gamma, p.gamma, p.phi))
         pointer = evolved(replace(p, alpha=0.0, delta=0.0), signs)

@@ -308,7 +308,7 @@ def compare(
     series = ParamSeries.of(params_set)
     e = _ClosedPrimitives(series)
     closed = {name: value(name, series, e) for name in SCALAR_QUANTITIES}
-    points = orc._points(params_set + field_params, na)  # one walk for the lattice and the field checks
+    points = orc._points(params_set, na)
     for idx, p in enumerate(params_set):
         with _at_point(p):
             e = next(points)
@@ -320,7 +320,7 @@ def compare(
 
     for idx, p in enumerate(field_params, len(params_set)):
         with _at_point(p):
-            psi = next(points).psi
+            psi = orc.oracle_states(p, na)[2]  # as engine_field takes it
             i_orc, w_orc = orc.oracle_intensity(psi, _FIELD_GRID), orc.oracle_wigner(psi, _FIELD_GRID)
         w_closed = cf.wigner_field(p, _FIELD_GRID)
         report.entries += [

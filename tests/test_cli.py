@@ -359,6 +359,17 @@ def test_field_rejects_bad_grid(tmp_path):
     assert run(["field", "--kind", "wigner", "--grid", "0,1,0", "--out", tmp_path / "x.csv"]) == 1
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_malformed_grid_exits_one_as_argparse_names_it(via, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"kind=wigner\ngrid=0,1,0\nout={out}\n")
+    args = ["field", "--kind", "wigner", "--grid=0,1,0", "--out", out] if via == "flag" else ["field", "--config", conf]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: argument --grid: grid must be xmin,xmax,ymin,ymax,nx,ny, got '0,1,0'\n"
+    assert list(tmp_path.iterdir()) == [conf]
+
+
 def test_field_rejects_non_finite_grid_bound(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = run(["field", "--kind", "wigner", "--engine", "oracle", "--Gamma", 1,
@@ -421,6 +432,7 @@ def _grid_arg(g):
     return f"--grid={g.x_min!r},{g.x_max!r},{g.y_min!r},{g.y_max!r},{g.nx},{g.ny}"
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("specials", [False, True])
 def test_field_bytes_are_the_per_cell_17g_rendering(specials, tmp_path, monkeypatch):
     # x-major rows of "{:.17g}" cells on an odd non-square grid, in csv and in json; the two-row
@@ -688,7 +700,7 @@ def test_figure_byte_identical_reruns(tmp_path):
     assert (a / "fig7b.csv").read_bytes() == (b / "fig7b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["sweep", "field"])
+@pytest.mark.parametrize("kind", [pytest.param("sweep", marks=pytest.mark.simd), "field"])
 def test_figure_presets_match_reference_digests(kind, tmp_path):
     # the byte contract: every preset's files on the default grid, as the benchmark's reference
     # records them.  CI reruns the sweep presets with numpy's AVX2 and AVX-512 kernels switched

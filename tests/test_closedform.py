@@ -168,6 +168,7 @@ def _bits(values):
     return numbers.view(np.uint64).tolist(), {i: v for i, v in enumerate(values) if isinstance(v, tuple)}
 
 
+@pytest.mark.simd
 def test_closed_forms_over_a_series_keep_the_one_point_bits():
     # every table quantity, over a series and at one point, against the per-point closed forms
     # kept in tests/_reference.py.  The draw takes gamma = 0 at phi > pi, where g has a -0.0
@@ -210,6 +211,7 @@ def _series_bits(series):
             else v for name, v in vars(series).items()}
 
 
+@pytest.mark.simd
 def test_weak_value_of_a_series_keeps_the_one_point_bits():
     # e^{i delta} tan(alpha/2) as measurement.weak_value makes it, per element of varying and constant columns
     alphas = [-0.0, 0.0, 1e-300, 0.3, 2.2, 8 * math.pi / 9, math.nextafter(math.pi, 0)]
@@ -228,6 +230,7 @@ def test_weak_value_of_a_series_keeps_the_one_point_bits():
         assert _bits([_weak(p) for p in points]) == _bits(want)
 
 
+@pytest.mark.simd
 def test_series_along_an_axis_is_the_series_of_its_points():
     # the closed-form sweep's series, made from the axis column, against the series of its points:
     # a column whose elements all have the same bits is one Python float, so 0.0 and -0.0 stay apart

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oampointer import fieldtext
 
+pytestmark = pytest.mark.simd
+
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
             float("nan"), float("inf"), float("-inf"), 1e16, 1e17, 1e-5, 1e-4, 0.5, -1.0, 123.0, 0.1]
 

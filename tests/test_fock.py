@@ -48,7 +48,7 @@ def test_vacuum_single_level_boundary():
     assert v.na == 1 and v.nb == 2
 
 
-@pytest.mark.parametrize("na,nb,sigma", [(0, 2, 1.0), (3, 1, 1.0), (3, 2, 0.0), (3, 2, -1.0)])
+@pytest.mark.parametrize("na,nb,sigma", [(0, 2, 1.0), (3, 1, 1.0), (3, 2, 0.0), (3, 2, -1.0), (3, 2, math.inf)])
 def test_vacuum_rejects_bad_args(na, nb, sigma):
     # TwoModeState refuses every (na, nb, sigma) that no vacuum can take
     with pytest.raises(ValueError):
@@ -165,6 +165,7 @@ def test_laguerre_rows_against_scipy(monkeypatch):
                 assert np.allclose(rows[m][a], ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("chains", [None, 1, 3, 5, 40])
 def test_laguerre_rows_keep_the_lockstep_bits_whatever_the_grouping(monkeypatch, chains):
     # the origin, both sides of the underflow limit (K <= x/8 there) and radii past it
@@ -381,6 +382,36 @@ def test_hermite_functions_past_gaussian_underflow(n, xi, ref):
     # e^{-xi^2/2} alone is 0.0 in floating point at every one of these points
     u = hermite_functions(np.array([xi]), n + 1)[n, 0]
     assert abs(u - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([0.0], 3, 0.0), "sigma must be positive and finite, got 0.0"),
+    (([0.0], 3, -1.0), "sigma must be positive and finite, got -1.0"),
+    (([0.0], 3, math.inf), "sigma must be positive and finite, got inf"),
+    (([0.0, math.inf], 3), "pts must be finite, got inf"),
+    (([0.0, math.nan], 3), "pts must be finite, got nan"),
+    (([0.0], -1), "nmax must be >= 0, got -1"),
+], ids=["sigma-zero", "sigma-negative", "sigma-inf", "point-inf", "point-nan", "nmax-negative"])
+def test_hermite_functions_refuse_by_name(args, message):
+    # not a ZeroDivisionError, a math domain error, all zeros, an inf or a nan row, or numpy's own message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hermite_functions(np.array(args[0]), *args[1:])
+
+
+@pytest.mark.parametrize("name", ["nx", "ny", "dim", "cols"])
+def test_sizes_must_be_integers(name):
+    # a float size is refused by name, not by numpy's TypeError; a numpy integer passes, as operator.index takes it
+    sizes = dict(nx=3, ny=4, dim=6, cols=2)
+
+    def build(**given):
+        k = {**sizes, **given}
+        return GridSpec(-1, 1, -1, 1, k["nx"], k["ny"]).xs(), displacement_matrix(0.5, k["dim"], k["cols"])
+
+    want = build()
+    got = build(**{name: np.int64(sizes[name])})
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {sizes[name] + 0.5}$"):
+        build(**{name: sizes[name] + 0.5})
 
 
 def test_grid_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from _reference import operator_quantities, row_wigner, vacuum
 from oampointer import closedform as cf
-from oampointer import oracle, validation
+from oampointer import measurement, oracle, validation
 from oampointer.fock import (
     GridSpec,
     NormDriftWarning,
@@ -211,6 +211,7 @@ _ORACLE_FIELD_GRID = GridSpec(-6, 6, -6, 6, 241, 241)
 _FIELD_CHECKS = [(p, GridSpec(-6, 6, -6, 6, 61, 61)) for p in validation.field_check_points()]
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("p,grid", [
     # the oracle-field grid: partial last block, and chain groups that do not divide K
     (_FIELD_POINT, _ORACLE_FIELD_GRID),
@@ -505,6 +506,46 @@ def test_compare_names_the_point_a_truncation_audit_trips_at(checks):
         warnings.simplefilter("error", TruncationWarning)
         with pytest.raises(TruncationWarning, match=r"Na=14; .*; at MeasurementParams\(Gamma=1.5, alpha=0.7,"):
             compare(na=14, **points)
+
+
+def test_one_point_states_make_no_i1(monkeypatch):
+    # oracle_states, so an oracle field, displaces its pointer once and builds no I1 block
+    calls = _counting_evolve_joint(monkeypatch)
+    made = []
+    for module in (oracle, measurement):
+        monkeypatch.setattr(module, "displacement_matrix",
+                            lambda *a, f=module.displacement_matrix, **k: made.append(a) or f(*a, **k))
+    oracle_states(NAMED_POINT)
+    assert len(calls) == 1 and len(made) == 1
+
+
+def test_compare_audits_each_field_state_in_the_two_fields_alone(monkeypatch):
+    # one audit per lattice point (its walk) and one per field function that reads a field state
+    lattice, fields = validation_params()[::75], field_check_points()[:3]
+    audits = []
+    audit = oracle._audit_truncation
+    monkeypatch.setattr(oracle, "_audit_truncation", lambda state: audits.append(state) or audit(state))
+    compare(lattice, field_params=fields)
+    assert len(audits) == len(lattice) + 2 * len(fields)
+
+
+def test_field_checks_read_the_states_engine_field_reads(monkeypatch):
+    # one path for an oracle field state: each field check reads the postselected pointer of
+    # oracle_states, as field and figure do through engine_field, so its fields are engine_field's bits
+    fields = field_check_points()[:3]
+    made, read = [], []
+    states = oracle.oracle_states
+    monkeypatch.setattr(oracle, "oracle_states", lambda p, na=None: made.append(states(p, na)) or made[-1])
+    for name in ("oracle_intensity", "oracle_wigner"):
+        monkeypatch.setattr(oracle, name, lambda psi, grid, f=getattr(oracle, name): read.append((psi, f(psi, grid)))
+                            or read[-1][1])
+    compare([NAMED_POINT], field_params=fields)
+    assert len(read) == 2 * len(made) == 2 * len(fields)
+    assert [id(psi) for psi, _ in read] == [id(s[2]) for s in made for _ in range(2)]
+    monkeypatch.undo()
+    want = [validation.engine_field(kind, p, validation._FIELD_GRID, "oracle").values.tobytes()
+            for p in fields for kind in ("intensity", "wigner")]
+    assert [f.values.tobytes() for _, f in read] == want
 
 
 # ---------------------------------------------------------------------------
